@@ -13,7 +13,7 @@ break), a crash here takes the node *genuinely* down:
 * the router loses volatile state (neighbor tables / ANT entries,
   pending ACK watches) via the ``on_fault_down`` hook,
 * beacons stop — neighbors age the node out for real,
-* the medium's static fan-out memo and spatial gather cache are
+* the medium's fan-out memo and spatial gather cache are
   invalidated so reachability recomputes.
 
 Recovery restarts beaconing from empty state, exactly like a reboot.

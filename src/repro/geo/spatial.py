@@ -139,6 +139,17 @@ class SpatialIndex:
         """
         return self._moving == 0
 
+    def stationary_stamp(self, now: float) -> int:
+        """A stamp that holds while no radio can have moved, else -1.
+
+        Equal non-negative stamps mean every radio sits where it sat.  The
+        object backend proves only the infinite-horizon case: every model
+        static, stamped by the version (teleports bump it).
+        :class:`~repro.geo.spatial_array.ArraySpatialIndex` also proves
+        paused random-waypoint windows.
+        """
+        return self._version if self._moving == 0 else -1
+
     # -------------------------------------------------------------- mutation
     def add(self, radio: "PhyRadio", now: float) -> None:
         """Start tracking ``radio`` (binned immediately at time ``now``)."""
@@ -158,7 +169,7 @@ class SpatialIndex:
 
     def invalidate_all(self) -> None:
         """Drop every version-stamped derived cache (gather cache here,
-        the medium's static fan-out memo downstream) by bumping the
+        the medium's fan-out memo downstream) by bumping the
         version.  Binning is untouched — node lifecycle faults change
         radio *liveness*, never geometry — so candidate queries keep
         their exactness proof while stamped consumers rebuild lazily."""
@@ -167,7 +178,7 @@ class SpatialIndex:
     def _invalidate(self, entry: _Entry) -> None:
         # A teleport can land inside the same cell, which changes positions
         # without changing membership — bump the version so position-derived
-        # caches (the medium's static fan-out memo) are dropped regardless.
+        # caches (the medium's fan-out memo) are dropped regardless.
         self._version += 1
         if entry.speed is not None and entry.valid_until != -_INF:
             entry.valid_until = -_INF

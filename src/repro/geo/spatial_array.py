@@ -117,7 +117,7 @@ class ArraySpatialIndex:
 
     Mirrors the object backend's public surface (``add`` /
     ``candidates_within`` / ``refresh`` / ``invalidate_all`` /
-    ``version`` / ``all_static`` / ``stats``) and adds the batched
+    ``version`` / ``stationary_stamp`` / ``stats``) and adds the batched
     queries (:meth:`positions_at`, :meth:`classify_fanout`) the medium's
     vectorized transmit path uses.  Requires numpy
     (:data:`repro.geo.vecops.HAVE_NUMPY`); the medium falls back to the
@@ -181,7 +181,12 @@ class ArraySpatialIndex:
         #: (col, row, reach) -> (membership_version, radios).
         self._cache: Dict[Tuple[int, int, int], Tuple[int, List["PhyRadio"]]] = {}
         self._version = 0
-        self._moving = 0
+        #: Stationary window (see :meth:`stationary_stamp`): the current
+        #: window's stamp and last instant, and the earliest instant a new
+        #: window can open (scalar retry guard for mobile populations).
+        self._still_stamp = 0
+        self._still_until = -_INF
+        self._still_retry = -_INF
         self.rebins = 0
         self.refreshes = 0
         self.cache_hits = 0
@@ -191,11 +196,6 @@ class ArraySpatialIndex:
     def version(self) -> int:
         """Monotone change stamp (cell membership changes and teleports)."""
         return self._version
-
-    @property
-    def all_static(self) -> bool:
-        """True when no tracked radio can move between notifications."""
-        return self._moving == 0
 
     # ------------------------------------------------------------ mutation
     def add(self, radio: "PhyRadio", now: float) -> None:
@@ -232,8 +232,7 @@ class ArraySpatialIndex:
                 self._scalar_rows.append(row)
             else:
                 self._speed[row] = 0.0  # fixed: refreshed via subscribe only
-        if self._speed[row] != 0.0:
-            self._moving += 1
+        self._end_stationary()
         # Protocol subscribe: teleports must both re-position and re-bin.
         mobility.subscribe(lambda r=row: self._on_teleport(r))
         self._epoch += 1
@@ -263,6 +262,7 @@ class ArraySpatialIndex:
         """Bump the version so stamped derived caches rebuild (liveness
         faults; geometry untouched — same contract as the object backend)."""
         self._version += 1
+        self._end_stationary()
 
     def _on_teleport(self, row: int) -> None:
         """Subscribe callback: a discontinuity landed on ``row``."""
@@ -271,6 +271,45 @@ class ArraySpatialIndex:
         self._valid[row] = -_INF  # re-bin at next refresh
         self._next_due = -_INF  # ... which the refresh guard must not skip
         self._dirty_rows.append(row)  # re-read the scalar position
+        self._end_stationary()
+
+    # ---------------------------------------------------------- stationarity
+    def _end_stationary(self) -> None:
+        """Close the current stationary window (a discontinuity landed)."""
+        self._still_until = -_INF
+        self._still_retry = -_INF
+
+    def stationary_stamp(self, now: float) -> int:
+        """A stamp that holds while no tracked radio can have moved, else -1.
+
+        Two calls that return the same non-negative stamp see every radio
+        at bitwise the same position.  A window opens when every leg row
+        is paused (``now <= depart``: the batch kernel returns the origin)
+        and lasts until the earliest ``depart``; fixed rows never move
+        between teleports, and teleports, adds and :meth:`invalidate_all`
+        close the window.  Opaque rows can move unannounced, so a
+        population holding any never gets a stamp.  Once some leg has
+        departed, no window can open before its arrival, so mobile
+        populations pay one scalar compare per call.
+        """
+        if now <= self._still_until:
+            return self._still_stamp
+        if now < self._still_retry or self._scalar_rows:
+            return -1
+        self._sync_rows(now)  # rolled legs carry the new depart times
+        n = self._legs.size
+        is_leg = self._is_leg[:n]
+        depart = self._legs.depart[:n][is_leg]
+        until = float(depart.min()) if depart.size else _INF
+        if now > until:
+            arrive = self._legs.arrive[:n][is_leg]
+            self._still_retry = max(
+                float(arrive[depart < now].max()), math.nextafter(now, _INF)
+            )
+            return -1
+        self._still_stamp += 1
+        self._still_until = until
+        return self._still_stamp
 
     # ----------------------------------------------------------- positions
     def positions_at(self, now: float) -> Tuple["np.ndarray", "np.ndarray"]:

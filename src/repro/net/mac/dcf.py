@@ -16,7 +16,11 @@ Models the parts of DCF the paper's evaluation hinges on:
 * **EIFS** after corrupted receptions.
 
 The implementation is a freeze/resume backoff machine driven by channel
-busy/idle callbacks from :class:`~repro.net.phy.PhyRadio`.
+busy/idle callbacks from :class:`~repro.net.phy.PhyRadio`.  Busy only
+matters while a DIFS or backoff-slot timer is armed (it freezes them),
+and idle only in ``CONTEND`` (it resumes contention), so the MAC keeps
+its PHY's ``carrier_listen`` level in step with exactly those two
+conditions and the PHY skips every other callback.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.net.addresses import BROADCAST, MacAddress
 from repro.net.mac.constants import DEFAULT_DOT11, Dot11Params
 from repro.net.mac.frames import FrameKind, MacFrame
 from repro.net.packet import Packet
+from repro.net.phy import LISTEN_ALL, LISTEN_IDLE, LISTEN_NONE
 from repro.sim.engine import Event, Simulator
 from repro.sim.trace import Tracer
 
@@ -206,19 +211,26 @@ class DcfMac:
 
     def _try_contend(self) -> None:
         """(Re)enter the DIFS-then-backoff sequence if the channel allows."""
-        self._cancel(("_difs_timer", "_slot_timer"))
+        self._cancel_contention()
+        phy = self.phy
         if self._state is not MacState.CONTEND or self._op is None:
+            phy.carrier_listen = (
+                LISTEN_IDLE if self._state is MacState.CONTEND else LISTEN_NONE
+            )
             return
-        if self.phy.carrier_busy:
-            return  # on_channel_idle will call us again
+        if phy.carrier_busy:
+            phy.carrier_listen = LISTEN_IDLE  # on_channel_idle will call us again
+            return
         if self.sim.now < self._nav_until:
             if self._nav_timer is None or self._nav_timer.cancelled:
                 self._nav_timer = self.sim.schedule(
                     self._nav_until - self.sim.now, self._on_nav_expired, name="mac.nav"
                 )
+            phy.carrier_listen = LISTEN_IDLE
             return
-        gap = self.params.eifs if self.phy.last_reception_corrupted else self.params.difs
+        gap = self.params.eifs if phy.last_reception_corrupted else self.params.difs
         self._difs_timer = self.sim.schedule(gap, self._on_difs_done, name="mac.difs")
+        phy.carrier_listen = LISTEN_ALL
 
     def _on_nav_expired(self) -> None:
         self._nav_timer = None
@@ -234,6 +246,7 @@ class DcfMac:
             self._schedule_slot()
 
     def _schedule_slot(self) -> None:
+        # The DIFS or slot timer that just fired set LISTEN_ALL; it stays.
         self._slot_timer = self.sim.schedule(
             self.params.slot_time, self._on_slot, name="mac.slot"
         )
@@ -252,7 +265,9 @@ class DcfMac:
 
     def on_channel_busy(self) -> None:
         """PHY callback: freeze DIFS/backoff timers."""
-        self._cancel(("_difs_timer", "_slot_timer"))
+        self._cancel_contention()
+        if self._state is MacState.CONTEND:
+            self.phy.carrier_listen = LISTEN_IDLE
 
     def on_channel_idle(self) -> None:
         """PHY callback: resume contention (also fires after own TX ends)."""
@@ -270,7 +285,12 @@ class DcfMac:
         is cleared by ``on_fault_down``), so nobody is alive to react.
         """
         self.down = True
-        self._cancel(("_difs_timer", "_slot_timer", "_wait_timer", "_nav_timer"))
+        self._cancel_contention()
+        self._cancel_wait()
+        if self._nav_timer is not None:
+            self._nav_timer.cancel()
+            self._nav_timer = None
+        self.phy.carrier_listen = LISTEN_NONE
         dropped = len(self._queue) + (1 if self._op is not None else 0)
         if dropped:
             self.stats.down_drops += dropped
@@ -293,7 +313,9 @@ class DcfMac:
     def _transmit_current(self) -> None:
         op = self._op
         assert op is not None
-        self._cancel(("_difs_timer", "_slot_timer"))
+        self._cancel_contention()
+        # Every branch below leaves CONTEND (WAIT_CTS, WAIT_ACK or IDLE).
+        self.phy.carrier_listen = LISTEN_NONE
         if op.use_rts:
             self._send_rts(op)
         else:
@@ -395,7 +417,7 @@ class DcfMac:
                 self._set_nav(frame.nav)
         elif kind is FrameKind.CTS:
             if frame.dst == self.address and self._state is MacState.WAIT_CTS:
-                self._cancel(("_wait_timer",))
+                self._cancel_wait()
                 self.sim.schedule(self.params.sifs, self._send_data_after_cts, name="mac.sifs_data")
             elif frame.dst != self.address:
                 self._set_nav(frame.nav)
@@ -409,7 +431,7 @@ class DcfMac:
                 self._set_nav(frame.nav)
         elif kind is FrameKind.ACK:
             if frame.dst == self.address and self._state is MacState.WAIT_ACK:
-                self._cancel(("_wait_timer",))
+                self._cancel_wait()
                 op = self._op
                 assert op is not None
                 self._finish_op(op, True)
@@ -456,7 +478,9 @@ class DcfMac:
         until = self.sim.now + nav
         if until > self._nav_until:
             self._nav_until = until
-        self._cancel(("_difs_timer", "_slot_timer"))
+        self._cancel_contention()
+        if self._state is MacState.CONTEND:
+            self.phy.carrier_listen = LISTEN_IDLE
 
     # ============================================================ completion
     def _finish_op(self, op: TxOp, success: bool) -> None:
@@ -475,12 +499,23 @@ class DcfMac:
             self._start_next()
 
     # ================================================================= misc
-    def _cancel(self, names: tuple[str, ...]) -> None:
-        for name in names:
-            timer: Optional[Event] = getattr(self, name)
-            if timer is not None:
-                timer.cancel()
-                setattr(self, name, None)
+    def _cancel_contention(self) -> None:
+        """Disarm the DIFS and backoff-slot timers."""
+        timer = self._difs_timer
+        if timer is not None:
+            timer.cancel()
+            self._difs_timer = None
+        timer = self._slot_timer
+        if timer is not None:
+            timer.cancel()
+            self._slot_timer = None
+
+    def _cancel_wait(self) -> None:
+        """Disarm the CTS/ACK timeout."""
+        timer = self._wait_timer
+        if timer is not None:
+            timer.cancel()
+            self._wait_timer = None
 
     def _trace(self, category: str, **data) -> None:
         if self.tracer is not None:

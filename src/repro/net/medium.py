@@ -48,14 +48,28 @@ the same byte-identical discipline:
   and consolidates each radio's reception bookkeeping into pooled
   records; ``"cross"`` additionally scrub-verifies every object across
   the free boundary.
+
+Fan-out memo
+------------
+While no radio can have moved, a sender's fan-out is the same on every
+frame, so the medium keeps the last classification per sender and
+replays it.  The key is the index's ``stationary_stamp``: equal stamps
+mean every radio sits bitwise where it sat.  The array index proves that
+for paused random-waypoint windows (every node of the paper's arena
+waits 60 s before its first leg) as well as for all-static topologies;
+the object index proves only the all-static case.  A hit skips the
+index entirely, and ``spatial_mode="cross"`` still re-derives every hit
+with the scalar path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING, AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.geo import vecops
 from repro.geo.spatial import SpatialIndex
@@ -103,8 +117,9 @@ class SpatialCoherenceError(AssertionError):
 class Transmission:
     """One frame in flight.
 
-    ``deliverable_to`` / ``corrupted_at`` are node-id *sets* — membership
-    is the only question receivers ever ask.
+    ``deliverable_to`` is a node-id set — membership is the only question
+    receivers ever ask.  Fan-out memo hits share the memo's frozenset
+    instead of copying it, so it must never be mutated after transmit.
     """
 
     uid: int
@@ -113,8 +128,7 @@ class Transmission:
     frame: MacFrame
     start: float
     end: float
-    corrupted_at: Set[int] = field(default_factory=set)
-    deliverable_to: Set[int] = field(default_factory=set)
+    deliverable_to: AbstractSet[int]
 
     @property
     def duration(self) -> float:
@@ -183,21 +197,15 @@ class RadioMedium:
         self._index: Optional[SpatialIndex] = None
         if not use_array and index_mode != "brute":
             self._index = SpatialIndex(cell_size=cell, refresh_quantum=index_refresh_quantum)
-        #: Static fan-out memo: sender node id -> (index version, sender
-        #: (x, y), affected radios in registration order, deliverable ids,
-        #: per-receiver distances — ``None`` on the object path, which
-        #: recomputes them in ``on_tx_start`` exactly as the seed did).
-        #: Consulted only while the index proves every radio static; any
-        #: membership change or teleport bumps the version and drops it.
+        #: Fan-out memo (see the module docstring): sender node id ->
+        #: (stationary stamp, sender position, affected radios in
+        #: registration order, deliverable ids, per-receiver distances —
+        #: ``None`` on the object path, which recomputes them in
+        #: ``on_tx_start`` exactly as the seed did).  An entry is used only
+        #: while the index returns the stamp it was stored under.
         self._fanout_memo: Dict[
             int,
-            Tuple[
-                int,
-                Tuple[float, float],
-                List["PhyRadio"],
-                FrozenSet[int],
-                Optional[List[float]],
-            ],
+            Tuple[int, Position, List["PhyRadio"], FrozenSet[int], Optional[List[float]]],
         ] = {}
         # Sharded execution (repro.sim.shard): when set, fan-out only
         # touches owned radios, transmission completion runs under
@@ -275,21 +283,36 @@ class RadioMedium:
         """
         now = self.sim.now
         aindex = self._aindex
+        index = aindex if aindex is not None else self._index
+        # -1 disables the memo (brute mode, or some radio may have moved).
+        stamp = index.stationary_stamp(now) if index is not None else -1
+        cached = None
+        if stamp >= 0:
+            cached = self._fanout_memo.get(sender.node_id)
+            if cached is not None and cached[0] != stamp:
+                cached = None
         fan: Optional[FanOut] = None
-        if aindex is not None:
-            # One batched sweep classifies the whole fan-out; the sender's
-            # own position comes from the same kernel (bitwise equal to
-            # the scalar interpolation, see repro.geo.vecops).
-            fan = aindex.classify_fanout(
-                sender.node_id,
-                now,
-                self.interference_range,
-                self._radio_range2,
-                self._interference_range2,
-            )
-            sender_pos = Position(fan.sx, fan.sy)
+        deliverable: AbstractSet[int]
+        if cached is not None:
+            sender_pos = cached[1]
+            deliverable = cached[3]
         else:
-            sender_pos = sender.position
+            members: Set[int] = set()
+            deliverable = members
+            if aindex is not None:
+                # One batched sweep classifies the whole fan-out; the
+                # sender's own position comes from the same kernel (bitwise
+                # equal to the scalar interpolation, see repro.geo.vecops).
+                fan = aindex.classify_fanout(
+                    sender.node_id,
+                    now,
+                    self.interference_range,
+                    self._radio_range2,
+                    self._interference_range2,
+                )
+                sender_pos = Position(fan.sx, fan.sy)
+            else:
+                sender_pos = sender.position
         tx = Transmission(
             uid=next(self._tx_uid),
             sender_id=sender.node_id,
@@ -297,6 +320,7 @@ class RadioMedium:
             frame=frame,
             start=now,
             end=now + duration,
+            deliverable_to=deliverable,
         )
         self.frames_sent += 1
         tracer = self.tracer
@@ -319,25 +343,9 @@ class RadioMedium:
             )
 
         sender.begin_transmit(tx)
-        radio_range2 = self._radio_range2
-        interference_range2 = self._interference_range2
         owned = self._shard_owned
-        index = self._aindex if aindex is not None else self._index
-        # -1 disables the memo (brute mode, or some radio can move); the
-        # index version is read *before* the gather, so a concurrent
-        # invalidation would make the stored stamp compare stale — never
-        # the reverse.
-        memo_version = index.version if index is not None and index.all_static else -1
-        pos_key = (sender_pos.x, sender_pos.y)
-        cached = None
-        if memo_version >= 0:
-            cached = self._fanout_memo.get(sender.node_id)
-            if cached is not None and (cached[0] != memo_version or cached[1] != pos_key):
-                cached = None
         if cached is not None:
             affected = cached[2]
-            if cached[3]:
-                tx.deliverable_to.update(cached[3])
             dists = cached[4]
             if dists is None:
                 for radio in affected:
@@ -345,16 +353,19 @@ class RadioMedium:
             else:
                 for radio, dist in zip(affected, dists):
                     radio.on_tx_start(tx, dist)
+                if self.spatial_mode == "cross":
+                    verdicts = [radio.node_id in deliverable for radio in affected]
+                    self._spatial_cross_check(sender, sender_pos, affected, dists, verdicts)
         elif fan is not None:
             affected = []
             radios = self._radios
-            deliverable = tx.deliverable_to
+            add = members.add
             hypot = math.hypot
             rows, fdx, fdy, fdel = fan.rows, fan.dx, fan.dy, fan.deliverable
-            # The distances list is only consumed by the static-fan-out
-            # memo and the cross check; mobile non-cross runs (the common
-            # hot case) skip collecting it entirely.
-            keep_dists = memo_version >= 0 or self.spatial_mode == "cross"
+            # The distances list is only consumed by the fan-out memo and
+            # the cross check; mobile non-cross runs (the common hot case)
+            # skip collecting it entirely.
+            keep_dists = stamp >= 0 or self.spatial_mode == "cross"
             dists: Optional[List[float]] = [] if keep_dists else None
             if keep_dists:
                 for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
@@ -367,7 +378,7 @@ class RadioMedium:
                     # identical floats.
                     dist = hypot(dxv, dyv)
                     if deliv:
-                        deliverable.add(radio.node_id)
+                        add(radio.node_id)
                     radio.on_tx_start(tx, dist)
                     affected.append(radio)
                     dists.append(dist)
@@ -378,17 +389,20 @@ class RadioMedium:
                         continue
                     dist = hypot(dxv, dyv)
                     if deliv:
-                        deliverable.add(radio.node_id)
+                        add(radio.node_id)
                     radio.on_tx_start(tx, dist)
                     affected.append(radio)
-            if memo_version >= 0:
+            if stamp >= 0:
                 self._fanout_memo[sender.node_id] = (
-                    memo_version, pos_key, affected, frozenset(deliverable), dists
+                    stamp, sender_pos, affected, frozenset(members), dists
                 )
             if self.spatial_mode == "cross":
-                self._spatial_cross_check(sender, sender_pos, affected, dists, fan)
+                self._spatial_cross_check(sender, sender_pos, affected, dists, fdel)
         else:
             affected = []
+            add = members.add
+            radio_range2 = self._radio_range2
+            interference_range2 = self._interference_range2
             for radio in self._candidates(sender_pos, self.interference_range):
                 if radio is sender:
                     continue
@@ -397,15 +411,15 @@ class RadioMedium:
                 d2 = radio.position.distance2_to(sender_pos)
                 if d2 <= interference_range2:
                     if d2 <= radio_range2:
-                        tx.deliverable_to.add(radio.node_id)
+                        add(radio.node_id)
                     radio.on_tx_start(tx)
                     affected.append(radio)
-            if memo_version >= 0:
+            if stamp >= 0:
                 # affected is shared with the memo but never mutated in
                 # place (recomputes build a fresh list), so in-flight
                 # _finish closures stay correct across invalidation.
                 self._fanout_memo[sender.node_id] = (
-                    memo_version, pos_key, affected, frozenset(tx.deliverable_to), None
+                    stamp, sender_pos, affected, frozenset(members), None
                 )
         if self.index_mode == "cross":
             self._cross_check(sender_pos, self.interference_range, affected, sender)
@@ -467,6 +481,7 @@ class RadioMedium:
         owner shard's batched path.  Emits nothing and bumps no counters:
         the owner already accounted for this frame.
         """
+        members: Set[int] = set()
         tx = Transmission(
             uid=next(self._tx_uid),
             sender_id=sender_id,
@@ -474,6 +489,7 @@ class RadioMedium:
             frame=frame,
             start=start,
             end=end,
+            deliverable_to=members,
         )
         owned = self._shard_owned
         affected: List["PhyRadio"] = []
@@ -488,7 +504,7 @@ class RadioMedium:
             d2 = radio.position.distance2_to(sender_pos)
             if d2 <= interference_range2:
                 if d2 <= radio_range2:
-                    tx.deliverable_to.add(radio.node_id)
+                    members.add(radio.node_id)
                 radio.on_tx_start(tx)
                 affected.append(radio)
         return tx, affected
@@ -510,11 +526,11 @@ class RadioMedium:
         sender_pos: Position,
         affected: List["PhyRadio"],
         dists: List[float],
-        fan: FanOut,
+        deliverable: List[bool],
     ) -> None:
-        """spatial_mode="cross": verify the batched classification against
-        the scalar object computation — membership, order, deliverability,
-        and *bitwise* sender position and distances."""
+        """spatial_mode="cross": verify the batched (or memo-replayed)
+        classification against the scalar object computation — membership,
+        order, deliverability, and *bitwise* sender position and distances."""
         ref = sender.position
         if (ref.x, ref.y) != (sender_pos.x, sender_pos.y):
             raise SpatialCoherenceError(
@@ -531,7 +547,7 @@ class RadioMedium:
                 expected.append(
                     (radio, rpos.distance_to(sender_pos), d2 <= self._radio_range2)
                 )
-        got = list(zip(affected, dists, fan.deliverable))
+        got = list(zip(affected, dists, deliverable))
         if len(expected) != len(got) or any(
             e[0] is not g[0] or e[1] != g[1] or e[2] != g[2]
             for e, g in zip(expected, got)
@@ -549,7 +565,7 @@ class RadioMedium:
 
         Geometry is untouched — a down node still occupies space and
         blocks/interferes as energy — but any cached fan-out the caller
-        may layer on liveness must rebuild, so the static fan-out memo is
+        may layer on liveness must rebuild, so the fan-out memo is
         dropped and the spatial index version is bumped (which also
         drops its gather cache).  Never called on the no-faults path, so
         the seed behaviour is byte-identical.

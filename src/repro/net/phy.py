@@ -17,6 +17,15 @@ Fault hooks (both absent by default — the seed code path is unchanged):
   radio genuinely deaf and mute: nothing is delivered and the MAC gets
   no carrier callbacks, while impinging-energy bookkeeping still runs
   so carrier state is correct the instant the node recovers.
+
+Carrier-listener contract
+-------------------------
+Most MACs ignore most carrier transitions: an idle station has nothing
+to freeze or resume.  So the MAC keeps :attr:`PhyRadio.carrier_listen`
+at one of the ``LISTEN_*`` levels at its own state transitions, and the
+PHY makes a carrier callback only when the level asks for it.  The MAC
+may listen to more than it needs (extra callbacks are no-ops) but never
+to less.
 """
 
 from __future__ import annotations
@@ -34,7 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.mac.dcf import DcfMac
     from repro.net.medium import RadioMedium, Transmission
 
-__all__ = ["PhyRadio"]
+__all__ = ["PhyRadio", "LISTEN_NONE", "LISTEN_IDLE", "LISTEN_ALL"]
+
+#: ``carrier_listen`` levels: no carrier callbacks; ``on_channel_idle``
+#: only; both ``on_channel_busy`` and ``on_channel_idle``.
+LISTEN_NONE = 0
+LISTEN_IDLE = 1
+LISTEN_ALL = 2
 
 
 #: Signal-to-interference capture: a reception survives an overlapping
@@ -62,6 +77,9 @@ class PhyRadio:
         self.mobility = mobility
         self.tracer = tracer
         self.mac: Optional["DcfMac"] = None
+        #: Which carrier callbacks the MAC wants (a ``LISTEN_*`` level);
+        #: written only by the MAC, see the module docstring.
+        self.carrier_listen = LISTEN_NONE
 
         # Reception bookkeeping comes in two shapes sharing one dict (so
         # ``carrier_busy`` is representation-agnostic): unpooled, the
@@ -138,8 +156,10 @@ class PhyRadio:
 
     def end_transmit(self, tx: "Transmission") -> None:
         self._own_tx = None
-        if not self._impinging and self.mac is not None and not self.down:
-            self.mac.on_channel_idle()
+        if self.carrier_listen and not self._impinging and not self.down:
+            mac = self.mac
+            if mac is not None:
+                mac.on_channel_idle()
 
     # ------------------------------------------------------------ reception
     def on_tx_start(self, tx: "Transmission", distance: Optional[float] = None) -> None:
@@ -201,8 +221,10 @@ class PhyRadio:
                     self._corrupted.add(tx.uid)
             self._impinging[tx.uid] = tx
             self._distances[tx.uid] = new_distance
-        if was_idle and self.mac is not None and not self.down:
-            self.mac.on_channel_busy()
+        if was_idle and self.carrier_listen == LISTEN_ALL and not self.down:
+            mac = self.mac
+            if mac is not None:
+                mac.on_channel_busy()
 
     def on_tx_end(self, tx: "Transmission") -> None:
         if self._pooled:
@@ -275,6 +297,8 @@ class PhyRadio:
             # transmission that was merely sensed (out of radio range) is
             # plain channel noise and releases with a normal DIFS.
             self._last_ended_corrupted = deliverable and corrupted
-            mac = self.mac
-            if mac is not None:
-                mac.on_channel_idle()
+            # Read after on_frame above, which may have changed the level.
+            if self.carrier_listen:
+                mac = self.mac
+                if mac is not None:
+                    mac.on_channel_idle()

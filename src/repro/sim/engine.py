@@ -147,9 +147,11 @@ class Event:
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    ``scheduler_mode`` selects the queue backend (``"heap"`` — the
-    default — ``"wheel"``, or ``"cross"``); outcomes and traces are
-    byte-identical in every mode.  ``wheel_resolution`` /
+    ``scheduler_mode`` selects the queue backend (``"heap"``,
+    ``"wheel"``, or ``"cross"``); outcomes and traces are byte-identical
+    in every mode.  A bare ``Simulator()`` uses ``"heap"``, but scenarios
+    run on ``"wheel"``: that is the ``ScenarioConfig.scheduler_mode``
+    default.  ``wheel_resolution`` /
     ``wheel_slots`` tune the near wheel (defaults: 802.11 slot time x
     1024 buckets ~= 20.5 ms horizon).
 

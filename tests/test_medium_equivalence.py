@@ -106,8 +106,14 @@ def test_transmission_membership_fields_are_sets():
     frame = MacFrame(FrameKind.DATA, MacAddress(1), BROADCAST)
     tx = medium.transmit(radios[0], frame, 1e-4)
     assert isinstance(tx.deliverable_to, set)
-    assert isinstance(tx.corrupted_at, set)
     assert tx.deliverable_to == {1, 2}
+    assert not hasattr(tx, "corrupted_at")  # receivers track corruption
+    sim.run()
+    # Memo hits share the memo's frozenset instead of copying it per frame.
+    hits = [medium.transmit(radios[0], frame, 1e-4) for _ in range(2)]
+    assert isinstance(hits[0].deliverable_to, frozenset)
+    assert hits[0].deliverable_to is hits[1].deliverable_to
+    assert hits[0].deliverable_to == {1, 2}
     sim.run()
 
 

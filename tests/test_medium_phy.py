@@ -37,10 +37,10 @@ def _frame(src_id):
 def _received(radio):
     got = []
     class _Mac:
+        """Receive-only double: it never sets ``radio.carrier_listen``, so
+        the PHY makes no carrier callbacks and it needs none."""
         def on_frame(self, frame, tx):
             got.append(frame)
-        def on_channel_busy(self): ...
-        def on_channel_idle(self): ...
     radio.mac = _Mac()
     return got
 
