@@ -1,94 +1,28 @@
-"""Engine hot-path benchmarks: scheduler backends and the tracer fast path.
+"""Engine hot-path benchmarks: event throughput and the tracer fast path.
 
-Not a paper table — these price the substrate the experiments run on:
+Not a paper table — these price the substrate the experiments run on
+(the end-to-end number lives in ``benchmarks/e2e``):
 
-* ``test_mac_timer_churn`` — **the acceptance pair** for the timer
-  wheel.  The workload is the MAC's signature pattern: a large standing
-  far-future population (hello beacons, mobility legs, traffic
-  deadlines) while short near-horizon timers are set and mostly
-  *cancelled* (every frozen backoff, every answered CTS/ACK wait).  The
-  heap pays O(log total-backlog) to sift each corpse in and out; the
-  wheel pays an O(1) bucket append and a flag check at drain time.
-  Entries are pre-built in setup so the timed region is pure
-  data-structure work.  ``bench_to_json.py --suite engine`` derives
-  ``mac_timer_churn_wheel_speedup`` from this pair (floor: 2x).
 * ``test_event_throughput`` — engine-level self-rescheduling tick chain
-  under both backends (the PR 2 baseline workload, now parametrized).
+  (the PR 2 baseline workload).
 * ``test_trace_emit_20k`` — Tracer.emit with retention on vs the
   zero-allocation drop path (keep=False, no matching subscriber).
-* ``test_end_to_end_scenario`` — a paper-density (112-node) AGFW run
-  under both backends: the whole-stack number, where the scheduler is
-  one cost among many (expected: parity or a modest win, never a
-  regression).
+  ``bench_to_json.py --suite engine`` derives ``trace_drop_path_speedup``
+  from this pair.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.sim.engine import Event, Simulator
-from repro.sim.timerwheel import make_scheduler
+from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
-# Churn shape: standing far-future population, then rounds of
-# (CANCELS set-and-cancelled short timers + 1 fired timer) each.
-CHURN_STANDING = 200_000
-CHURN_ROUNDS = 15_000
-CHURN_CANCELS = 12
-
-
-def _churn_setup(mode: str):
-    """Fresh backend + standing population + pre-built entry batches."""
-    sched = make_scheduler(mode)
-    seq = 0
-    for i in range(CHURN_STANDING):
-        seq += 1
-        t = 100.0 + (i % 60_000) * 1e-3
-        sched.push((t, 0, seq, Event(t, 0, seq, None)))
-    batches = []
-    now = 0.0
-    for r in range(CHURN_ROUNDS):
-        batch = []
-        for j in range(CHURN_CANCELS):
-            seq += 1
-            t = now + 20e-6 * (1 + (r + j) % 64)
-            batch.append((t, 0, seq, Event(t, 0, seq, None)))
-        seq += 1
-        t = now + 50e-6
-        batch.append((t, 0, seq, Event(t, 0, seq, None)))
-        batches.append(batch)
-        now += 50e-6
-    return (sched, batches), {}
-
-
-def _churn_run(sched, batches):
-    popped = 0
-    for batch in batches:
-        for entry in batch[:-1]:
-            sched.push(entry)
-            entry[3].cancelled = True  # a MAC timer that never fires
-        sched.push(batch[-1])
-        head = sched.pop()
-        head[3].cancelled = True  # consumed, as the engine marks it
-        popped += 1
-    return popped
-
 
 @pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("mode", ["heap", "wheel"])
-def test_mac_timer_churn(benchmark, mode):
-    result = benchmark.pedantic(
-        _churn_run, setup=lambda: _churn_setup(mode), rounds=5
-    )
-    assert result == CHURN_ROUNDS
-
-
-@pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("mode", ["heap", "wheel"])
-def test_event_throughput(benchmark, mode):
+def test_event_throughput(benchmark):
     def run():
-        sim = Simulator(scheduler_mode=mode)
+        sim = Simulator()
         count = 0
 
         def tick():
@@ -130,26 +64,3 @@ def test_trace_emit_20k(benchmark, path):
         return count
 
     assert benchmark(run) == (20_000 if path == "keep" else 0)
-
-
-def _scenario(mode: str) -> float:
-    config = ScenarioConfig(
-        protocol="agfw",
-        num_nodes=112,  # the paper's called-out density knee
-        sim_time=4.0,
-        traffic_start=(0.5, 1.5),
-        num_flows=30,
-        num_senders=20,
-        seed=7,
-        scheduler_mode=mode,
-    )
-    scenario = Scenario(config)
-    result = scenario.run()
-    return result.delivery_fraction
-
-
-@pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("mode", ["heap", "wheel"])
-def test_end_to_end_scenario(benchmark, mode):
-    fraction = benchmark.pedantic(_scenario, args=(mode,), rounds=5)
-    assert fraction > 0.0

@@ -46,10 +46,8 @@ Suites:
 * ``crypto`` — RSA/ring/trapdoor primitives plus the crypto fast path
   (PR 3); derived cached-vs-uncached speedups for the hello-verify and
   trapdoor-open workloads and the CRT precompute micro-benchmark.
-* ``engine`` — scheduler backends and the tracer fast path (PR 4);
-  derived wheel-vs-heap speedups for the MAC-timer-churn microbench
-  (acceptance floor: 2x) and the end-to-end scenario (floor: no
-  regression), plus the trace keep-vs-drop path ratio.
+* ``engine`` — event throughput and the tracer fast path (PR 4);
+  derived ``trace_drop_path_speedup`` (trace keep-vs-drop path ratio).
 * ``faults`` — fault-injection machinery (PR 5): loss-model draw
   throughput plus end-to-end scenarios under each impairment regime;
   derived ``*_scenario_overhead`` ratios vs the unimpaired leg (the
@@ -205,14 +203,6 @@ SUITES: dict[str, dict] = {
     "engine": {
         "file": "bench_engine.py",
         "derived": {
-            "mac_timer_churn_wheel_speedup": (
-                "test_mac_timer_churn[heap]",
-                "test_mac_timer_churn[wheel]",
-            ),
-            "scenario_wheel_speedup": (
-                "test_end_to_end_scenario[heap]",
-                "test_end_to_end_scenario[wheel]",
-            ),
             "trace_drop_path_speedup": (
                 "test_trace_emit_20k[keep]",
                 "test_trace_emit_20k[drop]",

@@ -23,9 +23,8 @@ DET-007     module-level mutable memo caches (empty dict/OrderedDict/
             ``functools.cache``) outside the audited
             ``repro.crypto.cache`` module
 DET-008     ad-hoc priority queues (``heapq``/``bisect.insort`` calls)
-            outside the scheduler backends in ``repro.sim`` — event
-            ordering must flow through the Simulator's proven-equivalent
-            backends, not side queues
+            outside ``repro.sim`` — event ordering must flow through the
+            Simulator's event queue, not side queues
 DET-009     *interprocedural* DET-005: iteration over project-known
             unordered values (set-typed attributes, set-returning
             helpers from another module) inside any function that can
@@ -684,13 +683,13 @@ _BISECT_INSERT_OPS = frozenset({"insort", "insort_left", "insort_right"})
 class AdHocEventQueue(Rule):
     """DET-008: hand-rolled priority queues outside ``repro.sim``.
 
-    The scheduler backends in :mod:`repro.sim.timerwheel` order events by
-    the full ``(time, priority, seq)`` key and are proven pop-equivalent
-    against each other (cross mode checks every pop).  A side queue built
-    from ``heapq`` or ``bisect.insort`` elsewhere re-invents that
-    ordering *without* the seq tie-breaker or the equivalence proof:
-    same-key entries surface in heap-shape-dependent order, which leaks
-    straight into event scheduling and breaks byte-identical traces.
+    The event queue in :mod:`repro.sim.engine` orders events by the full
+    ``(time, priority, seq)`` key, which is unique, so pop order never
+    depends on the heap's shape.  A side queue built from ``heapq`` or
+    ``bisect.insort`` elsewhere re-invents that ordering *without* the
+    seq tie-breaker: same-key entries surface in heap-shape-dependent
+    order, which leaks straight into event scheduling and breaks
+    byte-identical traces.
     Schedule through the Simulator instead, or — for genuinely non-event
     ordering, like the spatial index's audited rebucketing horizon — add
     the path to the exemption list with a comment saying why.
@@ -700,11 +699,11 @@ class AdHocEventQueue(Rule):
     name = "ad-hoc-event-queue"
     rationale = (
         "heapq/bisect queues outside repro.sim lack the (time, priority, seq) "
-        "tie-breaker and the cross-checked equivalence proof; same-key pops "
-        "come out in heap-shape order and break byte-identical traces."
+        "tie-breaker; same-key pops come out in heap-shape order and break "
+        "byte-identical traces."
     )
     exempt_paths = (
-        "sim/*",            # the scheduler backends themselves
+        "sim/*",            # the engine's event queue itself
         "geo/spatial.py",   # audited: rebucketing horizon heap, keys unique
         "tests/*",
         "test_*.py",
@@ -726,7 +725,7 @@ class AdHocEventQueue(Rule):
                     node,
                     f"heapq.{attr}() builds an ad-hoc priority queue without "
                     "the (time, priority, seq) tie-breaker; schedule through "
-                    "the Simulator's backend (repro.sim.timerwheel) or audit "
+                    "the Simulator's event queue (repro.sim.engine) or audit "
                     "& exempt this path",
                 )
             elif mod_name == "bisect" and attr in _BISECT_INSERT_OPS:
@@ -735,7 +734,7 @@ class AdHocEventQueue(Rule):
                     node,
                     f"bisect.{attr}() maintains an ad-hoc sorted queue; "
                     "same-key insertion order is shape-dependent — schedule "
-                    "through the Simulator's backend or audit & exempt",
+                    "through the Simulator's event queue or audit & exempt",
                 )
 
 

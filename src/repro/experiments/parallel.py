@@ -14,9 +14,6 @@ Workers inherit no simulation state: the only module-level mutables in
 the tree are uid counters (allowed by DET-006 precisely because their
 values never influence control flow or formatted output), so a point
 computes the same result in a forked child, a spawned child, or inline.
-The same holds for the scheduler backend: every ``scheduler_mode``
-(``heap`` | ``wheel`` | ``cross``) pops events in the identical order,
-so sweep output is byte-identical across backends *and* job counts.
 
 ``fork`` is preferred when the platform offers it (cheap, inherits the
 imported tree); ``spawn`` is the fallback elsewhere.  Worker functions

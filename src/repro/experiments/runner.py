@@ -39,7 +39,6 @@ from repro.net.medium import SPATIAL_MODES
 from repro.net.pool import POOL_MODES
 from repro.sim.shard import SHARD_MODES
 from repro.sim.shard.driver import effective_jobs
-from repro.sim.timerwheel import SCHEDULER_MODES
 
 __all__ = ["main"]
 
@@ -64,14 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="worker processes for independent experiment points "
         "(output is byte-identical for any value)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULER_MODES,
-        default="wheel",
-        help="event-queue backend: wheel (timer wheel, default), heap "
-        "(heapq reference), or cross (lockstep equivalence check); "
-        "output is byte-identical for any value",
     )
     parser.add_argument(
         "--spatial",
@@ -228,7 +219,6 @@ def _run_experiments(args, sim_time: float, counts: tuple, churn) -> None:
             seed=args.seed,
             jobs=args.jobs,
             base=ScenarioConfig(
-                scheduler_mode=args.scheduler,
                 spatial_mode=args.spatial,
                 pool_mode=args.pool,
                 shard_mode=args.shard_mode,
@@ -272,7 +262,6 @@ def _run_experiments(args, sim_time: float, counts: tuple, churn) -> None:
             seed=args.seed,
             jobs=args.jobs,
             base=ScenarioConfig(
-                scheduler_mode=args.scheduler,
                 spatial_mode=args.spatial,
                 pool_mode=args.pool,
                 shard_mode=args.shard_mode,

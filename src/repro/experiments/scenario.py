@@ -41,7 +41,6 @@ from repro.routing.base import RouterStats
 from repro.routing.gpsr import GpsrConfig, GpsrRouter
 from repro.sim.engine import Simulator
 from repro.sim.shard import validate_shard_mode
-from repro.sim.timerwheel import validate_scheduler_mode
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 from repro.traffic.cbr import CbrSource
@@ -68,12 +67,6 @@ class ScenarioConfig:
     # (full O(N) scan), or "cross" (grid verified against brute on every
     # query).  Outcome-identical by construction; see repro.geo.spatial.
     medium_index: str = "grid"
-    # Event-queue backend: "wheel" (hierarchical timer wheel, default),
-    # "heap" (heapq reference), or "cross" (both in lockstep, raising
-    # SchedulerCoherenceError on any pop divergence).  Pop order — and
-    # therefore every trace byte — is identical in all three modes; see
-    # repro.sim.timerwheel.
-    scheduler_mode: str = "wheel"
     # Spatial backend: "array" (numpy batch classification, default —
     # silently falls back to "obj" without numpy or with
     # medium_index="brute"), "obj" (object-graph grid), or "cross" (array
@@ -92,11 +85,6 @@ class ScenarioConfig:
     shard_mode: str = "off"
     # Number of column shards when shard_mode != "off".
     shards: int = 2
-    # Keyed-engine queue backend inside shard workers: "slim" (timer
-    # wheel + per-actor append lists — one bucket append per schedule)
-    # or "threeheap" (the original three-heap reference; identical pop
-    # order and traces, kept for the churn-equivalence proof).
-    keyed_queue: str = "slim"
     # Fold promise announcements into execute replies (one IPC round
     # trip per steady-state round instead of two).  Trace-invariant;
     # False selects the legacy split promise/execute rounds.
@@ -188,7 +176,6 @@ class ScenarioConfig:
         if self.sim_time <= 0:
             raise ValueError("sim_time must be positive")
         validate_cache_mode(self.crypto_cache_mode)
-        validate_scheduler_mode(self.scheduler_mode)
         validate_spatial_mode(self.spatial_mode)
         validate_pool_mode(self.pool_mode)
         validate_loss_model(self.loss_model)
@@ -218,8 +205,6 @@ class ScenarioConfig:
                     raise ValueError(f"teleport time must be >= 0: {entry}")
                 if not (0 <= node_id < self.num_nodes):
                     raise ValueError(f"teleport targets unknown node: {entry}")
-        if self.keyed_queue not in ("slim", "threeheap"):
-            raise ValueError("keyed_queue must be 'slim' or 'threeheap'")
         if self.shard_mode != "off":
             if self.shards < 1:
                 raise ValueError("shards must be >= 1")
@@ -328,7 +313,7 @@ class Scenario:
         self.config = config
         # Shard workers inject a KeyedSimulator; the default path builds
         # the plain engine exactly as before.
-        self.sim = sim if sim is not None else Simulator(scheduler_mode=config.scheduler_mode)
+        self.sim = sim if sim is not None else Simulator()
         self.tracer = Tracer(keep=config.keep_trace)
         self.delivery = DeliveryCollector(self.tracer)
         self.overhead = OverheadCollector(self.tracer)

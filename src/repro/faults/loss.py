@@ -13,8 +13,7 @@ Determinism contract
 * Each receiver owns its own process with a per-purpose derived RNG
   stream (``rngs.fork("faults").stream(f"loss:{node_id}")``), so one
   node's draws never perturb another's and a run is a pure function of
-  the master seed — byte-identical across ``--jobs`` pools and
-  scheduler backends.
+  the master seed — byte-identical across ``--jobs`` pools.
 * The draw happens for *every* deliverable reception, whether or not a
   collision had already corrupted it: the channel state (and the RNG
   stream position) is independent of interference outcomes, keeping the

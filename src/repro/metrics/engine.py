@@ -1,10 +1,8 @@
-"""Observability for the simulation substrate (scheduler + tracer).
+"""Observability for the simulation substrate (event queue + tracer).
 
-The timer-wheel scheduler and the tracer dispatch cache are
-outcome-invisible by construction (pop order and trace bytes are
-identical in every ``scheduler_mode``), so — exactly as with the crypto
-caches — the interesting signal is *how the work was done*: wheel
-occupancy, overflow migrations, re-bases, backlog compactions, and the
+Queue compaction and the tracer dispatch cache are outcome-invisible by
+construction, so — exactly as with the crypto caches — the interesting
+signal is *how the work was done*: queue backlog, compactions, and the
 tracer's dispatch-cache shape.  This module surfaces both through
 ``repro.metrics`` so experiments and benchmarks can report substrate
 efficacy next to delivery/overhead numbers.
@@ -25,13 +23,9 @@ __all__ = [
 
 
 def scheduler_counters(sim: Simulator) -> Dict[str, int]:
-    """Backend telemetry for one simulator.
-
-    Always present: ``backlog`` (live + cancelled entries still queued),
-    ``pending`` (live only), ``processed``, ``compactions``.  The wheel
-    backend adds ``ready``/``wheel``/``overflow`` occupancy and
-    ``rebases``; cross mode adds ``heap_backlog`` (the reference copy).
-    """
+    """Event-queue telemetry for one simulator: ``backlog`` (live +
+    cancelled entries still queued), ``pending`` (live only),
+    ``processed``, ``compactions``."""
     return sim.scheduler_stats()
 
 
@@ -45,7 +39,7 @@ def format_engine_report(sim: Simulator, tracer: Tracer) -> str:
     """A deterministic, human-readable substrate report."""
     sched = scheduler_counters(sim)
     trace = tracer_counters(tracer)
-    lines = [f"scheduler ({sim.scheduler_mode})"]
+    lines = ["scheduler"]
     for key in sorted(sched):
         lines.append(f"  {key:<18} {sched[key]:>10}")
     lines.append("tracer")

@@ -1,15 +1,8 @@
-"""Discrete-event simulation substrate (engine, scheduler backends, RNG
-streams, tracing)."""
+"""Discrete-event simulation substrate (engine, RNG streams, tracing)."""
 
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.keyed import KeyedSimulator
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.timerwheel import (
-    SCHEDULER_MODES,
-    HeapScheduler,
-    SchedulerCoherenceError,
-    TimerWheelScheduler,
-)
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
@@ -17,10 +10,6 @@ __all__ = [
     "KeyedSimulator",
     "SimulationError",
     "Simulator",
-    "SCHEDULER_MODES",
-    "SchedulerCoherenceError",
-    "HeapScheduler",
-    "TimerWheelScheduler",
     "RngRegistry",
     "derive_seed",
     "TraceRecord",

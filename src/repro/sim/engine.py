@@ -6,36 +6,28 @@ schedule events against a single :class:`Simulator` instance.
 
 Design notes
 ------------
-* The pending-event queue is a pluggable **scheduler backend** (see
-  :mod:`repro.sim.timerwheel`), selected by ``scheduler_mode``:
-
-  - ``"heap"``  — a ``heapq`` of ``(time, priority, seq, event)`` tuples.
-    Ordering is decided entirely by the leading floats/ints — the
-    monotonically increasing sequence number is unique, so tuple
-    comparison never reaches the :class:`Event` object.
-  - ``"wheel"`` — a two-level hierarchical timer wheel (near buckets at
-    MAC-slot granularity + far-future overflow heap): O(1) scheduling
-    into the near window and pops that cost bucket occupancy instead of
-    log(total backlog).  Pop order — and therefore every trace byte —
-    is identical to the heap by construction.
-  - ``"cross"`` — both backends in lockstep, comparing
-    ``(time, priority, seq)`` and event identity on every pop and
-    raising :class:`SchedulerCoherenceError` on divergence: the
-    per-pop equivalence proof.
-
+* The pending-event queue is a plain ``heapq`` list of
+  ``(time, priority, seq, event)`` tuples owned by the simulator.
+  Ordering is decided entirely by the leading floats/ints — the
+  monotonically increasing sequence number is unique, so tuple
+  comparison never reaches the :class:`Event` object, and pop order is
+  a pure function of the keys, never of the heap's internal layout.
 * :class:`Event` is a ``__slots__`` class (no per-event ``__dict__``):
   events are the most-allocated object in a run.  Events never need to
-  be comparable — every backend orders raw key tuples, so there is no
-  ``__lt__`` to dispatch (the once-vestigial implementation is gone).
+  be comparable — the heap orders raw key tuples, so there is no
+  ``__lt__`` to dispatch.
 * Cancellation is *lazy*: :meth:`Event.cancel` marks the event and the
-  backend skips cancelled entries when they surface.  This keeps both
+  run loop skips cancelled entries when they surface.  This keeps both
   ``schedule`` and ``cancel`` cheap.  A cached live-event counter keeps
   :attr:`Simulator.pending_events` O(1) instead of an O(n) queue scan.
-  On top of that, the engine **compacts** the backlog (rebuilds the
-  backend without dead entries) whenever more than half of a large
+  On top of that, the engine **compacts** the backlog (filters out the
+  dead entries and re-heapifies) whenever more than half of a large
   backlog is cancelled — MAC-heavy runs cancel most of their timers, and
   compaction bounds the memory those corpses would otherwise hold until
   their original expiry.
+* Event times must be finite: a NaN time compares false against
+  everything (it would fire first and poison the clock) and an infinite
+  one can never be reached, so both raise :class:`SimulationError`.
 * Time is a float in **seconds** of simulated time.  MAC-level code deals
   in microseconds; helpers in :mod:`repro.net.mac.constants` convert.
 
@@ -46,33 +38,24 @@ reached** — the queue drained below ``until``, or the next event lies
 beyond it.  When the run is cut short by ``max_events`` or
 :meth:`Simulator.stop`, ``now`` stays at the last executed event so a
 subsequent ``run()`` resumes mid-stream without skipping simulated time.
-The contract holds identically under every scheduler backend (tested
-parametrized over all modes).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional
-
-from repro.sim.timerwheel import (
-    SCHEDULER_MODES,
-    SchedulerCoherenceError,
-    make_scheduler,
-    validate_scheduler_mode,
-)
+import math
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "SchedulerCoherenceError",
-    "SCHEDULER_MODES",
     "call_later",
     "PURE_ACTOR",
     "MEDIUM_ACTOR",
 ]
 
-#: Compaction trigger: rebuild the backend once the backlog exceeds this
+#: Compaction trigger: rebuild the heap once the backlog exceeds this
 #: size *and* more than half of it is cancelled.  Small queues never pay
 #: the O(n) rebuild; large churny ones amortize it against the >n/2 dead
 #: entries removed.
@@ -87,6 +70,12 @@ PURE_ACTOR = -2
 #: code at *many* nodes.  The sharded runtime tracks these through its
 #: in-flight transmission list instead of the per-actor index.
 MEDIUM_ACTOR = -3
+
+#: Queue entry: the ordering key first, the event payload last.  The
+#: tie-break is the schedule sequence number here and the causal key in
+#: :mod:`repro.sim.keyed`; either way it is unique, so the heap never
+#: compares two events.
+Entry = Tuple[float, int, Any, "Event"]
 
 
 class SimulationError(RuntimeError):
@@ -147,14 +136,6 @@ class Event:
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    ``scheduler_mode`` selects the queue backend (``"heap"``,
-    ``"wheel"``, or ``"cross"``); outcomes and traces are byte-identical
-    in every mode.  A bare ``Simulator()`` uses ``"heap"``, but scenarios
-    run on ``"wheel"``: that is the ``ScenarioConfig.scheduler_mode``
-    default.  ``wheel_resolution`` /
-    ``wheel_slots`` tune the near wheel (defaults: 802.11 slot time x
-    1024 buckets ~= 20.5 ms horizon).
-
     Example
     -------
     >>> sim = Simulator()
@@ -165,21 +146,12 @@ class Simulator:
     [1.0]
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        scheduler_mode: str = "heap",
-        wheel_resolution: Optional[float] = None,
-        wheel_slots: Optional[int] = None,
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        validate_scheduler_mode(scheduler_mode)
-        kwargs: Dict[str, Any] = {}
-        if wheel_resolution is not None:
-            kwargs["resolution"] = wheel_resolution
-        if wheel_slots is not None:
-            kwargs["slots"] = wheel_slots
-        self._sched = make_scheduler(scheduler_mode, self._now, **kwargs)
+        # Compaction rewrites the heap in place, so the run loop's local
+        # alias stays valid when a callback's cancel triggers it.
+        self._queue: List[Entry] = []
+        self._compactions = 0
         self._seq = 0
         self._running = False
         self._processed = 0
@@ -191,11 +163,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def scheduler_mode(self) -> str:
-        """The active scheduler backend (``heap`` | ``wheel`` | ``cross``)."""
-        return self._sched.mode
 
     @property
     def processed_events(self) -> int:
@@ -226,7 +193,7 @@ class Simulator:
         ``actor`` attributes the event to a node for the sharded runtime's
         conservative-lookahead bookkeeping (see :mod:`repro.sim.keyed`);
         the plain simulator accepts and ignores it so call sites stay
-        backend-agnostic.
+        engine-agnostic.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -244,28 +211,35 @@ class Simulator:
         actor: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time:.9f} < now {self._now:.9f}"
-            )
+        if not self._now <= time < math.inf:
+            self._reject_time(time, "cannot schedule")
         self._seq += 1
         event = Event(time, priority, self._seq, callback, name, _sim=self)
-        self._sched.push((time, priority, self._seq, event))
+        heappush(self._queue, (time, priority, self._seq, event))
         self._live += 1
         return event
 
+    def _reject_time(self, time: float, what: str) -> None:
+        """Raise :class:`SimulationError` for a non-finite or past time."""
+        if not math.isfinite(time):
+            raise SimulationError(f"{what} at non-finite time {time!r}")
+        raise SimulationError(f"{what} at {time:.9f} < now {self._now:.9f}")
+
     def _maybe_compact(self) -> None:
         """Cancelled-entry compaction: when more than half of a large
-        backlog is dead, rebuild the backend without the corpses.
+        backlog is dead, filter the corpses out and re-heapify in place.
 
         Triggered from :meth:`Event.cancel` — the only operation that can
         grow the dead fraction.  Purely count-driven, hence deterministic;
-        live pop order is unaffected.  Each compaction removes more than
-        half the backlog, so the O(n) rebuild amortizes to O(1) per
-        cancellation."""
-        backlog = len(self._sched)
+        live pop order is unaffected because keys are unique.  Each
+        compaction removes more than half the backlog, so the O(n)
+        rebuild amortizes to O(1) per cancellation."""
+        queue = self._queue
+        backlog = len(queue)
         if backlog > COMPACT_MIN_BACKLOG and (backlog - self._live) * 2 > backlog:
-            self._sched.compact()
+            queue[:] = [entry for entry in queue if not entry[3].cancelled]
+            heapify(queue)
+            self._compactions += 1
 
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel a previously scheduled event; ``None`` is accepted and ignored."""
@@ -273,6 +247,16 @@ class Simulator:
             event.cancel()
 
     # ---------------------------------------------------------------- running
+    def _head(self) -> Optional[Entry]:
+        """The live head entry, discarding cancelled entries that surface."""
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if not head[3].cancelled:
+                return head
+            heappop(queue)
+        return None
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue empties, ``until`` is reached, or ``max_events`` fire.
 
@@ -295,22 +279,25 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
-        sched = self._sched
+        queue = self._queue
         drained = False
         try:
             while not self._stopped:
-                head = sched.peek()
-                if head is None:
+                if not queue:
                     drained = True
                     break
+                head = queue[0]
+                event = head[3]
+                if event.cancelled:
+                    heappop(queue)
+                    continue
                 time = head[0]
                 if until is not None and time > until:
                     self._now = until
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                sched.pop()
-                event = head[3]
+                heappop(queue)
                 self._now = time
                 event.cancelled = True  # consumed; handle can no longer cancel
                 self._live -= 1
@@ -337,21 +324,21 @@ class Simulator:
     # ------------------------------------------------------------- inspection
     def iter_pending(self) -> Iterator[Event]:
         """Yield pending events in an unspecified order (inspection only)."""
-        return self._sched.iter_events()
+        return (entry[3] for entry in self._queue if not entry[3].cancelled)
 
     def scheduler_stats(self) -> Dict[str, int]:
-        """Backend telemetry: backlog (live + dead), compactions, and —
-        for the wheel — ready/wheel/overflow occupancy and re-bases."""
-        stats = dict(self._sched.stats())
-        stats["pending"] = self._live
-        stats["processed"] = self._processed
-        return stats
+        """Queue telemetry: ``backlog`` (live plus not yet collected
+        cancelled entries), ``compactions``, ``pending`` (live only), and
+        ``processed``."""
+        return {
+            "backlog": len(self._queue),
+            "compactions": self._compactions,
+            "pending": self._live,
+            "processed": self._processed,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Simulator(now={self._now:.6f}s, pending={self.pending_events}, "
-            f"scheduler={self.scheduler_mode})"
-        )
+        return f"Simulator(now={self._now:.6f}s, pending={self.pending_events})"
 
 
 def call_later(

@@ -67,16 +67,14 @@ earliest future transmission ("promise").  The keyed engine maintains:
   MEDIUM_ACTOR` events (``phy.tx_end`` fan-outs touching many nodes)
   are tracked by the shard worker's in-flight list instead.
 
-Queue modes
------------
-``queue_mode="slim"`` (the default) pairs the timer-wheel main queue
-with plain per-actor append lists: scheduling costs one wheel bucket
-append plus one list append instead of three heap pushes, and the
-promise scan pays an O(live) sweep per actor — a fine trade because
-promise rounds are rare (a handful per run) while schedules number in
-the millions.  ``queue_mode="threeheap"`` preserves the original
-heap-backed implementation byte for byte and exists as the reference
-for the churn-equivalence tests.
+Queue
+-----
+The keyed engine shares the plain engine's heap, with entries
+``(time, priority, ckey, event)``.  The promise indexes are plain
+per-actor append lists: scheduling costs one heap push plus one list
+append, and the promise scan pays an O(live) sweep per actor — a fine
+trade because promise rounds are rare (a handful per run) while
+schedules number in the millions.
 
 Actor attribution is mostly **inherited**: an event scheduled while node
 ``n``'s code runs (the executing event's actor is ``n``, or the medium
@@ -86,8 +84,9 @@ schedules and the medium need explicit tags.
 
 from __future__ import annotations
 
-import heapq
+import math
 from contextlib import contextmanager
+from heapq import heappop, heappush
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.engine import (
@@ -170,23 +169,14 @@ class KeyedSimulator(Simulator):
 
     Pop order is identical to the plain engine (the ordering theorem in
     the module docstring); what changes is that the tie-break is
-    computable by any shard that executes a subset of the events.  Both
-    scheduler backends are valid under causal keys: the wheel's buckets
-    and ready heap order entries by the *full* ``(time, priority, ckey)``
-    tuple, and keys are unique, so wheel pop order equals heap pop order
-    exactly as PR 4 proved for numeric sequence numbers (the argument is
-    tie-break-agnostic — it only needs a total order whose first
-    component is the fire time).
+    computable by any shard that executes a subset of the events.  The
+    inherited heap orders entries by the *full* ``(time, priority,
+    ckey)`` tuple, and keys are unique, so pop order never depends on
+    the heap's layout.
     """
 
-    def __init__(self, start_time: float = 0.0, queue_mode: str = "slim") -> None:
-        if queue_mode not in ("slim", "threeheap"):
-            raise ValueError(f"unknown keyed queue mode {queue_mode!r}")
-        self._slim = queue_mode == "slim"
-        super().__init__(
-            start_time, scheduler_mode="wheel" if self._slim else "heap"
-        )
-        self._queue_mode = queue_mode
+    def __init__(self, start_time: float = 0.0) -> None:
+        super().__init__(start_time)
         self._build_count = 0
         self._build_emit_count = 0
         self._exec_key: Optional[CausalKey] = None
@@ -196,12 +186,11 @@ class KeyedSimulator(Simulator):
         self._scope_count = 0
         self._emit_count = 0
         self._suppress_depth = 0
-        # Promise bookkeeping (lazily pruned).  In slim mode the indexes
-        # hold bare Events (append-only, swept on scan); in threeheap
-        # mode they are min-heaps of (time, seq, Event) tuples.
+        # Promise bookkeeping: append-only lists of Events, pruned of
+        # consumed/cancelled entries when scanned.
         self._tx_watch: List[Event] = []
-        self._actor_index: Dict[int, list] = {}
-        self._untracked_index: list = []
+        self._actor_index: Dict[int, List[Event]] = {}
+        self._untracked_index: List[Event] = []
 
     # ------------------------------------------------------------- scheduling
     def schedule_at(
@@ -213,10 +202,8 @@ class KeyedSimulator(Simulator):
         name: str = "",
         actor: Optional[int] = None,
     ) -> Event:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time:.9f} < now {self._now:.9f}"
-            )
+        if not self._now <= time < math.inf:
+            self._reject_time(time, "cannot schedule")
         self._seq += 1
         parent = self._exec_key
         if parent is None:
@@ -245,25 +232,17 @@ class KeyedSimulator(Simulator):
             # returned handle is a no-op.
             event.cancelled = True
             return event
-        self._sched.push((time, priority, ckey, event))
+        heappush(self._queue, (time, priority, ckey, event))
         self._live += 1
         if name in TX_EVENT_NAMES:
             self._tx_watch.append(event)
-        if self._slim:
-            if actor is None:
-                self._untracked_index.append(event)
-            elif actor >= 0:
-                index = self._actor_index.get(actor)
-                if index is None:
-                    index = self._actor_index[actor] = []
-                index.append(event)
-        elif actor is None:
-            heapq.heappush(self._untracked_index, (time, self._seq, event))
+        if actor is None:
+            self._untracked_index.append(event)
         elif actor >= 0:
-            heap = self._actor_index.get(actor)
-            if heap is None:
-                heap = self._actor_index[actor] = []
-            heapq.heappush(heap, (time, self._seq, event))
+            index = self._actor_index.get(actor)
+            if index is None:
+                index = self._actor_index[actor] = []
+            index.append(event)
         return event
 
     @contextmanager
@@ -312,16 +291,17 @@ class KeyedSimulator(Simulator):
     # ------------------------------------------------------- stepped execution
     def peek_key(self) -> Optional[CausalKey]:
         """Key of the next live event, or ``None`` when drained."""
-        head = self._sched.peek()
+        head = self._head()
         if head is None:
             return None
         return (head[0], head[1], head[2])
 
     def execute_next(self) -> bool:
         """Execute exactly one event; ``False`` when the queue is drained."""
-        head = self._sched.pop()
+        head = self._head()
         if head is None:
             return False
+        heappop(self._queue)
         event: Event = head[3]
         self._now = event.time
         event.cancelled = True  # consumed; handle can no longer cancel
@@ -354,7 +334,7 @@ class KeyedSimulator(Simulator):
         drained = False
         try:
             while not self._stopped:
-                head = self._sched.peek()
+                head = self._head()
                 if head is None:
                     drained = True
                     break
@@ -383,7 +363,9 @@ class KeyedSimulator(Simulator):
         hard error instead.
         """
         time, priority, ckey = key
-        if time < self._now:
+        if not self._now <= time < math.inf:
+            if not math.isfinite(time):
+                self._reject_time(time, f"ghost event {name!r}")
             raise SimulationError(
                 f"ghost event {name!r} at {time:.9f} is before now {self._now:.9f}; "
                 "the shard window protocol has been violated"
@@ -392,7 +374,7 @@ class KeyedSimulator(Simulator):
         event = Event(time, priority, self._seq, callback, name, _sim=self)
         event.key = key
         event.actor = actor
-        self._sched.push((time, priority, ckey, event))
+        heappush(self._queue, (time, priority, ckey, event))
         self._live += 1
         return event
 
@@ -422,10 +404,10 @@ class KeyedSimulator(Simulator):
         return best
 
     @staticmethod
-    def _sweep_min_time(index: list) -> Optional[float]:
-        """Min fire time over a slim index, compacting dead entries."""
+    def _sweep_min_time(index: List[Event]) -> Optional[float]:
+        """Min fire time over a promise index, compacting dead entries."""
         best: Optional[float] = None
-        keep: list = []
+        keep: List[Event] = []
         append = keep.append
         for ev in index:
             if ev.cancelled:
@@ -441,36 +423,18 @@ class KeyedSimulator(Simulator):
     def actor_next_time(self, actor: int) -> Optional[float]:
         """Earliest pending event time attributed to ``actor``.
 
-        Slim mode sweeps (and compacts) the actor's append list;
-        threeheap mode lazily prunes the heap head.  Promise scans are
+        Sweeps (and compacts) the actor's append list.  Promise scans are
         rare enough that the O(live) sweep is cheaper than having paid
         a heap push on every schedule.
         """
         index = self._actor_index.get(actor)
         if not index:
             return None
-        if self._slim:
-            return self._sweep_min_time(index)
-        while index:
-            time, _seq, ev = index[0]
-            if ev.cancelled:
-                heapq.heappop(index)
-            else:
-                return time
-        return None
+        return self._sweep_min_time(index)
 
     def untracked_next_time(self) -> Optional[float]:
         """Earliest pending event with no actor attribution."""
-        index = self._untracked_index
-        if self._slim:
-            return self._sweep_min_time(index)
-        while index:
-            time, _seq, ev = index[0]
-            if ev.cancelled:
-                heapq.heappop(index)
-            else:
-                return time
-        return None
+        return self._sweep_min_time(self._untracked_index)
 
     # The plain run() path never sees KeyedSimulator entries, but keep
     # repr honest for debugging.

@@ -232,16 +232,12 @@ def worker_config(config):
     * cross-verification modes drop to their fast halves: the verifiers
       compare against *all* radios, which an ownership-filtered fan-out
       legitimately no longer matches.
-    * ``scheduler_mode`` is irrelevant here (the worker injects a
-      :class:`KeyedSimulator`, whose backend follows ``keyed_queue``);
-      pinned to ``"heap"`` only to keep configs canonical.
     * No retention, no sniffer: the worker ships records itself.
     """
     return replace(
         config,
         shard_mode="off",
         pool_mode="off",
-        scheduler_mode="heap",
         spatial_mode="array" if config.spatial_mode == "cross" else config.spatial_mode,
         medium_index="grid" if config.medium_index == "cross" else config.medium_index,
         keep_trace=False,
@@ -269,9 +265,7 @@ class ShardWorker:
         #: Per-shard packet-uid counter (disjoint ranges across shards).
         self._uid_counter = itertools.count(1 + shard_index * UID_STRIDE)
         with self._uid_scope():
-            self.sim = KeyedSimulator(
-                queue_mode=getattr(config, "keyed_queue", "slim")
-            )
+            self.sim = KeyedSimulator()
             self.scenario = Scenario(worker_config(config), sim=self.sim)
         nodes = self.scenario.nodes
         if nodes:

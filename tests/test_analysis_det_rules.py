@@ -530,7 +530,7 @@ def test_det008_scheduler_backends_are_exempt(tmp_path):
             heappush(queue, entry)
         """,
         select=["DET-008"],
-        rel="src/repro/sim/timerwheel.py",
+        rel="src/repro/sim/engine.py",
     )
     assert rule_ids(result) == []
 

@@ -249,61 +249,6 @@ def test_real_crypto_parallel_byte_identical_with_caches():
     assert serial == pooled
 
 
-# ------------------------------------------- scheduler backends (PR 4)
-def _scheduler_digest(args: tuple) -> tuple:
-    """Worker: one scenario under a given scheduler_mode, trace digested.
-
-    Module-level so it pickles into pool workers; digest fields are the
-    in-process-stable ones (see _real_crypto_digest)."""
-    import hashlib
-
-    from repro.experiments.scenario import Scenario, ScenarioConfig
-
-    seed, mode = args
-    scenario = Scenario(
-        ScenarioConfig(
-            protocol="agfw",
-            num_nodes=12,
-            sim_time=3.0,
-            traffic_start=(0.5, 1.5),
-            num_flows=3,
-            num_senders=3,
-            seed=seed,
-            keep_trace=True,
-            scheduler_mode=mode,
-        )
-    )
-    result = scenario.run()
-    records = tuple((repr(r.time), r.category, r.node) for r in scenario.tracer.records)
-    digest = hashlib.sha256(repr(records).encode("utf-8")).hexdigest()
-    return (result.sent, result.delivered, digest)
-
-
-def test_scheduler_modes_byte_identical_across_jobs():
-    """The tentpole's cross-cutting contract: traces are byte-identical
-    across scheduler backends AND across --jobs pools.  Every (seed,
-    mode) cell must agree serial-vs-pooled, and within a seed all three
-    modes must agree with each other."""
-    cells = [(seed, mode) for seed in (7, 8) for mode in ("heap", "wheel", "cross")]
-    serial = parallel_map(_scheduler_digest, cells, jobs=1)
-    pooled = parallel_map(_scheduler_digest, cells, jobs=3)
-    assert serial == pooled
-    by_seed = {}
-    for (seed, _mode), digest in zip(cells, serial):
-        by_seed.setdefault(seed, set()).add(digest)
-    assert all(len(digests) == 1 for digests in by_seed.values())
-
-
-def test_runner_scheduler_flag_output_byte_identical(capsys):
-    argv = ["--sim-time", "3", "--nodes", "12", "--skip", "als", "exposure", "aant", "faults"]
-    assert runner_main(argv + ["--scheduler", "heap"]) == 0
-    heap_out = capsys.readouterr().out
-    assert runner_main(argv + ["--scheduler", "wheel", "--jobs", "2"]) == 0
-    wheel_out = capsys.readouterr().out
-    assert heap_out == wheel_out
-    assert "Figure 1(a)" in heap_out
-
-
 def test_bench_distill_crypto_suite_derived_ratios():
     harness = _load_bench_to_json()
     raw = {

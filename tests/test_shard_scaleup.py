@@ -1,16 +1,16 @@
 """Scale-up layer of the sharded runtime: piggybacked promise rounds,
 the shared-memory position plane, adaptive column boundaries, and the
-slim keyed event queue.
+keyed engine's swept promise indexes.
 
 Everything here rides the same proof discipline as
 ``test_shard_equivalence``: ``shard_mode="cross"`` compares the merged
 shard trace record-by-record against the unmodified single engine and
 raises :class:`ShardCoherenceError` on the first divergence, so a
 passing cross run IS the byte-identical claim for that feature
-combination.  The queue churn tests work one level down, driving
-:class:`KeyedSimulator` directly and asserting the slim (timer-wheel +
-swept index) backend pops the exact sequence the three-heap reference
-does under randomized schedule/cancel/probe churn.
+combination.  The churn tests work one level down, driving
+:class:`KeyedSimulator` directly and checking every promise-index probe
+against a brute min over the pending events under randomized
+schedule/cancel churn.
 """
 
 from __future__ import annotations
@@ -31,28 +31,28 @@ from repro.sim.shard.worker import ShardWorker
 from tests.test_shard_equivalence import _cfg, _faulted, _fingerprint
 
 
-# ------------------------------------------------- slim keyed queue churn
-def _churn_log(queue_mode: str, seed: int) -> list:
-    """Drive a KeyedSimulator through randomized churn; return the full
-    observable history (execution order, promise-scan probes).
+# ------------------------------------------- keyed promise-index churn
+def _brute_next_time(sim: KeyedSimulator, actor) -> float | None:
+    """The oracle: min fire time over pending events attributed to ``actor``."""
+    times = [ev.time for ev in sim.iter_pending() if ev.actor == actor]
+    return min(times) if times else None
 
-    The rng is re-seeded per run and drawn from inside event callbacks,
-    so the log is a fixed point of the pop order itself: if the two
-    backends popped in different orders, the rng streams would diverge
-    and so would every subsequent entry.
-    """
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_keyed_promise_indexes_match_brute_min_under_churn(seed):
+    """Randomized schedule/cancel churn with interleaved promise probes:
+    every ``actor_next_time`` / ``untracked_next_time`` answer equals a
+    brute min over ``iter_pending()`` filtered by actor."""
     rng = random.Random(seed)
-    sim = KeyedSimulator(queue_mode=queue_mode)
-    log: list = []
+    sim = KeyedSimulator()
     live: list = []
 
-    def make_cb(label: str, depth: int):
+    def make_cb(depth: int):
         def cb() -> None:
-            log.append((label, round(sim.now, 9)))
             if depth < 6 and rng.random() < 0.6:
                 child = sim.schedule_at(
                     sim.now + rng.random(),
-                    make_cb(label + ".", depth + 1),
+                    make_cb(depth + 1),
                     priority=rng.choice((10, 20, 30)),
                     name=rng.choice(("app.tick", "mac.slot", "mac.difs")),
                     actor=rng.choice((None, -1, 0, 1, 2, 3)),
@@ -62,10 +62,10 @@ def _churn_log(queue_mode: str, seed: int) -> list:
                 live.pop(rng.randrange(len(live))).cancel()
         return cb
 
-    for i in range(40):
+    for _ in range(40):
         ev = sim.schedule_at(
             rng.random() * 2.0,
-            make_cb(f"r{i}", 0),
+            make_cb(0),
             priority=rng.choice((10, 20, 30)),
             name=rng.choice(("app.tick", "mac.slot")),
             actor=rng.choice((None, -1, 0, 1, 2, 3)),
@@ -75,51 +75,23 @@ def _churn_log(queue_mode: str, seed: int) -> list:
         else:
             live.append(ev)
 
-    steps = 0
+    steps = answered = 0
     while True:
         if steps % 5 == 0:
-            # The promise scan is where the slim backend's swept indexes
-            # replace the reference min-heaps — probe them mid-churn.
-            log.append(
-                ("probe",)
-                + tuple(sim.actor_next_time(a) for a in range(4))
-                + (sim.untracked_next_time(),)
-            )
+            for actor in (0, 1, 2, 3, None):
+                if actor is None:
+                    got = sim.untracked_next_time()
+                else:
+                    got = sim.actor_next_time(actor)
+                want = _brute_next_time(sim, actor)
+                assert got == want, (steps, actor)
+                answered += want is not None
         if not sim.execute_next():
             break
         steps += 1
         assert steps < 20000, "runaway churn"
-    log.append(("drained", round(sim.now, 9), steps))
-    return log
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_slim_queue_matches_threeheap_under_churn(seed):
-    assert _churn_log("slim", seed) == _churn_log("threeheap", seed)
-
-
-def test_keyed_queue_mode_validation():
-    with pytest.raises(ValueError):
-        KeyedSimulator(queue_mode="heapless")
-    assert KeyedSimulator(queue_mode="slim").scheduler_mode == "wheel"
-    assert KeyedSimulator(queue_mode="threeheap").scheduler_mode == "heap"
-
-
-def test_cross_threeheap_reference_byte_identical():
-    """The reference queue still proves byte-identity end to end, so
-    churn equivalence + this pins both backends to the single engine."""
-    result = Scenario(
-        _cfg(5, shard_mode="cross", shards=3, keyed_queue="threeheap")
-    ).run()
-    assert result.sent > 0
-
-
-def test_fork_slim_and_threeheap_results_match():
-    slim = Scenario(_cfg(6, shard_mode="on", shards=2)).run()
-    ref = Scenario(
-        _cfg(6, shard_mode="on", shards=2, keyed_queue="threeheap")
-    ).run()
-    assert _fingerprint(slim) == _fingerprint(ref)
+    assert answered > 0
+    assert sim.pending_events == 0
 
 
 # --------------------------------------------------- promise piggybacking
@@ -324,8 +296,8 @@ def test_explicit_boundaries_any_split_same_trace():
 # ------------------------------------------- everything on, under faults
 @pytest.mark.parametrize("seed", [11, 12])
 def test_cross_all_features_faulted_byte_identical(seed):
-    """Acceptance: piggybacking + shared plane + adaptive boundaries +
-    slim queue, under loss and churn, across seeds — byte-identical."""
+    """Acceptance: piggybacking + shared plane + adaptive boundaries,
+    under loss and churn, across seeds — byte-identical."""
     cfg = _faulted(
         _cfg(
             seed,
