@@ -133,6 +133,56 @@ def sim() -> Simulator:
     return Simulator()
 
 
+def _never() -> None:
+    raise AssertionError("a cancelled event fired")
+
+
+class CheckedSimulator(Simulator):
+    """A :class:`Simulator` that checks every firing against a brute
+    force: the clock must sit at the event's time, and the event's
+    ``(time, priority, seq)`` key must be below every key still live in
+    the queue."""
+
+    def schedule_at(self, time, callback, **kwargs):
+        handle = []
+
+        def checked() -> None:
+            event = handle[0]
+            key = (event.time, event.priority, event.seq)
+            assert self.now == event.time
+            live = [(e.time, e.priority, e.seq) for e in self.iter_pending()]
+            assert not live or key < min(live), (key, min(live))
+            callback()
+
+        handle.append(super().schedule_at(time, checked, **kwargs))
+        return handle[0]
+
+
+@pytest.fixture(params=("wheel", "heap", "cross"))
+def msim(request) -> Simulator:
+    """One engine build per param for the event-queue and clock-contract
+    suites.
+
+    The param ids are the names of the three scheduler backends those
+    suites were first written against, kept so their test ids stay
+    stable:
+
+    * ``heap`` — a plain :class:`Simulator`;
+    * ``wheel`` — a :class:`Simulator` carrying 400 cancelled timers
+      spread over the first ten simulated seconds (the MAC timer-churn
+      shape), so the run loop skips dead heads between live events;
+    * ``cross`` — a :class:`CheckedSimulator`, which checks each pop
+      against a brute min over the live queue.
+    """
+    if request.param == "cross":
+        return CheckedSimulator()
+    engine = Simulator()
+    if request.param == "wheel":
+        for i in range(400):
+            engine.schedule(0.025 * (i + 1), _never).cancel()
+    return engine
+
+
 @pytest.fixture
 def tracer() -> Tracer:
     return Tracer()
