@@ -2,12 +2,13 @@
 
 Not a paper table — these price the PR 7 tentpole.  The pure-Python
 medium pays an interpreter round trip per radio per transmission; the
-array backend batches exactly that work.  Three pairs:
+array index batches exactly that work.  Three pairs:
 
 * ``test_neighbor_gather_150_nodes`` — **acceptance micro #1**: classify
   one broadcast fan-out for every node at the paper's top density, the
-  object path (grid gather + per-radio scalar interpolation/distance)
-  vs ``ArraySpatialIndex.classify_fanout`` (one batched sweep).
+  brute reference (per-radio scalar interpolation/distance over every
+  radio, as ``medium_index="brute"`` does) vs
+  ``ArraySpatialIndex.classify_fanout`` (one batched sweep).
   ``bench_to_json.py --suite hotpath`` derives
   ``neighbor_gather_speedup`` (floor: 5x).
 * ``test_batch_mobility_150_legs`` — **acceptance micro #2**: every
@@ -15,8 +16,8 @@ array backend batches exactly that work.  Three pairs:
   ``WaypointLeg.position_at`` loop vs ``batch_position_at`` into
   preallocated buffers.  Derived ``batch_mobility_speedup`` (floor: 5x).
 * ``test_end_to_end_scenario_150`` — the whole-stack number: a 150-node
-  AGFW run with everything off (``obj``/``off`` — the exact pre-PR
-  path) vs everything on (``array``/``on``).  Derived
+  AGFW run on the reference stack (``medium_index="brute"``,
+  ``pool_mode="off"``) vs the defaults (``grid``/``on``).  Derived
   ``scenario_hotpath_speedup`` (floor: 1.3x).
 
 All pairs run the *same* workload to bitwise-identical results (the
@@ -31,14 +32,9 @@ import pytest
 
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.geo import vecops
-from repro.geo.spatial import SpatialIndex
 from repro.geo.spatial_array import ArraySpatialIndex
 from repro.geo.vec import Position
-from repro.net.mobility import StaticMobility, WaypointLeg
-
-requires_numpy = pytest.mark.skipif(
-    not vecops.HAVE_NUMPY, reason="numpy not available (repro[fast] extra)"
-)
+from repro.net.mobility import WaypointLeg
 
 NUM_NODES = 150
 RADIO_RANGE = 250.0
@@ -94,17 +90,17 @@ def _population(seed: int = 1):
 GATHER_STEPS = [(0.002 * k, k % NUM_NODES) for k in range(300)]
 
 
-def _gather_obj(index: SpatialIndex, radios) -> int:
-    """The medium's object-path fan-out classification, per transmission:
-    interpolate the sender, gather candidates, interpolate and classify
-    every candidate radio-by-radio."""
+def _gather_brute(radios) -> int:
+    """The medium's brute fan-out classification, per transmission:
+    interpolate the sender, then interpolate and classify every other
+    radio one by one."""
     r2 = RADIO_RANGE * RADIO_RANGE
     i2 = INTERFERENCE_RANGE * INTERFERENCE_RANGE
     hits = 0
     for now, sender_idx in GATHER_STEPS:
         sender = radios[sender_idx]
         sender_pos = sender.mobility.position_at(now)
-        for radio in index.candidates_within(sender_pos, INTERFERENCE_RANGE, now):
+        for radio in radios:
             if radio is sender:
                 continue
             rpos = radio.mobility.position_at(now)
@@ -128,15 +124,11 @@ def _gather_array(index: ArraySpatialIndex, radios) -> int:
 
 
 @pytest.mark.benchmark(group="hotpath")
-@pytest.mark.parametrize("backend", ["obj", "array"])
-@requires_numpy
+@pytest.mark.parametrize("backend", ["brute", "array"])
 def test_neighbor_gather_150_nodes(benchmark, backend):
     radios = _population()
-    if backend == "obj":
-        index = SpatialIndex(cell_size=INTERFERENCE_RANGE)
-        for radio in radios:
-            index.add(radio, 0.0)
-        result = benchmark(_gather_obj, index, radios)
+    if backend == "brute":
+        result = benchmark(_gather_brute, radios)
     else:
         index = ArraySpatialIndex(cell_size=INTERFERENCE_RANGE)
         for radio in radios:
@@ -160,7 +152,6 @@ QUERY_TIMES = [0.05 * k for k in range(200)]
 
 @pytest.mark.benchmark(group="hotpath")
 @pytest.mark.parametrize("path", ["scalar", "batch"])
-@requires_numpy
 def test_batch_mobility_150_legs(benchmark, path):
     legs = _legs()
     if path == "scalar":
@@ -192,7 +183,7 @@ def test_batch_mobility_150_legs(benchmark, path):
     assert benchmark(run) != 0.0
 
 
-def _scenario(spatial: str, pool: str) -> float:
+def _scenario(index_mode: str, pool: str) -> float:
     config = ScenarioConfig(
         protocol="agfw",
         num_nodes=NUM_NODES,  # the paper sweep's top density
@@ -206,7 +197,7 @@ def _scenario(spatial: str, pool: str) -> float:
         # same convention as the medium-equivalence suite.
         pause_time=0.0,
         min_speed=5.0,
-        spatial_mode=spatial,
+        medium_index=index_mode,
         pool_mode=pool,
     )
     result = Scenario(config).run()
@@ -215,8 +206,7 @@ def _scenario(spatial: str, pool: str) -> float:
 
 @pytest.mark.benchmark(group="hotpath")
 @pytest.mark.parametrize("stack", ["baseline", "fast"])
-@requires_numpy
 def test_end_to_end_scenario_150(benchmark, stack):
-    spatial, pool = ("obj", "off") if stack == "baseline" else ("array", "on")
-    fraction = benchmark.pedantic(_scenario, args=(spatial, pool), rounds=3)
+    index_mode, pool = ("brute", "off") if stack == "baseline" else ("grid", "on")
+    fraction = benchmark.pedantic(_scenario, args=(index_mode, pool), rounds=3)
     assert fraction > 0.0

@@ -58,9 +58,9 @@ Suites:
   reasoning) and ``incremental_cache_speedup`` (rule dispatch skipped
   on unchanged files).
 * ``hotpath`` — the vectorized core (PR 7): neighbor-gather and batch
-  mobility micro-kernels (object/scalar vs numpy-batched; acceptance
-  floor 5x each) and a 150-node end-to-end scenario with the fast
-  stack off vs on (floor 1.3x).
+  mobility micro-kernels (brute scalar vs numpy-batched; acceptance
+  floor 5x each) and a 150-node end-to-end scenario on the brute scan
+  without pooling vs the array index with pooling (floor 1.3x).
 * ``campaign`` — the campaign layer (PR 10): one 8-point matrix run
   cold (empty store) vs warm (pre-filled store); derived
   ``campaign_warm_cache_speedup`` (acceptance floor: 10x — reruns of a
@@ -150,7 +150,7 @@ SUITES: dict[str, dict] = {
         "file": "bench_hotpath.py",
         "derived": {
             "neighbor_gather_speedup": (
-                "test_neighbor_gather_150_nodes[obj]",
+                "test_neighbor_gather_150_nodes[brute]",
                 "test_neighbor_gather_150_nodes[array]",
             ),
             "batch_mobility_speedup": (

@@ -691,8 +691,8 @@ class AdHocEventQueue(Rule):
     order, which leaks straight into event scheduling and breaks
     byte-identical traces.
     Schedule through the Simulator instead, or — for genuinely non-event
-    ordering, like the spatial index's audited rebucketing horizon — add
-    the path to the exemption list with a comment saying why.
+    ordering with audited unique keys — add the path to the exemption
+    list with a comment saying why.
     """
 
     id = "DET-008"
@@ -704,7 +704,6 @@ class AdHocEventQueue(Rule):
     )
     exempt_paths = (
         "sim/*",            # the engine's event queue itself
-        "geo/spatial.py",   # audited: rebucketing horizon heap, keys unique
         "tests/*",
         "test_*.py",
         "conftest.py",

@@ -35,7 +35,6 @@ from repro.experiments.overhead import (
 )
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.security import format_exposure, run_exposure_experiment
-from repro.net.medium import SPATIAL_MODES
 from repro.net.pool import POOL_MODES
 from repro.sim.shard import SHARD_MODES
 from repro.sim.shard.driver import effective_jobs
@@ -63,15 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="worker processes for independent experiment points "
         "(output is byte-identical for any value)",
-    )
-    parser.add_argument(
-        "--spatial",
-        choices=SPATIAL_MODES,
-        default="array",
-        help="spatial backend: array (numpy batch classification, "
-        "default; falls back to obj without numpy), obj (object-graph "
-        "grid), or cross (array verified against the scalar path); "
-        "output is byte-identical for any value",
     )
     parser.add_argument(
         "--pool",
@@ -219,7 +209,6 @@ def _run_experiments(args, sim_time: float, counts: tuple, churn) -> None:
             seed=args.seed,
             jobs=args.jobs,
             base=ScenarioConfig(
-                spatial_mode=args.spatial,
                 pool_mode=args.pool,
                 shard_mode=args.shard_mode,
                 shards=args.shards,
@@ -262,7 +251,6 @@ def _run_experiments(args, sim_time: float, counts: tuple, churn) -> None:
             seed=args.seed,
             jobs=args.jobs,
             base=ScenarioConfig(
-                spatial_mode=args.spatial,
                 pool_mode=args.pool,
                 shard_mode=args.shard_mode,
                 shards=args.shards,

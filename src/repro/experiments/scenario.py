@@ -33,7 +33,7 @@ from repro.location.service import OracleLocationService
 from repro.metrics.collectors import DeliveryCollector, OverheadCollector
 from repro.metrics.faults import FaultMetrics
 from repro.metrics.stats import Summary, summarize
-from repro.net.medium import RadioMedium, validate_spatial_mode
+from repro.net.medium import RadioMedium, validate_medium_index
 from repro.net.pool import validate_pool_mode
 from repro.net.mobility import RandomWaypointMobility, StaticMobility
 from repro.net.node import Node
@@ -63,16 +63,12 @@ class ScenarioConfig:
     interference_range: float = 550.0
     sim_time: float = 900.0
     seed: int = 1
-    # Medium fan-out strategy: "grid" (spatial index, default), "brute"
-    # (full O(N) scan), or "cross" (grid verified against brute on every
-    # query).  Outcome-identical by construction; see repro.geo.spatial.
+    # Medium fan-out strategy: "grid" (numpy array spatial index,
+    # default), "brute" (the scalar O(N) reference scan), or "cross"
+    # (grid verified bitwise against brute on every transmission and
+    # neighbor query).  Outcome-identical by construction; see
+    # repro.net.medium and repro.geo.spatial_array.
     medium_index: str = "grid"
-    # Spatial backend: "array" (numpy batch classification, default —
-    # silently falls back to "obj" without numpy or with
-    # medium_index="brute"), "obj" (object-graph grid), or "cross" (array
-    # verified against the scalar computation on every transmission).
-    # Bitwise-identical traces in all three; see repro.geo.spatial_array.
-    spatial_mode: str = "array"
     # Frame/reception pooling: "on" (recycle, default), "off" (the exact
     # pre-pool allocation path), or "cross" (recycle + scrub/verify every
     # object across the free boundary).  See repro.net.pool.
@@ -91,7 +87,7 @@ class ScenarioConfig:
     shard_piggyback: bool = True
     # Shared-memory position plane: workers publish owned leg arrays at
     # each barrier and ghost positions cross the pipes NaN-compressed.
-    # Trace-invariant; auto-disabled without numpy or the array index.
+    # Trace-invariant; auto-disabled without the array index.
     shard_plane: bool = True
     # Explicit inner column boundaries (shards - 1 strictly increasing
     # x positions), e.g. from committed calibration stats.  None keeps
@@ -176,7 +172,7 @@ class ScenarioConfig:
         if self.sim_time <= 0:
             raise ValueError("sim_time must be positive")
         validate_cache_mode(self.crypto_cache_mode)
-        validate_spatial_mode(self.spatial_mode)
+        validate_medium_index(self.medium_index)
         validate_pool_mode(self.pool_mode)
         validate_loss_model(self.loss_model)
         if self.loss_model == "none" and (self.loss_rate or self.loss_params):
@@ -326,7 +322,6 @@ class Scenario:
             radio_range=config.radio_range,
             interference_range=config.interference_range,
             index_mode=config.medium_index,
-            spatial_mode=config.spatial_mode,
             pool_mode=config.pool_mode,
         )
         self.region = Region.of_size(config.width, config.height)

@@ -1,10 +1,32 @@
-"""Array-backed spatial index: the vectorized twin of
-:class:`repro.geo.spatial.SpatialIndex`.
+"""Uniform-grid spatial index over mobile radios, backed by numpy arrays.
 
-Same contract, different representation.  Where the object backend keeps
-one ``_Entry`` per radio, a cell dict, and a lazy min-heap of rebin
-horizons, this backend keeps the whole population as flat numpy arrays —
-int32 cell coordinates, float64 validity horizons, and a
+:class:`ArraySpatialIndex` turns the medium's per-frame fan-out from a
+scan over *all* radios into a scan over the radios binned in the few
+grid cells that can possibly intersect the query disc.  It is
+**outcome-invisible**: filtering its candidates by true distance yields
+the same radios, in the same (registration) order, as the brute-force
+scan the medium keeps as its reference (``medium_index="brute"``), and
+``medium_index="cross"`` asserts exactly that on every query.
+
+Why the grid is exact
+---------------------
+Cells live on an unbounded integer lattice of side ``cell_size``
+(``cell = (floor(x / s), floor(y / s))``).  Two points at Euclidean
+distance ``<= r`` differ by at most ``ceil(r / s)`` in each cell
+coordinate, so the ``(2k+1) x (2k+1)`` block of cells around the query
+point with ``k = ceil(r / s)`` can never miss a radio **provided every
+radio is binned at its current cell**.  The index keeps that invariant
+lazily: a radio binned at ``t0`` records a *validity horizon*
+``t0 + margin / speed_bound`` (``margin`` = distance to the nearest cell
+edge, ``speed_bound`` = the model's ``max_speed``; static models never
+expire), and a query at ``now`` re-bins exactly the rows whose horizon
+has passed.  Teleports arrive through the mobility ``subscribe``
+callback and mark the row stale at once.
+
+Representation
+--------------
+The whole population lives in flat numpy arrays — int32 cell
+coordinates, float64 validity horizons, and a
 :class:`~repro.geo.vecops.LegArrays` structure-of-arrays of every node's
 current motion leg — so the per-query work collapses into a handful of
 ufunc sweeps:
@@ -14,12 +36,10 @@ ufunc sweeps:
 * **horizon sweep**: one vectorized compare (``valid_until <= now``)
   finds every stale binning, and the due rows are re-binned/re-margined
   with :func:`~repro.geo.vecops.batch_cells` /
-  :func:`~repro.geo.vecops.batch_cell_margins` — no heap churn;
+  :func:`~repro.geo.vecops.batch_cell_margins`;
 * **gather**: the candidate cut is a window test on the int32 cell
   arrays (``|col - qcol| <= reach``), and ``np.flatnonzero`` yields row
-  indices in ascending order — which *is* registration order, so the
-  exact candidate-order contract documented in ``spatial.py`` holds by
-  construction.
+  indices in ascending order — which *is* registration order.
 
 :meth:`classify_fanout` goes one step further for the medium's hot path:
 it returns the fully *classified* fan-out of a transmission — affected
@@ -28,8 +48,7 @@ squared distances computed by the same ``dx*dx + dy*dy`` operations as
 :meth:`Position.distance2_to` and the true distances by scalar
 ``math.hypot`` on the batch-derived deltas, so every comparison and
 every loss-model draw downstream sees **bitwise identical** floats to
-the object path.  ``spatial_mode=cross`` in the medium asserts exactly
-that on every transmission.
+the brute scalar scan.
 
 Leg tracking without notifications
 ----------------------------------
@@ -49,16 +68,17 @@ Row kinds
   only when the model's ``subscribe`` callback reports a teleport;
 * **opaque** rows (anything else) are re-read via scalar
   ``position_at`` on every recompute and re-binned every refresh —
-  degrading gracefully toward the object backend's unbounded fallback,
+  degrading gracefully toward the brute-force cost for just those rows,
   never toward wrong answers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.geo import vecops
+import numpy as np
+
 from repro.geo.vec import Position
 from repro.geo.vecops import (
     LegArrays,
@@ -69,11 +89,6 @@ from repro.geo.vecops import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.phy import PhyRadio
-
-if vecops.HAVE_NUMPY:
-    import numpy as np  # type: ignore[import-not-found]
-else:  # pragma: no cover - the medium never builds this backend without numpy
-    np = None  # type: ignore[assignment]
 
 __all__ = ["ArraySpatialIndex", "FanOut"]
 
@@ -113,26 +128,20 @@ class FanOut:
 
 
 class ArraySpatialIndex:
-    """Vectorized drop-in for :class:`~repro.geo.spatial.SpatialIndex`.
+    """Grid index over radios with mobility-aware lazy rebinning.
 
-    Mirrors the object backend's public surface (``add`` /
-    ``candidates_within`` / ``refresh`` / ``invalidate_all`` /
-    ``version`` / ``stationary_stamp`` / ``stats``) and adds the batched
-    queries (:meth:`positions_at`, :meth:`classify_fanout`) the medium's
-    vectorized transmit path uses.  Requires numpy
-    (:data:`repro.geo.vecops.HAVE_NUMPY`); the medium falls back to the
-    object backend when it is missing.
+    The surface is ``add`` / ``candidates_within`` / ``refresh`` /
+    ``invalidate_all`` / ``version`` / ``stationary_stamp`` / ``stats``,
+    plus the batched queries (:meth:`positions_at`,
+    :meth:`classify_fanout`) the medium's transmit path uses.
+    ``cell_size`` is the side of the square cells in metres; the medium
+    uses its interference range, making a fan-out a 3x3-cell gather.
     """
 
-    def __init__(self, cell_size: float, refresh_quantum: Optional[float] = None) -> None:
-        if not vecops.HAVE_NUMPY:
-            raise RuntimeError("ArraySpatialIndex requires numpy (repro[fast])")
+    def __init__(self, cell_size: float) -> None:
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
-        if refresh_quantum is not None and refresh_quantum <= 0:
-            raise ValueError("refresh_quantum must be positive when given")
         self.cell_size = float(cell_size)
-        self.refresh_quantum = refresh_quantum
 
         self._legs = LegArrays()
         cap = len(self._legs.ox)
@@ -177,8 +186,8 @@ class ArraySpatialIndex:
         self._min_col = self._min_row = 2**31 - 1
         self._max_col = self._max_row = -(2**31)
 
-        #: Gather cache, same shape as the object backend's:
-        #: (col, row, reach) -> (membership_version, radios).
+        #: Gather cache: (col, row, reach) -> (membership_version, radios).
+        #: Valid while no radio changed cell.
         self._cache: Dict[Tuple[int, int, int], Tuple[int, List["PhyRadio"]]] = {}
         self._version = 0
         #: Stationary window (see :meth:`stationary_stamp`): the current
@@ -259,8 +268,10 @@ class ArraySpatialIndex:
         self._fan_n = -1  # views point at the old arrays
 
     def invalidate_all(self) -> None:
-        """Bump the version so stamped derived caches rebuild (liveness
-        faults; geometry untouched — same contract as the object backend)."""
+        """Bump the version so stamped derived caches (the gather cache
+        here, the medium's fan-out memo downstream) rebuild.  Liveness
+        faults change radio liveness, never geometry, so binning is
+        untouched."""
         self._version += 1
         self._end_stationary()
 
@@ -411,8 +422,6 @@ class ArraySpatialIndex:
                         py - crow * s, (crow + 1) * s - py,
                     )
                     horizon = now + margin / speed
-                if self.refresh_quantum is not None and speed != _UNBOUNDED:
-                    horizon = min(horizon, now + self.refresh_quantum)
                 self._valid[row] = horizon
             self._next_due = float(self._valid[:n].min())
             self.rebins += int(due.size)
@@ -436,9 +445,6 @@ class ArraySpatialIndex:
             now + np.divide(margins, spd, out=np.zeros(len(due)), where=positive),
             np.where(spd == 0.0, _INF, -_INF),  # fixed: forever; unbounded: never
         )
-        if self.refresh_quantum is not None:
-            horizon = np.minimum(horizon, now + self.refresh_quantum)
-            horizon = np.where(spd == _UNBOUNDED, -_INF, horizon)
         self._valid[due] = horizon
         self._next_due = float(self._valid[:n].min())
         self.rebins += int(due.size)
@@ -476,8 +482,6 @@ class ArraySpatialIndex:
         else:
             margin = min(px - col * s, (col + 1) * s - px, py - crow * s, (crow + 1) * s - py)
             horizon = now + margin / speed
-        if self.refresh_quantum is not None and speed != _UNBOUNDED:
-            horizon = min(horizon, now + self.refresh_quantum)
         self._valid[row] = horizon
         if horizon < self._next_due:
             self._next_due = horizon
@@ -488,8 +492,9 @@ class ArraySpatialIndex:
     # ------------------------------------------------------------- queries
     def candidates_within(self, center: Position, rng: float, now: float) -> List["PhyRadio"]:
         """Superset of radios within ``rng`` of ``center``, registration
-        order — the same contract as the object backend (callers filter
-        by exact distance; the returned list is cache-owned)."""
+        order, so filtered results match the brute-force scan element for
+        element (callers filter by exact distance; the returned list is
+        cache-owned and must not be mutated)."""
         self.refresh(now)
         s = self.cell_size
         reach = max(1, math.ceil(rng / s)) if rng > 0 else 0
@@ -522,7 +527,7 @@ class ArraySpatialIndex:
         One horizon sweep + one position kernel + one cell-window cut +
         one squared-distance sweep classify the whole fan-out.  Every
         float that escapes (sender position, deltas) is bitwise equal to
-        what the object path computes radio-by-radio.
+        what the brute scan computes radio-by-radio.
         """
         self.refresh(now)
         x, y = self.positions_at(now)
@@ -598,7 +603,7 @@ class ArraySpatialIndex:
         return self._radios[row]
 
     def stats(self) -> Dict[str, int]:
-        """Index telemetry, same keys as the object backend."""
+        """Index telemetry (sizes and rebin/refresh/cache counters)."""
         n = self._legs.size
         cells = 0
         if n:

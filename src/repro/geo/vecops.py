@@ -7,64 +7,49 @@ classification dominate wall-clock.  This module provides numpy-backed
 *batch* versions of exactly those kernels:
 
 * :class:`LegArrays` — all tracked nodes' current motion legs as a
-  structure of arrays (origin, target, depart/arrive times, speed, leg
-  length), advanced wholesale per mobility epoch;
-* :func:`batch_position_at` / :func:`batch_velocity_at` — every node's
-  position/velocity at one instant in a handful of ufunc calls;
+  structure of arrays (origin, target, depart/arrive times), advanced
+  wholesale per mobility epoch;
+* :func:`batch_position_at` — every node's position at one instant in a
+  handful of ufunc calls;
 * :func:`batch_cells` / :func:`batch_cell_margins` — grid binning and
   nearest-cell-edge margins for the spatial index's horizon sweep.
 
 Bit-identity contract
 ---------------------
 Every kernel replicates the scalar formulas of
-:class:`repro.net.mobility.WaypointLeg` and
-:class:`repro.geo.spatial.SpatialIndex` *operation for operation*:
+:meth:`repro.net.mobility.WaypointLeg.position_at` and the grid binning
+(``math.floor(x / s)``, nearest-edge margin) *operation for operation*:
 numpy float64 element-wise arithmetic performs the same IEEE-754 double
 operations in the same order (ufuncs are compiled without fused
 multiply-add or fast-math reassociation), so batch results are
-**bitwise equal** to the scalar path — not merely close.  The one
-deliberately non-elementwise quantity, a leg's Euclidean length, is
-computed *scalar* (``math.hypot``) when the leg row is written, because
-``numpy.hypot`` and CPython's ``math.hypot`` do not promise identical
-rounding.  ``tests/test_vecops.py`` enforces the contract with
+**bitwise equal** to the scalar path — not merely close.  Euclidean
+distances stay scalar (``math.hypot`` on batch-derived deltas, in the
+medium), because ``numpy.hypot`` and CPython's ``math.hypot`` do not
+promise identical rounding.  ``tests/test_vecops.py`` enforces the contract with
 randomized scalar-vs-batch sweeps across pause boundaries and
 zero-length legs.
 
-numpy is an *optional* extra (``pip install repro[fast]``).  When it is
-missing — or ``REPRO_PURE_PYTHON=1`` is set, which CI uses to test the
-fallback — :data:`HAVE_NUMPY` is False and every consumer silently
-falls back to the object/scalar paths, which are outcome-identical by
-the same tests.
+numpy is a hard dependency of the package; there is no scalar fallback
+for these kernels, only the brute reference scan in
+:mod:`repro.net.medium`.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.mobility import WaypointLeg
 
 __all__ = [
-    "HAVE_NUMPY",
     "LegArrays",
     "batch_position_at",
-    "batch_velocity_at",
     "batch_cells",
     "batch_cell_margins",
-    "batch_distance2",
 ]
-
-if os.environ.get("REPRO_PURE_PYTHON"):  # CI fallback drill: pretend no numpy
-    np = None  # type: ignore[assignment]
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised via REPRO_PURE_PYTHON
-        np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
 
 _INF = math.inf
 
@@ -83,14 +68,12 @@ class LegArrays:
     """
 
     __slots__ = (
-        "ox", "oy", "gx", "gy", "depart", "arrive", "speed", "length", "size",
+        "ox", "oy", "gx", "gy", "depart", "arrive", "size",
         "span", "dgx", "dgy", "has_span", "_frac", "_tmp", "_arrived", "_waiting",
         "min_arrive", "max_depart", "_vn", "_views",
     )
 
     def __init__(self, capacity: int = 16) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("LegArrays requires numpy (repro[fast])")
         capacity = max(1, capacity)
         self.ox = np.zeros(capacity)
         self.oy = np.zeros(capacity)
@@ -98,9 +81,6 @@ class LegArrays:
         self.gy = np.zeros(capacity)
         self.depart = np.zeros(capacity)
         self.arrive = np.zeros(capacity)
-        self.speed = np.zeros(capacity)
-        #: Scalar ``math.hypot`` leg length (see bit-identity note above).
-        self.length = np.zeros(capacity)
         #: Row-constant derived values, written alongside the row so the
         #: interpolation kernel never recomputes them: ``arrive - depart``,
         #: ``target - origin`` and the positive-span mask.  The scalar
@@ -133,8 +113,7 @@ class LegArrays:
     def _grow(self) -> None:
         new_cap = max(1, 2 * len(self.ox))
         for name in (
-            "ox", "oy", "gx", "gy", "depart", "arrive", "speed", "length",
-            "span", "dgx", "dgy",
+            "ox", "oy", "gx", "gy", "depart", "arrive", "span", "dgx", "dgy",
         ):
             old = getattr(self, name)
             fresh = np.zeros(new_cap)
@@ -179,10 +158,6 @@ class LegArrays:
         self.gy[row] = target.y
         self.depart[row] = leg.depart_time
         self.arrive[row] = leg.arrive_time
-        self.speed[row] = leg.speed
-        # Scalar on purpose: velocity_at divides by origin.distance_to
-        # (math.hypot); np.hypot's rounding is not guaranteed identical.
-        self.length[row] = math.hypot(target.x - origin.x, target.y - origin.y)
         span = leg.arrive_time - leg.depart_time
         self.span[row] = span
         self.dgx[row] = target.x - origin.x
@@ -208,8 +183,6 @@ class LegArrays:
         self.gy[row] = y
         self.depart[row] = _INF
         self.arrive[row] = -_INF
-        self.speed[row] = 0.0
-        self.length[row] = 0.0
         self.span[row] = -_INF  # -inf - +inf: finite-free of NaN
         self.dgx[row] = 0.0
         self.dgy[row] = 0.0
@@ -270,22 +243,6 @@ def batch_position_at(
     return x, y
 
 
-def batch_velocity_at(legs: LegArrays, time: float) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Velocity vectors at ``time``; bitwise equals the scalar path.
-
-    Scalar reference (:meth:`WaypointLeg.velocity_at`): zero while
-    paused, arrived, or for zero-length legs; otherwise
-    ``(delta / length) * speed`` with ``length`` the scalar
-    ``math.hypot`` leg length stored in the row.
-    """
-    n = legs.size
-    moving = (time > legs.depart[:n]) & (time < legs.arrive[:n]) & (legs.length[:n] > 0.0)
-    safe_len = np.where(moving, legs.length[:n], 1.0)
-    vx = np.where(moving, (legs.gx[:n] - legs.ox[:n]) / safe_len * legs.speed[:n], 0.0)
-    vy = np.where(moving, (legs.gy[:n] - legs.oy[:n]) / safe_len * legs.speed[:n], 0.0)
-    return vx, vy
-
-
 def batch_cells(
     x: "np.ndarray", y: "np.ndarray", cell_size: float
 ) -> Tuple["np.ndarray", "np.ndarray"]:
@@ -320,38 +277,3 @@ def batch_cell_margins(
     bottom = y - row * s
     top = (row + 1) * s - y
     return np.minimum(np.minimum(left, right), np.minimum(bottom, top))
-
-
-def batch_distance2(
-    x: "np.ndarray",
-    y: "np.ndarray",
-    cx: float,
-    cy: float,
-    out_dx: Optional["np.ndarray"] = None,
-    out_dy: Optional["np.ndarray"] = None,
-    out_d2: Optional["np.ndarray"] = None,
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """``(dx, dy, dx*dx + dy*dy)`` against a query point — the disc-query
-    primitive.  Matches :meth:`Position.distance2_to` bitwise; callers
-    take ``math.hypot(dx[i], dy[i])`` for scalar true distances so the
-    capture-ratio comparisons stay on CPython's hypot.
-    """
-    n = len(x)
-    dx = out_dx[:n] if out_dx is not None else np.empty(n)
-    dy = out_dy[:n] if out_dy is not None else np.empty(n)
-    d2 = out_d2[:n] if out_d2 is not None else np.empty(n)
-    np.subtract(x, cx, out=dx)
-    np.subtract(y, cy, out=dy)
-    np.multiply(dx, dx, out=d2)
-    d2 += dy * dy
-    return dx, dy, d2
-
-
-def scalar_positions(radios: List, now: float) -> Tuple[List[float], List[float]]:
-    """Pure-Python reference used by equivalence tests and fallbacks."""
-    xs, ys = [], []
-    for radio in radios:
-        pos = radio.mobility.position_at(now)
-        xs.append(pos.x)
-        ys.append(pos.y)
-    return xs, ys

@@ -19,47 +19,37 @@ Fan-out cost
 ------------
 AGFW traffic is broadcast-only at the MAC (no RTS/CTS), so per-frame
 fan-out is *the* hot path of every experiment.  By default the medium
-resolves fan-out through a :class:`~repro.geo.spatial.SpatialIndex`
+classifies it through a :class:`~repro.geo.spatial_array.ArraySpatialIndex`
 (uniform grid, cell = interference range, mobility-aware lazy
-rebucketing) instead of scanning every registered radio — O(radios in
-the neighbouring cells) instead of O(N), with **bit-identical**
-delivery/corruption outcomes.  ``index_mode`` selects:
+rebinning, numpy batch kernels): one batched sweep yields the affected
+radios in registration order, their deliverability, and each receiver's
+sender distance — **bitwise** what the scalar scan computes.
+``index_mode`` selects:
 
-* ``"grid"``  — spatial index (default),
-* ``"brute"`` — the original full scan,
-* ``"cross"`` — run the index *and* verify it against the full scan on
-  every query, raising on any divergence (the equivalence regression
-  harness).
+* ``"grid"``  — the array index (default),
+* ``"brute"`` — the reference: a scalar scan over every registered
+  radio, each PHY recomputing its own sender distance,
+* ``"cross"`` — the array index, checked against the brute scan on
+  every transmission (fan-out memo hits included) and every
+  :meth:`RadioMedium.neighbors_within` query — membership, order,
+  deliverability, and bitwise sender position and distances — raising
+  :class:`SpatialCoherenceError` on the first divergence.
 
-Two further orthogonal axes vectorize the hot path (PR 7), each behind
-the same byte-identical discipline:
-
-* ``spatial_mode`` — ``"obj"`` keeps the object-graph index above;
-  ``"array"`` swaps in :class:`repro.geo.spatial_array.ArraySpatialIndex`
-  (numpy batch kernels; the whole fan-out classified in a few ufunc
-  sweeps) and feeds each receiver its precomputed sender distance;
-  ``"cross"`` runs the array path and verifies the full classification —
-  membership, order, deliverability, and bitwise distances — against the
-  scalar object computation on every transmission.  Falls back to
-  ``"obj"`` when numpy is unavailable or ``index_mode="brute"`` pins the
-  reference scan.
-* ``pool_mode`` — ``"off"`` allocates per transmission as always;
-  ``"on"`` recycles MAC frames through a :class:`repro.net.pool.FramePool`
-  and consolidates each radio's reception bookkeeping into pooled
-  records; ``"cross"`` additionally scrub-verifies every object across
-  the free boundary.
+``pool_mode`` is orthogonal: ``"off"`` allocates per transmission as
+always; ``"on"`` recycles MAC frames through a
+:class:`repro.net.pool.FramePool` and consolidates each radio's
+reception bookkeeping into pooled records; ``"cross"`` additionally
+scrub-verifies every object across the free boundary.
 
 Fan-out memo
 ------------
 While no radio can have moved, a sender's fan-out is the same on every
 frame, so the medium keeps the last classification per sender and
 replays it.  The key is the index's ``stationary_stamp``: equal stamps
-mean every radio sits bitwise where it sat.  The array index proves that
+mean every radio sits bitwise where it sat, which the array index proves
 for paused random-waypoint windows (every node of the paper's arena
-waits 60 s before its first leg) as well as for all-static topologies;
-the object index proves only the all-static case.  A hit skips the
-index entirely, and ``spatial_mode="cross"`` still re-derives every hit
-with the scalar path.
+waits 60 s before its first leg) as well as for all-static topologies.
+A hit skips the index entirely.  The brute reference keeps no memo.
 """
 
 from __future__ import annotations
@@ -71,8 +61,6 @@ from typing import (
     TYPE_CHECKING, AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 )
 
-from repro.geo import vecops
-from repro.geo.spatial import SpatialIndex
 from repro.geo.spatial_array import ArraySpatialIndex, FanOut
 from repro.geo.vec import Position
 from repro.net.mac.frames import MacFrame
@@ -89,28 +77,26 @@ __all__ = [
     "Transmission",
     "RadioMedium",
     "INDEX_MODES",
-    "SPATIAL_MODES",
     "SpatialCoherenceError",
-    "validate_spatial_mode",
+    "validate_medium_index",
 ]
 
 INDEX_MODES = ("grid", "brute", "cross")
-SPATIAL_MODES = ("obj", "array", "cross")
 
 #: Key-scope tag for the sender's transmission-completion work; sorts
 #: before every receiver tag ``(node_id,)`` because node ids are >= 0.
 _SENDER_SCOPE = (-1,)
 
 
-def validate_spatial_mode(mode: str) -> str:
-    """Validate a ``spatial_mode`` value, returning it for chaining."""
-    if mode not in SPATIAL_MODES:
-        raise ValueError(f"spatial_mode must be one of {SPATIAL_MODES}")
+def validate_medium_index(mode: str) -> str:
+    """Validate a ``medium_index`` value, returning it for chaining."""
+    if mode not in INDEX_MODES:
+        raise ValueError(f"medium_index must be one of {INDEX_MODES}")
     return mode
 
 
 class SpatialCoherenceError(AssertionError):
-    """The vectorized fan-out diverged from the scalar object path."""
+    """The array index diverged from the brute scalar scan."""
 
 
 @dataclass(slots=True)
@@ -150,23 +136,17 @@ class RadioMedium:
         radio_range: float = 250.0,
         interference_range: float = 550.0,
         index_mode: str = "grid",
-        index_cell_size: Optional[float] = None,
-        index_refresh_quantum: Optional[float] = None,
-        spatial_mode: str = "obj",
         pool_mode: str = "off",
     ) -> None:
         if interference_range < radio_range:
             raise ValueError("interference range must cover the radio range")
-        if index_mode not in INDEX_MODES:
-            raise ValueError(f"index_mode must be one of {INDEX_MODES}")
-        validate_spatial_mode(spatial_mode)
+        validate_medium_index(index_mode)
         validate_pool_mode(pool_mode)
         self.sim = sim
         self.tracer = tracer
         self.radio_range = radio_range
         self.interference_range = interference_range
         self.index_mode = index_mode
-        self.spatial_mode = spatial_mode
         self.pool_mode = pool_mode
         self._radios: List["PhyRadio"] = []
         self._radio_range2 = radio_range * radio_range
@@ -181,31 +161,19 @@ class RadioMedium:
         self.frame_pool: Optional[FramePool] = (
             FramePool(pool_mode) if pool_mode != "off" else None
         )
-        # Backend resolution: the array backend replaces the grid; the
-        # brute reference scan and numpy-less installs keep the object
-        # path (graceful fallback, surfaced via spatial_effective).
-        use_array = (
-            spatial_mode != "obj" and index_mode != "brute" and vecops.HAVE_NUMPY
-        )
-        self.spatial_effective = spatial_mode if use_array else "obj"
-        cell = index_cell_size if index_cell_size is not None else interference_range
+        #: The array index; ``None`` under the brute reference scan.
         self._aindex: Optional[ArraySpatialIndex] = (
-            ArraySpatialIndex(cell_size=cell, refresh_quantum=index_refresh_quantum)
-            if use_array
+            ArraySpatialIndex(cell_size=interference_range)
+            if index_mode != "brute"
             else None
         )
-        self._index: Optional[SpatialIndex] = None
-        if not use_array and index_mode != "brute":
-            self._index = SpatialIndex(cell_size=cell, refresh_quantum=index_refresh_quantum)
         #: Fan-out memo (see the module docstring): sender node id ->
         #: (stationary stamp, sender position, affected radios in
-        #: registration order, deliverable ids, per-receiver distances —
-        #: ``None`` on the object path, which recomputes them in
-        #: ``on_tx_start`` exactly as the seed did).  An entry is used only
-        #: while the index returns the stamp it was stored under.
+        #: registration order, deliverable ids, per-receiver distances).
+        #: An entry is used only while the index returns the stamp it was
+        #: stored under.
         self._fanout_memo: Dict[
-            int,
-            Tuple[int, Position, List["PhyRadio"], FrozenSet[int], Optional[List[float]]],
+            int, Tuple[int, Position, List["PhyRadio"], FrozenSet[int], List[float]]
         ] = {}
         # Sharded execution (repro.sim.shard): when set, fan-out only
         # touches owned radios, transmission completion runs under
@@ -230,8 +198,6 @@ class RadioMedium:
         self._radios.append(radio)
         if self._aindex is not None:
             self._aindex.add(radio, self.sim.now)
-        elif self._index is not None:
-            self._index.add(radio, self.sim.now)
 
     @property
     def radios(self) -> Sequence["PhyRadio"]:
@@ -245,33 +211,58 @@ class RadioMedium:
     # ------------------------------------------------------------ candidates
     def _candidates(self, center: Position, rng: float) -> Sequence["PhyRadio"]:
         """Radios that may lie within ``rng`` of ``center`` (superset,
-        registration order), per the configured index mode."""
-        if self._aindex is not None:
-            return self._aindex.candidates_within(center, rng, self.sim.now)
-        if self._index is None:
+        registration order): the index's gather, or every radio."""
+        if self._aindex is None:
             return self._radios
-        return self._index.candidates_within(center, rng, self.sim.now)
+        return self._aindex.candidates_within(center, rng, self.sim.now)
 
     def _cross_check(
         self,
+        origin: "PhyRadio",
         center: Position,
         rng: float,
-        selected: List["PhyRadio"],
-        exclude: Optional["PhyRadio"],
+        got: List["PhyRadio"],
+        dists: Optional[List[float]] = None,
+        deliverable: AbstractSet[int] = frozenset(),
     ) -> None:
-        """Verify an index-derived result against the brute-force scan."""
+        """``index_mode="cross"``: verify an index-derived result against
+        the brute scalar scan over every other radio within ``rng`` of
+        ``origin``'s position ``center``.
+
+        Checks membership and registration order, the bitwise ``center``
+        itself, and — for a fan-out, where ``dists`` is given — every
+        receiver's bitwise distance and deliverability.
+        """
+        ref = origin.position
+        if (ref.x, ref.y) != (center.x, center.y):
+            raise SpatialCoherenceError(
+                f"indexed position {center.as_tuple()!r} of node {origin.node_id} "
+                f"!= scalar {ref.as_tuple()!r} at t={self.sim.now:.9f}"
+            )
+        fanout = dists is not None
+        rows: list = (
+            [(r, d, r.node_id in deliverable) for r, d in zip(got, dists)]
+            if dists is not None
+            else [(r,) for r in got]
+        )
         limit = rng * rng
-        brute = [
-            radio
-            for radio in self._radios
-            if radio is not exclude and radio.position.distance2_to(center) <= limit
-        ]
-        if brute != selected:  # object identity + order — the full contract
-            expected = [r.node_id for r in brute]
-            got = [r.node_id for r in selected]
-            raise RuntimeError(
-                "spatial index diverged from brute-force scan at "
-                f"t={self.sim.now:.9f}: expected {expected}, got {got}"
+        expected: list = []
+        for radio in self._radios:
+            if radio is origin:
+                continue
+            rpos = radio.position
+            d2 = rpos.distance2_to(center)
+            if d2 <= limit:
+                expected.append(
+                    (radio, rpos.distance_to(center), d2 <= self._radio_range2)
+                    if fanout
+                    else (radio,)
+                )
+        if expected != rows:  # object identity, order, exact float equality
+            raise SpatialCoherenceError(
+                f"spatial index diverged from the brute scan at t={self.sim.now:.9f}: "
+                f"expected {[(e[0].node_id, *e[1:]) for e in expected]}, "
+                f"got {[(g[0].node_id, *g[1:]) for g in rows]}"
             )
 
     # ------------------------------------------------------------- transmit
@@ -283,9 +274,8 @@ class RadioMedium:
         """
         now = self.sim.now
         aindex = self._aindex
-        index = aindex if aindex is not None else self._index
         # -1 disables the memo (brute mode, or some radio may have moved).
-        stamp = index.stationary_stamp(now) if index is not None else -1
+        stamp = aindex.stationary_stamp(now) if aindex is not None else -1
         cached = None
         if stamp >= 0:
             cached = self._fanout_memo.get(sender.node_id)
@@ -344,18 +334,12 @@ class RadioMedium:
 
         sender.begin_transmit(tx)
         owned = self._shard_owned
+        dists: Optional[List[float]] = None
         if cached is not None:
             affected = cached[2]
             dists = cached[4]
-            if dists is None:
-                for radio in affected:
-                    radio.on_tx_start(tx)
-            else:
-                for radio, dist in zip(affected, dists):
-                    radio.on_tx_start(tx, dist)
-                if self.spatial_mode == "cross":
-                    verdicts = [radio.node_id in deliverable for radio in affected]
-                    self._spatial_cross_check(sender, sender_pos, affected, dists, verdicts)
+            for radio, dist in zip(affected, dists):
+                radio.on_tx_start(tx, dist)
         elif fan is not None:
             affected = []
             radios = self._radios
@@ -365,23 +349,29 @@ class RadioMedium:
             # The distances list is only consumed by the fan-out memo and
             # the cross check; mobile non-cross runs (the common hot case)
             # skip collecting it entirely.
-            keep_dists = stamp >= 0 or self.spatial_mode == "cross"
-            dists: Optional[List[float]] = [] if keep_dists else None
-            if keep_dists:
+            if stamp >= 0 or self.index_mode == "cross":
+                dists = []
                 for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
                     radio = radios[row]
                     if owned is not None and radio.node_id not in owned:
                         continue
                     # Scalar hypot on the batch-derived deltas: bitwise
-                    # what own_pos.distance_to(sender_pos) computes on the
-                    # object path, so capture ratios and loss draws see
-                    # identical floats.
+                    # what own_pos.distance_to(sender_pos) computes in the
+                    # PHY, so capture ratios and loss draws see identical
+                    # floats.
                     dist = hypot(dxv, dyv)
                     if deliv:
                         add(radio.node_id)
                     radio.on_tx_start(tx, dist)
                     affected.append(radio)
                     dists.append(dist)
+                if stamp >= 0:
+                    # affected is shared with the memo but never mutated in
+                    # place (recomputes build a fresh list), so in-flight
+                    # _finish closures stay correct across invalidation.
+                    self._fanout_memo[sender.node_id] = (
+                        stamp, sender_pos, affected, frozenset(members), dists
+                    )
             else:
                 for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
                     radio = radios[row]
@@ -392,18 +382,12 @@ class RadioMedium:
                         add(radio.node_id)
                     radio.on_tx_start(tx, dist)
                     affected.append(radio)
-            if stamp >= 0:
-                self._fanout_memo[sender.node_id] = (
-                    stamp, sender_pos, affected, frozenset(members), dists
-                )
-            if self.spatial_mode == "cross":
-                self._spatial_cross_check(sender, sender_pos, affected, dists, fdel)
         else:
             affected = []
             add = members.add
             radio_range2 = self._radio_range2
             interference_range2 = self._interference_range2
-            for radio in self._candidates(sender_pos, self.interference_range):
+            for radio in self._radios:
                 if radio is sender:
                     continue
                 if owned is not None and radio.node_id not in owned:
@@ -414,15 +398,10 @@ class RadioMedium:
                         add(radio.node_id)
                     radio.on_tx_start(tx)
                     affected.append(radio)
-            if stamp >= 0:
-                # affected is shared with the memo but never mutated in
-                # place (recomputes build a fresh list), so in-flight
-                # _finish closures stay correct across invalidation.
-                self._fanout_memo[sender.node_id] = (
-                    stamp, sender_pos, affected, frozenset(members), None
-                )
         if self.index_mode == "cross":
-            self._cross_check(sender_pos, self.interference_range, affected, sender)
+            self._cross_check(
+                sender, sender_pos, self.interference_range, affected, dists, deliverable
+            )
 
         pool = self.frame_pool
         keyed = self._shard_keyed
@@ -520,45 +499,6 @@ class RadioMedium:
             with keyed.key_scope((radio.node_id,)):
                 radio.on_tx_end(tx)
 
-    def _spatial_cross_check(
-        self,
-        sender: "PhyRadio",
-        sender_pos: Position,
-        affected: List["PhyRadio"],
-        dists: List[float],
-        deliverable: List[bool],
-    ) -> None:
-        """spatial_mode="cross": verify the batched (or memo-replayed)
-        classification against the scalar object computation — membership,
-        order, deliverability, and *bitwise* sender position and distances."""
-        ref = sender.position
-        if (ref.x, ref.y) != (sender_pos.x, sender_pos.y):
-            raise SpatialCoherenceError(
-                f"batched sender position {sender_pos.as_tuple()!r} != scalar "
-                f"{ref.as_tuple()!r} at t={self.sim.now:.9f}"
-            )
-        expected: List[Tuple["PhyRadio", float, bool]] = []
-        for radio in self._radios:
-            if radio is sender:
-                continue
-            rpos = radio.position
-            d2 = rpos.distance2_to(sender_pos)
-            if d2 <= self._interference_range2:
-                expected.append(
-                    (radio, rpos.distance_to(sender_pos), d2 <= self._radio_range2)
-                )
-        got = list(zip(affected, dists, deliverable))
-        if len(expected) != len(got) or any(
-            e[0] is not g[0] or e[1] != g[1] or e[2] != g[2]
-            for e, g in zip(expected, got)
-        ):
-            raise SpatialCoherenceError(
-                "vectorized fan-out diverged from the scalar path at "
-                f"t={self.sim.now:.9f}: expected "
-                f"{[(r.node_id, d, dl) for r, d, dl in expected]}, got "
-                f"{[(r.node_id, d, dl) for r, d, dl in got]}"
-            )
-
     # --------------------------------------------------------------- faults
     def invalidate_radio(self, radio: "PhyRadio") -> None:
         """A radio's liveness changed (crash/recover): drop derived caches.
@@ -573,8 +513,6 @@ class RadioMedium:
         self._fanout_memo.clear()
         if self._aindex is not None:
             self._aindex.invalidate_all()
-        elif self._index is not None:
-            self._index.invalidate_all()
 
     # -------------------------------------------------------------- queries
     def neighbors_within(self, radio: "PhyRadio", rng: float) -> List["PhyRadio"]:
@@ -587,11 +525,9 @@ class RadioMedium:
             if other is not radio and other.position.distance2_to(center) <= limit
         ]
         if self.index_mode == "cross":
-            self._cross_check(center, rng, result, radio)
+            self._cross_check(radio, center, rng, result)
         return result
 
     def index_stats(self) -> Optional[dict]:
         """Spatial-index telemetry (``None`` in brute-force mode)."""
-        if self._aindex is not None:
-            return self._aindex.stats()
-        return self._index.stats() if self._index is not None else None
+        return self._aindex.stats() if self._aindex is not None else None

@@ -168,8 +168,8 @@ class PhyRadio:
         ``distance`` is the receiver-to-sender distance when the medium
         already classified the fan-out in batch
         (:class:`~repro.geo.spatial_array.ArraySpatialIndex` feeds the
-        bitwise-identical value); ``None`` recomputes it here exactly as
-        the seed did — the dominant cost of the object path at scale.
+        bitwise-identical value); ``None`` — the brute reference scan —
+        recomputes it here exactly as the seed did.
         """
         if distance is None:
             own_pos = self.position

@@ -71,7 +71,7 @@ from repro.sim.keyed import key_min
 from repro.sim.shard import ShardCoherenceError
 from repro.sim.shard.keycodec import KeyCodec
 from repro.sim.shard.merge import merge_records, merge_results
-from repro.sim.shard.shmplane import ShardPlane, plane_supported
+from repro.sim.shard.shmplane import ShardPlane
 from repro.sim.shard.worker import (
     GhostTx,
     INF_KEY,
@@ -588,12 +588,7 @@ def _make_handles(config, shards: int, cross: bool, capture_all: bool, plane):
 
 
 def _make_plane(config, shards: int):
-    if (
-        shards > 1
-        and getattr(config, "shard_plane", True)
-        and config.num_nodes > 0
-        and plane_supported()
-    ):
+    if shards > 1 and getattr(config, "shard_plane", True) and config.num_nodes > 0:
         return ShardPlane(config.num_nodes, shards)
     return None
 

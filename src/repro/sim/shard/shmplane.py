@@ -39,18 +39,12 @@ floats; correctness never depends on the compression firing.
 
 from __future__ import annotations
 
+from multiprocessing import shared_memory as _shm_mod
 from typing import Optional, Sequence, Tuple
 
-from repro.geo import vecops
+import numpy as np
 
-if vecops.HAVE_NUMPY:
-    import numpy as np  # type: ignore[import-not-found]
-    from multiprocessing import shared_memory as _shm_mod
-else:  # pragma: no cover - plane is numpy-only by construction
-    np = None  # type: ignore[assignment]
-    _shm_mod = None  # type: ignore[assignment]
-
-__all__ = ["ShardPlane", "plane_supported"]
+__all__ = ["ShardPlane"]
 
 #: The leg parameters a position resolution needs, in plane layout
 #: order.  Matches the :class:`~repro.geo.vecops.LegArrays` attribute
@@ -60,17 +54,10 @@ PLANE_FIELDS: Tuple[str, ...] = (
 )
 
 
-def plane_supported() -> bool:
-    """The plane needs numpy (and the OS shm support bundled with it)."""
-    return vecops.HAVE_NUMPY
-
-
 class ShardPlane:
     """Leg parameters of every node in one shared-memory block."""
 
     def __init__(self, num_nodes: int, shards: int) -> None:
-        if not plane_supported():  # pragma: no cover - guarded by callers
-            raise RuntimeError("ShardPlane requires numpy")
         if num_nodes < 1 or shards < 1:
             raise ValueError(
                 f"need >=1 nodes and shards, got {num_nodes}/{shards}"

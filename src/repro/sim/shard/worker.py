@@ -59,17 +59,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 import repro.net.packet as _packet_mod
-from repro.geo import vecops
 from repro.geo.partition import ColumnPartition, Interval
 from repro.net.mac.frames import MacFrame
 from repro.sim.keyed import CausalKey, KeyedSimulator, key_cmp
 from repro.sim.trace import TraceRecord
-
-if vecops.HAVE_NUMPY:
-    import numpy as np  # type: ignore[import-not-found]
-else:  # pragma: no cover - scalar promise path covers numpy-free hosts
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "GhostTx",
@@ -238,7 +234,6 @@ def worker_config(config):
         config,
         shard_mode="off",
         pool_mode="off",
-        spatial_mode="array" if config.spatial_mode == "cross" else config.spatial_mode,
         medium_index="grid" if config.medium_index == "cross" else config.medium_index,
         keep_trace=False,
         with_sniffer=False,
@@ -349,10 +344,10 @@ class ShardWorker:
         #: bitwise-equal to scalar ``position_at``, so min/max folds and
         #: distance floors computed on the arrays match the scalar path
         #: IEEE-op for IEEE-op.  Falls back to the scalar loops when the
-        #: array backend is off (``spatial_mode="obj"`` or no numpy).
-        self._aindex = getattr(self.scenario.medium, "_aindex", None)
+        #: medium runs without an index (``medium_index="brute"``).
+        self._aindex = self.scenario.medium._aindex
         self._shard_rows: Optional[List] = None
-        if self._aindex is not None and np is not None:
+        if self._aindex is not None:
             row_by_node = self._aindex._row_by_node
             if all(n.node_id in row_by_node for n in nodes):
                 self._shard_rows = [

@@ -536,6 +536,7 @@ def test_det008_scheduler_backends_are_exempt(tmp_path):
 
 
 def test_det008_audited_spatial_index_is_exempt(tmp_path):
+    """The engine's own queue is the one audited heap in the tree."""
     result = lint_source(
         tmp_path,
         """\
@@ -545,7 +546,7 @@ def test_det008_audited_spatial_index_is_exempt(tmp_path):
             heappush(heap, (when, radio.node_id))
         """,
         select=["DET-008"],
-        rel="src/repro/geo/spatial.py",
+        rel="src/repro/sim/engine.py",
     )
     assert rule_ids(result) == []
 

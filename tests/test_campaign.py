@@ -115,6 +115,14 @@ def test_spec_validation_rejects_bad_input():
         spec_from_mapping({**SMOKE, "sweep": [{"axes": {"num_nodes": [5]}}]})
 
 
+def test_bad_medium_index_fails_at_expansion():
+    """A bad backend value must fail while the matrix expands, naming the
+    knob the spec set, not later inside the executor."""
+    spec = spec_from_mapping({**SMOKE, "axes": {"medium_index": ["grid", "bogus"]}})
+    with pytest.raises(CampaignSpecError, match="medium_index must be one of"):
+        spec.points()
+
+
 def test_churn_axis_expands_to_fault_plan():
     spec = spec_from_mapping(
         {

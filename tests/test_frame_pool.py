@@ -127,7 +127,9 @@ def _fingerprint(pool_mode: str, seed: int) -> list:
             pause_time=0.0,
             min_speed=5.0,
             keep_trace=True,
-            spatial_mode="obj",
+            # The brute scan keeps the PHY's own distance recompute on
+            # the pooled path.
+            medium_index="brute",
             pool_mode=pool_mode,
         )
     )

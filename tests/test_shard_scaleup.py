@@ -26,7 +26,7 @@ from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.geo.partition import ColumnPartition, rebalanced_boundaries
 from repro.sim.keyed import KeyedSimulator
 from repro.sim.shard import ShardCoherenceError
-from repro.sim.shard.shmplane import ShardPlane, plane_supported
+from repro.sim.shard.shmplane import ShardPlane
 from repro.sim.shard.worker import ShardWorker
 from tests.test_shard_equivalence import _cfg, _faulted, _fingerprint
 
@@ -121,12 +121,6 @@ def test_cross_legacy_rounds_byte_identical():
 
 
 # ------------------------------------------------- shared position plane
-needs_plane = pytest.mark.skipif(
-    not plane_supported(), reason="shared plane requires numpy"
-)
-
-
-@needs_plane
 def test_fork_plane_enabled_matches_plane_disabled():
     on = Scenario(_cfg(2, shard_mode="on", shards=2)).run()
     off = Scenario(_cfg(2, shard_mode="on", shards=2, shard_plane=False)).run()
@@ -135,7 +129,6 @@ def test_fork_plane_enabled_matches_plane_disabled():
     assert off.shard_stats["plane"] is False
 
 
-@needs_plane
 def test_plane_resolve_matches_position_formula():
     class Legs:
         pass
@@ -172,7 +165,6 @@ def _shm_segments() -> set:
         return set()
 
 
-@needs_plane
 def test_killed_worker_leaks_no_shm_segments(monkeypatch):
     """SIGKILL a worker mid-window: the driver must surface a coherent
     error and the plane segment must not outlive the run."""
@@ -311,5 +303,4 @@ def test_cross_all_features_faulted_byte_identical(seed):
     assert result.fault_counters["drops_injected"] > 0
     stats = result.shard_stats
     assert stats["piggyback"] is True
-    if plane_supported():
-        assert stats["plane"] is True
+    assert stats["plane"] is True

@@ -1,12 +1,13 @@
-"""Array spatial backend: unit contracts + whole-scenario equivalence.
+"""Array spatial index: unit contracts + whole-scenario equivalence.
 
-The array backend (``spatial_mode="array"``) is only admissible because
-it is *outcome-invisible*: candidates come back in registration order,
-every escaping float is bitwise what the object path computes, and whole
+The index (``medium_index="grid"``) is only admissible because it is
+*outcome-invisible*: candidates come back in registration order, every
+escaping float is bitwise what the brute scalar scan computes, and whole
 scenarios — mobile, faulted, and multiprocess — trace identically under
-``obj``, ``array``, and ``cross``.  ``cross`` additionally re-derives
-every fan-out with the scalar path inside the run, so a passing cross
-run is a per-transmission proof for that workload.
+``grid``, ``brute``, and ``cross``.  ``cross`` additionally re-derives
+every fan-out with the brute scan inside the run, so a passing cross run
+is a per-transmission proof for that workload; the negative cases below
+show that it fires.
 """
 
 from __future__ import annotations
@@ -20,26 +21,23 @@ import pytest
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.scenario import Scenario, ScenarioConfig, run_scenario
 from repro.faults import FaultPlan
-from repro.geo import vecops
-from repro.geo.spatial import SpatialIndex
+from repro.geo.spatial_array import ArraySpatialIndex, FanOut
 from repro.geo.vec import Position
 from repro.geo.region import Region
-from repro.net.medium import SPATIAL_MODES, RadioMedium
+from repro.net.addresses import BROADCAST, MacAddress
+from repro.net.mac.frames import FrameKind, MacFrame
+from repro.net.medium import INDEX_MODES, RadioMedium, SpatialCoherenceError
 from repro.net.mobility import RandomWaypointMobility, StaticMobility
 from repro.net.phy import PhyRadio
 from repro.sim.engine import Simulator
 
-requires_numpy = pytest.mark.skipif(
-    not vecops.HAVE_NUMPY, reason="numpy not available (repro[fast] extra)"
-)
-
 
 # ------------------------------------------------------------ unit level
-def _static_population(seed: int, n: int = 30):
+def _static_population(seed: int, n: int = 30, index_mode: str = "grid"):
     """A medium with ``n`` static radios scattered over the paper arena."""
     rng = random.Random(seed)
     sim = Simulator()
-    medium = RadioMedium(sim, spatial_mode="array")
+    medium = RadioMedium(sim, index_mode=index_mode)
     radios = [
         PhyRadio(
             sim,
@@ -52,24 +50,33 @@ def _static_population(seed: int, n: int = 30):
     return sim, medium, radios
 
 
-@requires_numpy
+def _object_gather(radios, center: Position, rng: float, cell: float, now: float):
+    """The grid gather rule as a plain scan: every radio binned within
+    ``ceil(rng / cell)`` cells of ``center``'s cell, in registration
+    order — the exact candidate list, not just its distance filter."""
+    reach = max(1, math.ceil(rng / cell))
+    qcol, qrow = math.floor(center.x / cell), math.floor(center.y / cell)
+    out = []
+    for radio in radios:
+        pos = radio.mobility.position_at(now)
+        col, row = math.floor(pos.x / cell), math.floor(pos.y / cell)
+        if abs(col - qcol) <= reach and abs(row - qrow) <= reach:
+            out.append(radio)
+    return out
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_candidates_registration_order_matches_object_index(seed):
     sim, medium, radios = _static_population(seed)
-    assert medium.spatial_effective == "array"
     aindex = medium._aindex
-    obj = SpatialIndex(cell_size=550.0)
-    for radio in radios:
-        obj.add(radio, sim.now)
     rng = random.Random(seed + 100)
     for _ in range(20):
         center = Position(rng.uniform(-100, 1600), rng.uniform(-100, 400))
         got = aindex.candidates_within(center, 550.0, sim.now)
-        want = obj.candidates_within(center, 550.0, sim.now)
+        want = _object_gather(radios, center, 550.0, 550.0, sim.now)
         assert got == want  # same radios, same registration order
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [4, 5])
 def test_classify_fanout_bitwise_matches_scalar_recompute(seed):
     sim, medium, radios = _static_population(seed)
@@ -96,7 +103,6 @@ def test_classify_fanout_bitwise_matches_scalar_recompute(seed):
             assert struct.pack("<d", dist) == struct.pack("<d", rpos.distance_to(spos))
 
 
-@requires_numpy
 def test_teleport_repositions_and_rebins():
     sim, medium, radios = _static_population(seed=7, n=4)
     aindex = medium._aindex
@@ -109,7 +115,6 @@ def test_teleport_repositions_and_rebins():
     assert (float(x[2]), float(y[2])) == (5000.0, 5000.0)
 
 
-@requires_numpy
 def test_gather_cache_hits_and_stats_keys():
     sim, medium, radios = _static_population(seed=9, n=12)
     aindex = medium._aindex
@@ -122,10 +127,9 @@ def test_gather_cache_hits_and_stats_keys():
     assert stats["radios"] == 12 and stats["cache_hits"] >= 1
 
 
-@requires_numpy
 def test_mobile_rows_track_legs_without_teleports():
     sim = Simulator()
-    medium = RadioMedium(sim, spatial_mode="array")
+    medium = RadioMedium(sim)
     rng = random.Random(11)
     region = Region(0.0, 0.0, 1500.0, 300.0)
     radios = [
@@ -148,20 +152,72 @@ def test_mobile_rows_track_legs_without_teleports():
         )
 
 
-def test_invalid_spatial_mode_rejected():
-    with pytest.raises(ValueError):
-        RadioMedium(Simulator(), spatial_mode="quadtree")
-    with pytest.raises(ValueError):
-        ScenarioConfig(spatial_mode="quadtree")
+def test_invalid_medium_index_rejected():
+    """A bad value fails when the config is built (so campaign expansion
+    catches it), naming the knob the user set."""
+    with pytest.raises(ValueError, match="medium_index"):
+        RadioMedium(Simulator(), index_mode="quadtree")
+    with pytest.raises(ValueError, match="medium_index"):
+        ScenarioConfig(medium_index="quadtree")
 
 
-def test_brute_index_mode_forces_object_fallback():
-    medium = RadioMedium(Simulator(), index_mode="brute", spatial_mode="array")
-    assert medium.spatial_effective == "obj"
+# ------------------------------------------------- the cross check fires
+def _broadcast(medium, sender):
+    frame = MacFrame(FrameKind.DATA, MacAddress(sender.node_id), BROADCAST)
+    medium.transmit(sender, frame, 1e-4)
+    medium.sim.run()
+
+
+def _corrupt_fanout(monkeypatch, corrupt):
+    real = ArraySpatialIndex.classify_fanout
+
+    def classify(self, *args):
+        fan = real(self, *args)
+        rows, dx, dy, deliv = list(fan.rows), list(fan.dx), list(fan.dy), list(fan.deliverable)
+        corrupt(rows, dx, dy, deliv)
+        return FanOut(fan.sx, fan.sy, rows, dx, dy, deliv)
+
+    monkeypatch.setattr(ArraySpatialIndex, "classify_fanout", classify)
+
+
+def test_cross_check_detects_a_dropped_receiver(monkeypatch):
+    _sim, medium, radios = _static_population(seed=12, n=12, index_mode="cross")
+
+    def drop_last(rows, dx, dy, deliv):
+        for column in (rows, dx, dy, deliv):
+            del column[-1]
+
+    _corrupt_fanout(monkeypatch, drop_last)
+    with pytest.raises(SpatialCoherenceError):
+        _broadcast(medium, radios[0])
+
+
+def test_cross_check_detects_a_one_ulp_distance(monkeypatch):
+    _sim, medium, radios = _static_population(seed=12, n=12, index_mode="cross")
+
+    def nudge_first(rows, dx, dy, deliv):
+        dx[0] = math.nextafter(dx[0], math.inf)
+
+    _corrupt_fanout(monkeypatch, nudge_first)
+    with pytest.raises(SpatialCoherenceError):
+        _broadcast(medium, radios[0])
+
+
+def test_cross_check_detects_a_corrupted_memo_hit():
+    _sim, medium, radios = _static_population(seed=12, n=12, index_mode="cross")
+    sender = radios[0]
+    _broadcast(medium, sender)  # classifies and stores the memo entry
+    _broadcast(medium, sender)  # a clean hit passes
+    entry = medium._fanout_memo[sender.node_id]
+    dists = entry[4]
+    assert dists, "the sender must reach someone"
+    dists[0] = math.nextafter(dists[0], math.inf)
+    with pytest.raises(SpatialCoherenceError):
+        _broadcast(medium, sender)
 
 
 # ------------------------------------------------------- scenario level
-def _config(seed: int, spatial: str, **overrides) -> ScenarioConfig:
+def _config(seed: int, index_mode: str, **overrides) -> ScenarioConfig:
     base = dict(
         protocol="agfw",
         num_nodes=16,
@@ -174,7 +230,7 @@ def _config(seed: int, spatial: str, **overrides) -> ScenarioConfig:
         pause_time=0.0,
         min_speed=5.0,
         keep_trace=True,
-        spatial_mode=spatial,
+        medium_index=index_mode,
         pool_mode="off",
     )
     base.update(overrides)
@@ -191,19 +247,17 @@ def _fingerprint(config: ScenarioConfig) -> list:
     return [(result.sent, result.delivered, result.collisions)] + records
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_spatial_modes_trace_identically(seed):
-    prints = [_fingerprint(_config(seed, spatial)) for spatial in SPATIAL_MODES]
+    prints = [_fingerprint(_config(seed, mode)) for mode in INDEX_MODES]
     assert prints[0] == prints[1] == prints[2]
     assert prints[0][0][0] > 0  # the workload actually sent traffic
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [6, 7, 8])
 def test_spatial_modes_trace_identically_under_faults(seed):
     """Loss + churn exercise down-radio gaps, teleporting recoveries and
-    memo invalidation; the array path must still trace identically."""
+    memo invalidation; the array index must still trace identically."""
     plan = FaultPlan.churn(
         range(16), sim_time=6.0, seed=seed, rate=1.0, mean_downtime=1.0
     )
@@ -211,33 +265,32 @@ def test_spatial_modes_trace_identically_under_faults(seed):
         _fingerprint(
             _config(
                 seed,
-                spatial,
+                mode,
                 loss_model="bernoulli",
                 loss_rate=0.15,
                 fault_plan=plan,
             )
         )
-        for spatial in SPATIAL_MODES
+        for mode in INDEX_MODES
     ]
     assert prints[0] == prints[1] == prints[2]
 
 
-@requires_numpy
 def test_jobs_pool_identical_across_spatial_modes():
-    """--jobs workers pickle configs into subprocesses; the array backend
+    """--jobs workers pickle configs into subprocesses; the array index
     must survive the trip and produce the exact same sweep points."""
     points = {
-        spatial: run_fig1(
+        mode: run_fig1(
             node_counts=(10, 14),
             schemes=("agfw",),
             sim_time=4.0,
             seed=3,
             jobs=2,
-            base=ScenarioConfig(spatial_mode=spatial, pool_mode="off"),
+            base=ScenarioConfig(medium_index=mode, pool_mode="off"),
         )
-        for spatial in ("obj", "array")
+        for mode in ("brute", "grid")
     }
-    assert points["obj"] == points["array"]
+    assert points["brute"] == points["grid"]
 
 
 # --------------------------------------------------- committed benchmark

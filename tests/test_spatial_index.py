@@ -1,10 +1,12 @@
-"""Unit tests for :mod:`repro.geo.spatial`.
+"""Unit tests for the grid machinery of :mod:`repro.geo.spatial_array`.
 
 The index's one contract: for any query, filtering its candidate list by
 true distance yields the same radios in the same registration order as
 the brute-force scan.  These tests exercise the machinery behind it —
 lazy rebucketing horizons, teleport invalidation, the unbounded-model
-fallback, and the version-stamped gather cache.
+fallback, and the version-stamped gather cache.  The mobility doubles
+here expose no ``current_leg``, so they run through the index's scalar
+rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 
 import pytest
 
-from repro.geo.spatial import SpatialIndex
+from repro.geo.spatial_array import ArraySpatialIndex
 from repro.geo.vec import Position
 from repro.net.mobility import StaticMobility
 
@@ -64,7 +66,7 @@ def _brute(radios, center: Position, rng: float, now: float):
     ]
 
 
-def _filtered(index: SpatialIndex, radios, center: Position, rng: float, now: float):
+def _filtered(index: ArraySpatialIndex, radios, center: Position, rng: float, now: float):
     limit = rng * rng
     return [
         r for r in index.candidates_within(center, rng, now)
@@ -75,18 +77,13 @@ def _filtered(index: SpatialIndex, radios, center: Position, rng: float, now: fl
 # ------------------------------------------------------------ construction
 def test_cell_size_must_be_positive():
     with pytest.raises(ValueError):
-        SpatialIndex(cell_size=0.0)
-
-
-def test_refresh_quantum_must_be_positive_when_given():
-    with pytest.raises(ValueError):
-        SpatialIndex(cell_size=100.0, refresh_quantum=0.0)
+        ArraySpatialIndex(cell_size=0.0)
 
 
 # --------------------------------------------------------------- exactness
 def test_static_candidates_match_brute_force_filtered():
     rng = random.Random(7)
-    index = SpatialIndex(cell_size=250.0)
+    index = ArraySpatialIndex(cell_size=250.0)
     radios = [
         _FakeRadio(i, StaticMobility(Position(rng.uniform(0, 1500), rng.uniform(0, 300))))
         for i in range(60)
@@ -102,7 +99,7 @@ def test_static_candidates_match_brute_force_filtered():
 
 
 def test_candidates_preserve_registration_order():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     # Register out of positional order; candidates must come back in
     # registration order (the brute-force iteration order).
     positions = [Position(90.0, 0.0), Position(10.0, 0.0), Position(50.0, 0.0)]
@@ -113,7 +110,7 @@ def test_candidates_preserve_registration_order():
 
 
 def test_zero_range_query_returns_cell_locals_only():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     near = _FakeRadio(0, StaticMobility(Position(10.0, 10.0)))
     far = _FakeRadio(1, StaticMobility(Position(950.0, 10.0)))
     index.add(near, 0.0)
@@ -124,7 +121,7 @@ def test_zero_range_query_returns_cell_locals_only():
 
 # ------------------------------------------------------- lazy rebucketing
 def test_moving_radio_rebins_only_after_horizon():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     # Centered in its cell, 10 m/s: margin 50 m -> horizon t=5.
     mover = _FakeRadio(0, _LinearMobility(Position(50.0, 50.0), 10.0, 0.0, 10.0))
     index.add(mover, now=0.0)
@@ -136,7 +133,7 @@ def test_moving_radio_rebins_only_after_horizon():
 
 
 def test_moving_radio_found_after_cell_crossing():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     mover = _FakeRadio(0, _LinearMobility(Position(95.0, 50.0), 10.0, 0.0, 10.0))
     anchor = _FakeRadio(1, StaticMobility(Position(250.0, 50.0)))
     index.add(mover, now=0.0)
@@ -148,7 +145,7 @@ def test_moving_radio_found_after_cell_crossing():
 
 
 def test_static_radios_never_rebin():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     radios = [_FakeRadio(i, StaticMobility(Position(i * 30.0, 0.0))) for i in range(5)]
     for radio in radios:
         index.add(radio, 0.0)
@@ -161,25 +158,16 @@ def test_static_radios_never_rebin():
 def test_boundary_radio_does_not_livelock_refresh():
     """A radio exactly on a cell edge has margin 0 (horizon == now); the
     drain-then-rebin refresh must terminate and stay correct."""
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     edge = _FakeRadio(0, _LinearMobility(Position(100.0, 50.0), 1.0, 0.0, 1.0))
     index.add(edge, now=0.0)
     for t in (0.0, 0.5, 1.0):
         assert _filtered(index, [edge], Position(100.0, 50.0), 10.0, t) == [edge]
 
 
-def test_refresh_quantum_caps_horizons():
-    index = SpatialIndex(cell_size=1000.0, refresh_quantum=1.0)
-    slow = _FakeRadio(0, _LinearMobility(Position(500.0, 500.0), 0.1, 0.0, 0.1))
-    index.add(slow, now=0.0)
-    binned_once = index.rebins
-    index.refresh(now=1.5)  # analytic horizon is ~5000 s away; quantum forces it
-    assert index.rebins == binned_once + 1
-
-
 # --------------------------------------------------------------- teleports
 def test_teleport_invalidates_immediately():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     mobility = StaticMobility(Position(50.0, 50.0))
     radio = _FakeRadio(0, mobility)
     index.add(radio, 0.0)
@@ -193,7 +181,7 @@ def test_teleport_invalidates_immediately():
 def test_same_cell_teleport_bumps_version():
     """Teleports that stay inside one cell still change positions, so
     position-derived caches keyed on the version must be dropped."""
-    index = SpatialIndex(cell_size=1000.0)
+    index = ArraySpatialIndex(cell_size=1000.0)
     mobility = StaticMobility(Position(100.0, 100.0))
     index.add(_FakeRadio(0, mobility), 0.0)
     before = index.version
@@ -203,7 +191,7 @@ def test_same_cell_teleport_bumps_version():
 
 # ------------------------------------------------------ unbounded fallback
 def test_unbounded_model_rebins_every_refresh_and_stays_correct():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     opaque = _OpaqueMobility(Position(50.0, 50.0))
     radio = _FakeRadio(0, opaque)
     index.add(radio, 0.0)
@@ -218,17 +206,9 @@ def test_unbounded_model_rebins_every_refresh_and_stays_correct():
     assert _filtered(index, [radio], Position(50.0, 50.0), 60.0, 3.0) == []
 
 
-def test_all_static_property():
-    index = SpatialIndex(cell_size=100.0)
-    index.add(_FakeRadio(0, StaticMobility(Position(0.0, 0.0))), 0.0)
-    assert index.all_static
-    index.add(_FakeRadio(1, _LinearMobility(Position(10.0, 0.0), 1.0, 0.0, 5.0)), 0.0)
-    assert not index.all_static
-
-
 # ------------------------------------------------------------ gather cache
 def test_repeated_static_query_hits_cache():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     for i in range(4):
         index.add(_FakeRadio(i, StaticMobility(Position(i * 40.0, 0.0))), 0.0)
     center = Position(50.0, 0.0)
@@ -240,7 +220,7 @@ def test_repeated_static_query_hits_cache():
 
 
 def test_cache_invalidated_by_membership_change():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     mobility = _LinearMobility(Position(50.0, 50.0), 100.0, 0.0, 100.0)
     mover = _FakeRadio(0, mobility)
     index.add(mover, 0.0)
@@ -252,7 +232,7 @@ def test_cache_invalidated_by_membership_change():
 
 
 def test_stats_shape():
-    index = SpatialIndex(cell_size=100.0)
+    index = ArraySpatialIndex(cell_size=100.0)
     index.add(_FakeRadio(0, StaticMobility(Position(0.0, 0.0))), 0.0)
     index.candidates_within(Position(0.0, 0.0), 50.0, 0.0)
     stats = index.stats()

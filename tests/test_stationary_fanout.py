@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.geo import vecops
 from repro.geo.region import Region
 from repro.geo.vec import Position
 from repro.net.addresses import BROADCAST, MacAddress
@@ -26,10 +25,6 @@ from repro.net.medium import RadioMedium
 from repro.net.mobility import RandomWaypointMobility, StaticMobility, WaypointLeg
 from repro.net.phy import PhyRadio
 from repro.sim.engine import Simulator
-
-requires_numpy = pytest.mark.skipif(
-    not vecops.HAVE_NUMPY, reason="numpy not available (repro[fast] extra)"
-)
 
 ARENA = Region(0.0, 0.0, 1500.0, 300.0)
 
@@ -64,7 +59,7 @@ class _Opaque:
 
 def _medium(mobilities, sim=None):
     sim = sim if sim is not None else Simulator()
-    medium = RadioMedium(sim, spatial_mode="array")
+    medium = RadioMedium(sim)
     radios = [PhyRadio(sim, i, medium, mob) for i, mob in enumerate(mobilities)]
     return sim, medium, radios
 
@@ -74,7 +69,6 @@ def _static(n: int = 3):
 
 
 # ------------------------------------------------------------- unit cases
-@requires_numpy
 def test_fixed_rows_hold_one_stamp_forever():
     _sim, medium, _radios = _medium(_static())
     index = medium._aindex
@@ -84,7 +78,6 @@ def test_fixed_rows_hold_one_stamp_forever():
     assert index.stationary_stamp(1e9) == stamp
 
 
-@requires_numpy
 def test_paused_legs_hold_until_the_earliest_departure():
     sim = Simulator()
     rng = random.Random(3)
@@ -102,7 +95,6 @@ def test_paused_legs_hold_until_the_earliest_departure():
     assert index.stationary_stamp(3.0) == -1
 
 
-@requires_numpy
 def test_leg_departing_exactly_now_is_still_at_its_origin():
     leg = WaypointLeg(Position(10.0, 10.0), Position(400.0, 10.0), 10.0, depart_time=5.0)
     _sim, medium, _radios = _medium([_FrozenLeg(leg)] + _static(2))
@@ -116,7 +108,6 @@ def test_leg_departing_exactly_now_is_still_at_its_origin():
     assert index.stationary_stamp(math.nextafter(5.0, math.inf)) == -1
 
 
-@requires_numpy
 def test_opaque_rows_are_never_stationary():
     _sim, medium, _radios = _medium(_static(2) + [_Opaque(Position(50.0, 50.0))])
     index = medium._aindex
@@ -124,7 +115,6 @@ def test_opaque_rows_are_never_stationary():
     assert index.stationary_stamp(10.0) == -1
 
 
-@requires_numpy
 @pytest.mark.parametrize("event", ["teleport", "invalidate_all", "add"])
 def test_discontinuities_end_the_window(event):
     sim, medium, radios = _medium(_static())
@@ -140,7 +130,6 @@ def test_discontinuities_end_the_window(event):
     assert after >= 0 and after != before
 
 
-@requires_numpy
 def test_mobile_arena_pays_no_sweep_until_the_latest_arrival():
     """Once some leg has departed, the retry guard answers -1 without
     re-syncing rows until the moving legs' latest arrival."""
@@ -160,7 +149,6 @@ def test_mobile_arena_pays_no_sweep_until_the_latest_arrival():
     assert syncs == [1.0]
 
 
-@requires_numpy
 def test_window_reopens_after_every_leg_arrives_and_pauses():
     sim = Simulator()
     mob = RandomWaypointMobility(sim, ARENA, random.Random(5), pause_time=1.0)
@@ -176,11 +164,10 @@ def test_window_reopens_after_every_leg_arrives_and_pauses():
     assert second >= 0 and second != first
 
 
-@requires_numpy
-@pytest.mark.parametrize("spatial_mode", ["obj", "array"])
-def test_teleport_and_liveness_drop_the_medium_memo(spatial_mode):
+@pytest.mark.parametrize("index_mode", ["grid", "cross"])
+def test_teleport_and_liveness_drop_the_medium_memo(index_mode):
     sim = Simulator()
-    medium = RadioMedium(sim, spatial_mode=spatial_mode)
+    medium = RadioMedium(sim, index_mode=index_mode)
     radios = [
         PhyRadio(sim, i, medium, StaticMobility(Position(200.0 * i, 0.0))) for i in range(4)
     ]
@@ -231,13 +218,11 @@ def _fingerprint(config: ScenarioConfig) -> list:
     return [(result.sent, result.delivered, result.collisions)] + records
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pause_ending_mid_run_traces_identically(seed):
     variants = [
-        dict(spatial_mode="obj"),
-        dict(spatial_mode="array"),
-        dict(spatial_mode="cross"),  # re-derives every memo hit too
+        dict(medium_index="grid"),
+        dict(medium_index="cross"),  # re-derives every memo hit too
         dict(medium_index="brute"),
     ]
     prints = [_fingerprint(_config(seed, **variant)) for variant in variants]
@@ -245,7 +230,6 @@ def test_pause_ending_mid_run_traces_identically(seed):
     assert prints[0][0][0] > 0  # the workload actually sent traffic
 
 
-@requires_numpy
 def test_memo_hits_before_the_first_departure_and_none_after():
     scenario = Scenario(_config(1, keep_trace=False))
     sim, medium = scenario.sim, scenario.medium

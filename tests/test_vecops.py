@@ -1,10 +1,10 @@
 """Bitwise scalar-vs-batch equivalence for the vectorized kernels.
 
-The array backend is only admissible because every float it produces is
-**bit-identical** to the scalar object path — not merely close.  These
-tests enforce that with randomized sweeps: random legs, query times
-planted exactly on pause boundaries, zero-length legs, and the grid /
-distance kernels, all compared bit-for-bit (``struct.pack`` of the
+The array index is only admissible because every float it produces is
+**bit-identical** to the scalar path — not merely close.  These tests
+enforce that with randomized sweeps: random legs, query times planted
+exactly on pause boundaries, zero-length legs, and the grid kernels,
+all compared bit-for-bit (``struct.pack`` of the
 doubles, so ``-0.0 != 0.0`` and NaNs would fail loudly).
 """
 
@@ -19,11 +19,6 @@ import pytest
 from repro.geo import vecops
 from repro.geo.vec import Position
 from repro.net.mobility import WaypointLeg
-
-pytestmark = pytest.mark.skipif(
-    not vecops.HAVE_NUMPY, reason="numpy not available (repro[fast] extra)"
-)
-
 
 def _bits(value: float) -> bytes:
     """The IEEE-754 bit pattern — the equality the contract promises."""
@@ -72,21 +67,6 @@ def test_batch_position_bitwise_equals_scalar(seed):
             assert _bits(float(y[i])) == _bits(ref.y), (i, t)
 
 
-@pytest.mark.parametrize("seed", [3, 23])
-def test_batch_velocity_bitwise_equals_scalar(seed):
-    rng = random.Random(seed)
-    legs = [_random_leg(rng) for _ in range(40)]
-    arrays = vecops.LegArrays()
-    for leg in legs:
-        arrays.set_leg(arrays.append_row(), leg)
-    for t in _query_times(rng, legs):
-        vx, vy = vecops.batch_velocity_at(arrays, t)
-        for i, leg in enumerate(legs):
-            ref_vx, ref_vy = leg.velocity_at(t)
-            assert _bits(float(vx[i])) == _bits(ref_vx), (i, t)
-            assert _bits(float(vy[i])) == _bits(ref_vy), (i, t)
-
-
 def test_fixed_rows_interpolate_without_nan():
     """set_fixed's depart/arrive sentinel must never produce a NaN lane
     (the inf - inf shape) for any query time."""
@@ -96,8 +76,6 @@ def test_fixed_rows_interpolate_without_nan():
         x, y = vecops.batch_position_at(arrays, t)
         assert _bits(float(x[0])) == _bits(12.5)
         assert _bits(float(y[0])) == _bits(-3.25)
-        vx, vy = vecops.batch_velocity_at(arrays, t)
-        assert float(vx[0]) == 0.0 and float(vy[0]) == 0.0
 
 
 @pytest.mark.parametrize("seed", [11, 31])
@@ -122,25 +100,6 @@ def test_batch_cells_and_margins_match_scalar(seed):
             (srow + 1) * cell - py,
         )
         assert _bits(float(margins[i])) == _bits(ref)
-
-
-@pytest.mark.parametrize("seed", [5, 17])
-def test_batch_distance2_bitwise_equals_scalar(seed):
-    import numpy as np
-
-    rng = random.Random(seed)
-    pts = [Position(rng.uniform(0, 1500), rng.uniform(0, 300)) for _ in range(120)]
-    center = Position(rng.uniform(0, 1500), rng.uniform(0, 300))
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
-    dx, dy, d2 = vecops.batch_distance2(xs, ys, center.x, center.y)
-    for i, p in enumerate(pts):
-        assert _bits(float(d2[i])) == _bits(p.distance2_to(center))
-        # The true distance the medium feeds receivers: scalar hypot on
-        # the batch deltas, bitwise what distance_to computes.
-        assert _bits(math.hypot(float(dx[i]), float(dy[i]))) == _bits(
-            p.distance_to(center)
-        )
 
 
 def test_leg_roll_continuity_is_bitwise():
@@ -171,42 +130,3 @@ def test_legarrays_growth_preserves_rows():
         ref = leg.position_at(50.0)
         assert _bits(float(x[i])) == _bits(ref.x)
         assert _bits(float(y[i])) == _bits(ref.y)
-
-
-def test_pure_python_mode_reports_no_numpy():
-    """REPRO_PURE_PYTHON=1 must force the fallback flag off at import
-    time; consumers then refuse to build array structures and the
-    scenario layer silently runs the object/scalar path."""
-    import subprocess
-    import sys
-
-    code = (
-        "import os; os.environ['REPRO_PURE_PYTHON'] = '1'\n"
-        "from repro.geo import vecops\n"
-        "assert not vecops.HAVE_NUMPY\n"
-        "raised = False\n"
-        "try:\n"
-        "    vecops.LegArrays()\n"
-        "except RuntimeError:\n"
-        "    raised = True\n"
-        "assert raised\n"
-        "from repro.experiments.scenario import ScenarioConfig, run_scenario\n"
-        "r = run_scenario(ScenarioConfig(protocol='agfw', num_nodes=8, sim_time=2.0, seed=1))\n"
-        "assert r.sent > 0\n"
-        "print('fallback-ok')\n"
-    )
-    import os
-    import pathlib
-
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "fallback-ok" in proc.stdout
