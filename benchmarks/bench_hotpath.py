@@ -1,4 +1,4 @@
-"""Vectorized hot-core benchmarks: spatial fan-out, mobility, pooling.
+"""Vectorized hot-core benchmarks: spatial fan-out, mobility, whole stack.
 
 Not a paper table — these price the PR 7 tentpole.  The pure-Python
 medium pays an interpreter round trip per radio per transmission; the
@@ -16,8 +16,8 @@ array index batches exactly that work.  Three pairs:
   ``WaypointLeg.position_at`` loop vs ``batch_position_at`` into
   preallocated buffers.  Derived ``batch_mobility_speedup`` (floor: 5x).
 * ``test_end_to_end_scenario_150`` — the whole-stack number: a 150-node
-  AGFW run on the reference stack (``medium_index="brute"``,
-  ``pool_mode="off"``) vs the defaults (``grid``/``on``).  Derived
+  AGFW run on the reference scan (``medium_index="brute"``) vs the
+  default array index (``"grid"``).  Derived
   ``scenario_hotpath_speedup`` (floor: 1.3x).
 
 All pairs run the *same* workload to bitwise-identical results (the
@@ -183,7 +183,7 @@ def test_batch_mobility_150_legs(benchmark, path):
     assert benchmark(run) != 0.0
 
 
-def _scenario(index_mode: str, pool: str) -> float:
+def _scenario(index_mode: str) -> float:
     config = ScenarioConfig(
         protocol="agfw",
         num_nodes=NUM_NODES,  # the paper sweep's top density
@@ -198,7 +198,6 @@ def _scenario(index_mode: str, pool: str) -> float:
         pause_time=0.0,
         min_speed=5.0,
         medium_index=index_mode,
-        pool_mode=pool,
     )
     result = Scenario(config).run()
     return result.delivery_fraction
@@ -207,6 +206,6 @@ def _scenario(index_mode: str, pool: str) -> float:
 @pytest.mark.benchmark(group="hotpath")
 @pytest.mark.parametrize("stack", ["baseline", "fast"])
 def test_end_to_end_scenario_150(benchmark, stack):
-    index_mode, pool = ("brute", "off") if stack == "baseline" else ("grid", "on")
-    fraction = benchmark.pedantic(_scenario, args=(index_mode, pool), rounds=3)
+    index_mode = "brute" if stack == "baseline" else "grid"
+    fraction = benchmark.pedantic(_scenario, args=(index_mode,), rounds=3)
     assert fraction > 0.0

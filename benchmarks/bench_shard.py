@@ -14,8 +14,8 @@ exploits.  One benchmark family, two legs per size:
   worker CPU time — the run's wall-clock on a machine with one core per
   shard), ``busy_seconds_total``, and the PR 9 IPC economy counters:
   ``ipc_messages``, ``ipc_bytes``, ``ipc_messages_per_round``, and
-  ``promise_rounds`` (steady-state promise exchanges per window — 1
-  with piggybacking, 2 with the legacy split rounds).
+  ``promise_rounds`` (promise-only rounds: 1, the bootstrap — every
+  later promise rides a round reply).
 
 ``bench_to_json.py --suite shard`` derives
 ``shard4_speedup_<n>_nodes = engine cpu_seconds / shards4
@@ -23,7 +23,7 @@ critical_path_seconds`` at each size (``shard8_speedup_10000_nodes``
 at the top end) plus ``shard4_ipc_messages_per_round_2000_nodes``.
 The acceptance floors — **>= 2x at 600 nodes**, **>= 4x at 10000
 nodes/8 shards**, and **<= 8 IPC messages per round** at 2000 nodes/4
-shards (piggybacking halves the legacy 4·shards) — are pinned against
+shards (one request and one reply per shard per round) — are pinned against
 the committed ``BENCH_shard.json`` by ``tests/test_shard_equivalence.py``.
 
 CPU time, not wall time, on both sides: the container this baseline
@@ -97,7 +97,7 @@ def _config(num_nodes: int, shard_mode: str = "off", shards: int = 1) -> Scenari
         # The 10k point runs once per leg (a single-core container
         # time-slices eight workers; two rounds would double a
         # multi-minute benchmark for no extra signal) and at 8 shards,
-        # where the PR 9 scale-up work — piggybacked promise rounds,
+        # where the PR 9 scale-up work — promises riding round replies,
         # the shared position plane, slim keyed queues — has to clear
         # the >= 4x critical-path floor.
         ("engine", 10000),

@@ -60,7 +60,7 @@ Suites:
 * ``hotpath`` — the vectorized core (PR 7): neighbor-gather and batch
   mobility micro-kernels (brute scalar vs numpy-batched; acceptance
   floor 5x each) and a 150-node end-to-end scenario on the brute scan
-  without pooling vs the array index with pooling (floor 1.3x).
+  vs the array index (floor 1.3x).
 * ``campaign`` — the campaign layer (PR 10): one 8-point matrix run
   cold (empty store) vs warm (pre-filled store); derived
   ``campaign_warm_cache_speedup`` (acceptance floor: 10x — reruns of a
@@ -71,7 +71,8 @@ Suites:
   and ``shard8_speedup_10000_nodes`` = engine CPU seconds over the
   sharded run's critical path (floors: 2x at 600 nodes, 4x at 10000),
   and ``shard4_ipc_messages_per_round_2000_nodes`` (floor: <= 8 — the
-  piggybacked promise protocol's 2 messages per shard per round).
+  round protocol's 2 messages per shard per round, the promise riding
+  each reply).
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ SUITES: dict[str, dict] = {
                 ("test_shard_scenario[shards8-10000]", "critical_path_seconds"),
             ),
             # Not a ratio: the literal denominator publishes the raw
-            # IPC economy so the piggybacking floor (<= 2*2*shards
+            # IPC economy so the round-protocol floor (<= 2*2*shards
             # messages per round) is pinnable from the committed file.
             "shard4_ipc_messages_per_round_2000_nodes": (
                 ("test_shard_scenario[shards4-2000]", "ipc_messages_per_round"),

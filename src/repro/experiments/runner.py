@@ -35,7 +35,6 @@ from repro.experiments.overhead import (
 )
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.security import format_exposure, run_exposure_experiment
-from repro.net.pool import POOL_MODES
 from repro.sim.shard import SHARD_MODES
 from repro.sim.shard.driver import effective_jobs
 
@@ -64,14 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         "(output is byte-identical for any value)",
     )
     parser.add_argument(
-        "--pool",
-        choices=POOL_MODES,
-        default="on",
-        help="frame/reception pooling: on (recycle, default), off "
-        "(per-transmission allocation), or cross (recycle + scrub "
-        "verification); output is byte-identical for any value",
-    )
-    parser.add_argument(
         "--shard-mode",
         choices=SHARD_MODES,
         default="off",
@@ -94,12 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         help="rebalance column boundaries from a calibration prefix "
         "(deterministic per-shard executed-event counts) before the "
         "real run; output is byte-identical either way",
-    )
-    parser.add_argument(
-        "--shard-legacy-rounds",
-        action="store_true",
-        help="use the pre-piggybacking split promise/execute rounds "
-        "(twice the IPC messages per round; debugging/reference only)",
     )
     parser.add_argument(
         "--profile",
@@ -209,11 +194,9 @@ def _run_experiments(args, sim_time: float, counts: tuple, churn) -> None:
             seed=args.seed,
             jobs=args.jobs,
             base=ScenarioConfig(
-                pool_mode=args.pool,
                 shard_mode=args.shard_mode,
                 shards=args.shards,
                 shard_adaptive=args.shard_adaptive,
-                shard_piggyback=not args.shard_legacy_rounds,
                 loss_model=args.loss_model,
                 loss_rate=args.loss_rate,
             ),
@@ -251,11 +234,9 @@ def _run_experiments(args, sim_time: float, counts: tuple, churn) -> None:
             seed=args.seed,
             jobs=args.jobs,
             base=ScenarioConfig(
-                pool_mode=args.pool,
                 shard_mode=args.shard_mode,
                 shards=args.shards,
                 shard_adaptive=args.shard_adaptive,
-                shard_piggyback=not args.shard_legacy_rounds,
             ),
         )
         print(format_faults_sweep(fault_points))

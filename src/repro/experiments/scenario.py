@@ -34,7 +34,6 @@ from repro.metrics.collectors import DeliveryCollector, OverheadCollector
 from repro.metrics.faults import FaultMetrics
 from repro.metrics.stats import Summary, summarize
 from repro.net.medium import RadioMedium, validate_medium_index
-from repro.net.pool import validate_pool_mode
 from repro.net.mobility import RandomWaypointMobility, StaticMobility
 from repro.net.node import Node
 from repro.routing.base import RouterStats
@@ -69,10 +68,6 @@ class ScenarioConfig:
     # neighbor query).  Outcome-identical by construction; see
     # repro.net.medium and repro.geo.spatial_array.
     medium_index: str = "grid"
-    # Frame/reception pooling: "on" (recycle, default), "off" (the exact
-    # pre-pool allocation path), or "cross" (recycle + scrub/verify every
-    # object across the free boundary).  See repro.net.pool.
-    pool_mode: str = "on"
     # Sharded execution: "off" (single engine, default), "on" (column
     # shards, one engine per shard in a worker process, conservative
     # window synchronization), or "cross" (sharded inline + single engine
@@ -81,10 +76,6 @@ class ScenarioConfig:
     shard_mode: str = "off"
     # Number of column shards when shard_mode != "off".
     shards: int = 2
-    # Fold promise announcements into execute replies (one IPC round
-    # trip per steady-state round instead of two).  Trace-invariant;
-    # False selects the legacy split promise/execute rounds.
-    shard_piggyback: bool = True
     # Shared-memory position plane: workers publish owned leg arrays at
     # each barrier and ghost positions cross the pipes NaN-compressed.
     # Trace-invariant; auto-disabled without the array index.
@@ -173,7 +164,6 @@ class ScenarioConfig:
             raise ValueError("sim_time must be positive")
         validate_cache_mode(self.crypto_cache_mode)
         validate_medium_index(self.medium_index)
-        validate_pool_mode(self.pool_mode)
         validate_loss_model(self.loss_model)
         if self.loss_model == "none" and (self.loss_rate or self.loss_params):
             raise ValueError(
@@ -322,7 +312,6 @@ class Scenario:
             radio_range=config.radio_range,
             interference_range=config.interference_range,
             index_mode=config.medium_index,
-            pool_mode=config.pool_mode,
         )
         self.region = Region.of_size(config.width, config.height)
         self.rngs = RngRegistry(config.seed)

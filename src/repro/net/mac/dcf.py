@@ -127,10 +127,6 @@ class DcfMac:
         self._wait_timer: Optional[Event] = None
         self._nav_timer: Optional[Event] = None
 
-        #: Shared frame pool (``None`` = pool_mode "off": construct frames
-        #: directly, the exact pre-pool path).
-        self._frame_pool = phy.medium.frame_pool
-
         phy.mac = self
 
     def _make_frame(
@@ -140,17 +136,7 @@ class DcfMac:
         packet: Optional[Packet] = None,
         nav: float = 0.0,
     ) -> MacFrame:
-        """Construct or pool-acquire a frame; one uid is drawn either way.
-
-        A frame built here is transmitted at most once and recycled by the
-        medium when its airtime ends; SIFS responses that never fire
-        (crash or half-duplex clash in :meth:`_respond`) are simply
-        abandoned to the garbage collector — the pool is a free list, not
-        a reference counter, so an unreleased frame is safe.
-        """
-        pool = self._frame_pool
-        if pool is not None:
-            return pool.acquire_frame(kind, self.address, dst, packet=packet, nav=nav)
+        """A fresh frame from this station; it draws the next frame uid."""
         return MacFrame(kind, self.address, dst, packet=packet, nav=nav)
 
     # =============================================================== sending

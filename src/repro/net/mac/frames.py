@@ -16,19 +16,9 @@ from repro.net.addresses import MacAddress
 from repro.net.mac.constants import Dot11Params
 from repro.net.packet import Packet
 
-__all__ = ["FrameKind", "MacFrame", "next_frame_uid"]
+__all__ = ["FrameKind", "MacFrame"]
 
 _frame_uid = itertools.count(1)
-
-
-def next_frame_uid() -> int:
-    """Draw the next frame uid.
-
-    The same counter feeds both fresh constructions (via the dataclass
-    factory below) and :class:`~repro.net.pool.FramePool` re-stamps, so
-    the trace-visible uid sequence is identical with pooling on or off.
-    """
-    return next(_frame_uid)
 
 
 class FrameKind(Enum):
@@ -42,7 +32,11 @@ class FrameKind(Enum):
 
 @dataclass(slots=True)
 class MacFrame:
-    """One frame on the air (``slots=True``: hot-path allocation)."""
+    """One frame on the air (``slots=True``: hot-path allocation).
+
+    Every frame is constructed fresh and transmitted at most once; its
+    ``uid`` comes from one process-wide counter, in construction order.
+    """
 
     kind: FrameKind
     src: MacAddress
@@ -50,9 +44,6 @@ class MacFrame:
     packet: Optional[Packet] = None
     nav: float = 0.0
     uid: int = field(default_factory=lambda: next(_frame_uid))
-    #: Pool recycling stamp (:mod:`repro.net.pool`): 0 = never pooled,
-    #: positive = live acquire stamp, negative = sitting in a free list.
-    generation: int = 0
 
     def duration(self, params: Dot11Params) -> float:
         """Airtime of this frame under ``params``."""

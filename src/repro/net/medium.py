@@ -35,12 +35,6 @@ sender distance — **bitwise** what the scalar scan computes.
   deliverability, and bitwise sender position and distances — raising
   :class:`SpatialCoherenceError` on the first divergence.
 
-``pool_mode`` is orthogonal: ``"off"`` allocates per transmission as
-always; ``"on"`` recycles MAC frames through a
-:class:`repro.net.pool.FramePool` and consolidates each radio's
-reception bookkeeping into pooled records; ``"cross"`` additionally
-scrub-verifies every object across the free boundary.
-
 Fan-out memo
 ------------
 While no radio can have moved, a sender's fan-out is the same on every
@@ -64,7 +58,6 @@ from typing import (
 from repro.geo.spatial_array import ArraySpatialIndex, FanOut
 from repro.geo.vec import Position
 from repro.net.mac.frames import MacFrame
-from repro.net.pool import FramePool, validate_pool_mode
 from repro.sim.engine import MEDIUM_ACTOR, Simulator
 from repro.sim.trace import Tracer
 
@@ -136,18 +129,15 @@ class RadioMedium:
         radio_range: float = 250.0,
         interference_range: float = 550.0,
         index_mode: str = "grid",
-        pool_mode: str = "off",
     ) -> None:
         if interference_range < radio_range:
             raise ValueError("interference range must cover the radio range")
         validate_medium_index(index_mode)
-        validate_pool_mode(pool_mode)
         self.sim = sim
         self.tracer = tracer
         self.radio_range = radio_range
         self.interference_range = interference_range
         self.index_mode = index_mode
-        self.pool_mode = pool_mode
         self._radios: List["PhyRadio"] = []
         self._radio_range2 = radio_range * radio_range
         self._interference_range2 = interference_range * interference_range
@@ -156,11 +146,6 @@ class RadioMedium:
         # uid 1 and trace output stays identical run-to-run (previously a
         # module-global leaked state across Simulator instances).
         self._tx_uid = itertools.count(1)
-        #: Frame/reception pool; ``None`` (pool_mode="off") keeps every
-        #: consumer on the exact pre-pool allocation path.
-        self.frame_pool: Optional[FramePool] = (
-            FramePool(pool_mode) if pool_mode != "off" else None
-        )
         #: The array index; ``None`` under the brute reference scan.
         self._aindex: Optional[ArraySpatialIndex] = (
             ArraySpatialIndex(cell_size=interference_range)
@@ -403,7 +388,6 @@ class RadioMedium:
                 sender, sender_pos, self.interference_range, affected, dists, deliverable
             )
 
-        pool = self.frame_pool
         keyed = self._shard_keyed
 
         if keyed is None:
@@ -412,10 +396,6 @@ class RadioMedium:
                 sender.end_transmit(tx)
                 for radio in affected:
                     radio.on_tx_end(tx)
-                if pool is not None:
-                    # The frame's airtime is over and every receiver has
-                    # consumed it synchronously above — recycle it.
-                    pool.release_frame(frame)
 
         else:
 
@@ -431,8 +411,6 @@ class RadioMedium:
                 for radio in affected:
                     with keyed.key_scope((radio.node_id,)):
                         radio.on_tx_end(tx)
-                if pool is not None:
-                    pool.release_frame(frame)
 
         finish_event = self.sim.schedule(
             duration, _finish, priority=-1, name="phy.tx_end", actor=MEDIUM_ACTOR

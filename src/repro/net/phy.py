@@ -30,11 +30,10 @@ to less.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.geo.vec import Position
 from repro.net.mobility import MobilityModel
-from repro.net.pool import Reception
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
@@ -60,6 +59,17 @@ LISTEN_ALL = 2
 CAPTURE_DISTANCE_RATIO = 10.0 ** 0.25
 
 
+class Reception:
+    """One transmission impinging on one radio: the receiver-to-sender
+    distance (for capture and loss draws) and the corrupted verdict."""
+
+    __slots__ = ("distance", "corrupted")
+
+    def __init__(self, distance: float, corrupted: bool) -> None:
+        self.distance = distance
+        self.corrupted = corrupted
+
+
 class PhyRadio:
     """The radio of one node."""
 
@@ -81,23 +91,9 @@ class PhyRadio:
         #: written only by the MAC, see the module docstring.
         self.carrier_listen = LISTEN_NONE
 
-        # Reception bookkeeping comes in two shapes sharing one dict (so
-        # ``carrier_busy`` is representation-agnostic): unpooled, the
-        # seed triple — _impinging maps uid -> Transmission with the
-        # distance and corrupted verdict in the side containers; pooled,
-        # _impinging maps uid -> recycled Reception record that carries
-        # all three fields, and the side containers stay empty.
-        self._pool = medium.frame_pool
-        self._pooled = self._pool is not None
-        self._rec_checked = self._pooled and self._pool.checked
-        #: Inline free list for pool_mode="on": at ~150 receptions per
-        #: broadcast frame a method call per record is measurable, so the
-        #: fast path pops/pushes locally; "cross" routes through the
-        #: pool's checked acquire/release instead.
-        self._rec_free: List[Reception] = []
-        self._impinging: Dict[int, Union[Transmission, Reception]] = {}
-        self._distances: Dict[int, float] = {}
-        self._corrupted: set[int] = set()
+        #: Transmission uid -> its reception record, for everything
+        #: currently impinging on this radio.
+        self._impinging: Dict[int, Reception] = {}
         self._own_tx: Optional[Transmission] = None
         self._last_ended_corrupted = False
         #: Channel loss process (``None`` = the unimpaired seed channel).
@@ -147,12 +143,8 @@ class PhyRadio:
     def begin_transmit(self, tx: "Transmission") -> None:
         self._own_tx = tx
         # Half-duplex: anything being received right now is lost.
-        if self._pooled:
-            for rec in self._impinging.values():
-                rec.corrupted = True
-        else:
-            for uid in self._impinging:
-                self._corrupted.add(uid)
+        for rec in self._impinging.values():
+            rec.corrupted = True
 
     def end_transmit(self, tx: "Transmission") -> None:
         self._own_tx = None
@@ -176,74 +168,36 @@ class PhyRadio:
             new_distance = own_pos.distance_to(tx.sender_pos)
         else:
             new_distance = distance
-        if self._pooled:
-            # carrier_busy inlined (this method runs once per radio per
-            # transmission — the hottest call site in the simulator).
-            impinging = self._impinging
-            own_tx = self._own_tx
-            was_idle = not impinging and own_tx is None
-            # Half-duplex: nothing arriving during our own TX is decodable.
-            new_corrupted = own_tx is not None
-            if impinging:
-                for rec in impinging.values():
-                    other_distance = rec.distance
-                    # Pairwise capture: a reception is ruined only by an
-                    # interferer whose signal is within 10 dB of (or
-                    # stronger than) it.
-                    if new_distance < other_distance * CAPTURE_DISTANCE_RATIO:
-                        rec.corrupted = True
-                    if other_distance < new_distance * CAPTURE_DISTANCE_RATIO:
-                        new_corrupted = True
-            if self._rec_checked:
-                rec = self._pool.acquire_reception(tx, new_distance, new_corrupted)
-            else:
-                free = self._rec_free
-                if free:
-                    rec = free.pop()
-                    rec.tx = tx
-                    rec.distance = new_distance
-                    rec.corrupted = new_corrupted
-                else:
-                    rec = Reception(tx, new_distance, new_corrupted)
-            impinging[tx.uid] = rec
-        else:
-            was_idle = not self.carrier_busy
-            if self._own_tx is not None:
-                # Half-duplex: nothing arriving during our own TX is decodable.
-                self._corrupted.add(tx.uid)
-            for uid, other in self._impinging.items():
-                other_distance = self._distances[uid]
-                # Pairwise capture: a reception is ruined only by an interferer
-                # whose signal is within 10 dB of (or stronger than) it.
+        # carrier_busy inlined (this method runs once per radio per
+        # transmission — the hottest call site in the simulator).
+        impinging = self._impinging
+        own_tx = self._own_tx
+        was_idle = not impinging and own_tx is None
+        # Half-duplex: nothing arriving during our own TX is decodable.
+        new_corrupted = own_tx is not None
+        if impinging:
+            for rec in impinging.values():
+                other_distance = rec.distance
+                # Pairwise capture: a reception is ruined only by an
+                # interferer whose signal is within 10 dB of (or
+                # stronger than) it.
                 if new_distance < other_distance * CAPTURE_DISTANCE_RATIO:
-                    self._corrupted.add(uid)
+                    rec.corrupted = True
                 if other_distance < new_distance * CAPTURE_DISTANCE_RATIO:
-                    self._corrupted.add(tx.uid)
-            self._impinging[tx.uid] = tx
-            self._distances[tx.uid] = new_distance
+                    new_corrupted = True
+        impinging[tx.uid] = Reception(new_distance, new_corrupted)
         if was_idle and self.carrier_listen == LISTEN_ALL and not self.down:
             mac = self.mac
             if mac is not None:
                 mac.on_channel_busy()
 
     def on_tx_end(self, tx: "Transmission") -> None:
-        if self._pooled:
-            rec = self._impinging.pop(tx.uid, None)
-            if rec is None:
-                distance, corrupted = 0.0, False
-            else:
-                distance = rec.distance
-                corrupted = rec.corrupted
-                if self._rec_checked:
-                    self._pool.release_reception(rec)
-                else:
-                    rec.tx = None  # drop the Transmission ref while free
-                    self._rec_free.append(rec)
+        rec = self._impinging.pop(tx.uid, None)
+        if rec is None:
+            distance, corrupted = 0.0, False
         else:
-            self._impinging.pop(tx.uid, None)
-            distance = self._distances.pop(tx.uid, 0.0)
-            corrupted = tx.uid in self._corrupted
-            self._corrupted.discard(tx.uid)
+            distance = rec.distance
+            corrupted = rec.corrupted
 
         if self.down:
             # A dead radio decodes nothing and owes the MAC no carrier

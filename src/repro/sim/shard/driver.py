@@ -2,37 +2,34 @@
 
 Round structure (coordinator = this module; workers = one per shard,
 inline objects for ``shard_mode="cross"``, forked processes for
-``"on"``):
+``"on"``).  One bootstrap round asks every worker for its first
+promise — ``(next event time, promise key)``, a lower bound on the
+causal key of its earliest possible future transmission that can reach
+another shard (exposure-gated; see :meth:`ShardWorker.promise`).  Every
+later round is one request and one reply per shard:
 
-1. **Deliver + promise.**  Each worker first mirrors the ghost
-   transmissions queued for it at the previous barrier, then reports
-   ``(next event time, promise key)`` — a lower bound on the causal key
-   of its earliest possible future transmission that can reach another
-   shard (exposure-gated; see :meth:`ShardWorker.promise`).
-2. **Horizon.**  Shard *i* may execute every event with key strictly
+1. **Horizon.**  Shard *i* may execute every event with key strictly
    below ``H_i = min(min_{j != i} promise_j, floor + W_MAX, until)``,
    where ``floor`` is the globally earliest pending event time.  The
    ``W_MAX`` cushion bounds interest-interval staleness and guarantees
    progress when every promise is infinite.
-3. **Execute + collect.**  Workers run their window (in parallel under
-   the process transport) and return outgoing ghosts, which the
-   coordinator routes to their target shards for the next round.
+2. **Request.**  The horizon travels with the ghost transmissions
+   queued for that shard at the previous barrier.
+3. **Deliver, execute, re-promise.**  The worker mirrors the ghosts,
+   runs its window (in parallel under the process transport), and
+   replies with the ghosts it produced plus its post-window promise;
+   the coordinator routes the ghosts to their target shards for the
+   next round.
 
-Promise piggybacking
+Promise compensation
 --------------------
-With ``shard_piggyback`` (the default) the promise is folded into the
-execute reply: one bootstrap promise round, then every round is a
-single request (horizon + ghosts to deliver) and a single reply
-(ghosts produced + the post-window promise) — 2 IPC messages per shard
-per round instead of the legacy 4.  The piggybacked promise is computed
-*before* the next round's ghosts are delivered, so the coordinator
-compensates: a pending ghost can only *defer* the receiver's existing
-events (channel-busy backoff) or trigger SIFS-spaced responses to its
-mirrored completion, never create anything earlier, so
-``min(promise, (g.resume, floor-priority))`` over the shard's pending
-ghosts is a sound effective promise, and ``min(peek, g.start)`` the
-effective queue floor.  Legacy split rounds remain available as
-``shard_piggyback=False`` (and as the churn-tested reference).
+The promise in a round reply is computed *before* the next round's
+ghosts are delivered, so the coordinator compensates: a pending ghost
+can only *defer* the receiver's existing events (channel-busy backoff)
+or trigger SIFS-spaced responses to its mirrored completion, never
+create anything earlier, so ``min(promise, (g.resume, floor-priority))``
+over the shard's pending ghosts is a sound effective promise, and
+``min(peek, g.start)`` the effective queue floor.
 
 Soundness: a shard's promise is a true lower bound (the MAC creates
 every transmit site at least SIFS ahead — see :mod:`repro.sim.shard.
@@ -42,7 +39,7 @@ receiver's future, never its past (:meth:`KeyedSimulator.insert_ghost`
 enforces this as a hard error).  Progress: the shard holding the
 globally minimal pending key always finds every foreign promise
 strictly beyond it (keys are unique; time floors add SIFS), so at least
-one event executes per round — under piggybacking a round may instead
+one event executes per round — or a round may instead
 only *deliver* pending ghosts (their resume floors then dissolve into
 ordinary ghost-aware promises), so a stall is only declared when
 nothing executed *and* nothing was delivered.
@@ -144,19 +141,11 @@ class _InlineHandle:
         self.ipc_bytes = 0  # inline transport: nothing crosses a pipe
         self._reply: object = None
 
-    def send_promise(self, ghosts: Sequence[GhostTx]) -> None:
-        self.worker.deliver_ghosts(ghosts)
+    def send_promise(self) -> None:
         self._reply = self.worker.promise()
 
     def recv_promise(self):
         return self._reply
-
-    def send_execute(self, horizon) -> None:
-        self._reply = self.worker.execute_window(horizon)
-
-    def recv_execute(self):
-        executed, busy, out = self._reply
-        return executed, busy, out, self.worker.plane_epoch
 
     def send_round(self, horizon, ghosts: Sequence[GhostTx]) -> None:
         self._reply = self.worker.execute_round(horizon, ghosts)
@@ -176,7 +165,7 @@ def _worker_main(conn, config, shard_index: int, capture_all: bool, plane) -> No
     """Entry point of a forked shard process: build, then serve rounds.
 
     Every key-bearing payload crosses the pipe codec-flattened (ghost
-    start/finish keys, the promise key, the execute horizon, and each
+    start/finish keys, the promise key, the round horizon, and each
     record's merge key) — naive pickling of the deeply nested causal
     keys recurses past the interpreter limit.  Payloads travel as
     explicit pickled byte blobs so the coordinator can meter IPC bytes
@@ -194,7 +183,7 @@ def _worker_main(conn, config, shard_index: int, capture_all: bool, plane) -> No
         # otherwise dominates worker CPU (and therefore the busy metric).
         gc.freeze()
         # The window loop allocates acyclic objects almost exclusively
-        # (key tuples, pooled frames/receptions), so the default gen-0
+        # (key tuples, frames, reception records), so the default gen-0
         # trigger fires thousands of collections that free nothing.
         # Raise the threshold so cycle detection still runs — leaked
         # cycles are eventually reclaimed — but at a rate the event loop
@@ -204,19 +193,9 @@ def _worker_main(conn, config, shard_index: int, capture_all: bool, plane) -> No
         while True:
             kind, payload = pickle.loads(conn.recv_bytes())
             if kind == "promise":
-                table, packed = payload
-                worker.deliver_ghosts(_unpack_ghosts(codec, table, packed))
                 peek, key = worker.promise()
                 idx = codec.encode(key)
                 reply = ("ok", (codec.flush(), peek, idx))
-            elif kind == "execute":
-                table, idx = payload
-                codec.extend(table)
-                executed, busy, out = worker.execute_window(codec.decode(idx))
-                gtable, packed = _pack_ghosts(codec, out)
-                reply = (
-                    "ok", (gtable, executed, busy, packed, worker.plane_epoch)
-                )
             elif kind == "round":
                 table, idx, packed_in = payload
                 codec.extend(table)
@@ -260,7 +239,7 @@ def _worker_main(conn, config, shard_index: int, capture_all: bool, plane) -> No
 class _ProcHandle:
     """One forked shard process, spoken to over a duplex pipe.
 
-    Promise and execute requests are sent to *all* shards before any
+    Promise and round requests are sent to *all* shards before any
     reply is awaited, so shard windows genuinely overlap in wallclock.
     Every payload is an explicit pickled blob, which is what lets the
     handle meter IPC bytes exactly (``shard_stats`` observability).
@@ -306,21 +285,13 @@ class _ProcHandle:
             raise RuntimeError(f"shard worker failed:\n{payload}")
         return payload
 
-    def send_promise(self, ghosts: Sequence[GhostTx]) -> None:
-        self._send(("promise", _pack_ghosts(self._codec, ghosts)))
+    def send_promise(self) -> None:
+        self._send(("promise", None))
 
     def recv_promise(self):
         table, peek, idx = self._recv()
         self._codec.extend(table)
         return peek, self._codec.decode(idx)
-
-    def send_execute(self, horizon) -> None:
-        idx = self._codec.encode(horizon)
-        self._send(("execute", (self._codec.flush(), idx)))
-
-    def recv_execute(self):
-        table, executed, busy, packed, epoch = self._recv()
-        return executed, busy, _unpack_ghosts(self._codec, table, packed), epoch
 
     def send_round(self, horizon, ghosts: Sequence[GhostTx]) -> None:
         codec = self._codec
@@ -397,7 +368,7 @@ def _check_epoch(plane, shard_index: int, reported: int) -> None:
 def _effective_promises(promises: List, pending: List[List[GhostTx]]):
     """Compensate pre-delivery promises with pending-ghost floors.
 
-    A piggybacked promise predates the ghosts queued for that shard; a
+    A round-reply promise predates the ghosts queued for that shard; a
     ghost's influence is bounded below by its ``resume`` (completion +
     SIFS — DCF channel-busy only defers, responses fire off the
     mirrored ``phy.tx_end``), and its start key time lower-bounds the
@@ -416,9 +387,9 @@ def _effective_promises(promises: List, pending: List[List[GhostTx]]):
 
 
 def _coordinate(
-    handles: List, shards: int, until: float, piggyback: bool, plane
+    handles: List, shards: int, until: float, plane
 ) -> Dict[str, object]:
-    """Run promise/execute rounds to the horizon; returns protocol stats.
+    """Run rounds to the horizon; returns protocol stats.
 
     ``critical_path_seconds`` is the sum over rounds of the slowest
     shard's busy time, i.e. the wallclock a fully parallel execution
@@ -429,9 +400,8 @@ def _coordinate(
     is the deterministic load signal the adaptive-boundary calibration
     feeds to :func:`rebalanced_boundaries`.  ``ipc_messages`` counts
     logical protocol messages both directions (bootstrap promise
-    included, finish/stop excluded); with piggybacking a steady-state
-    round costs ``2 * shards`` messages instead of the legacy
-    ``4 * shards``.
+    included, finish/stop excluded); a steady-state round costs
+    ``2 * shards`` messages.
     """
     pending: List[List[GhostTx]] = [[] for _ in range(shards)]
     until_bound = (until, _CEIL, ())
@@ -439,109 +409,64 @@ def _coordinate(
     critical = 0.0
     busy_total = 0.0
     executed_by_shard = [0] * shards
-    messages = 0
-    promise_rounds = 0
-    promises: List = []
 
     def _route(shard_index: int, out: List[GhostTx]) -> None:
         for ghost in _resolve_ghosts(plane, out):
             for target in ghost.targets:
                 pending[target].append(ghost)
 
-    if piggyback:
-        # Bootstrap: one legacy promise round seeds the promise vector;
-        # every later promise rides an execute reply.
-        for handle in handles:
-            handle.send_promise([])
-        promises = [handle.recv_promise() for handle in handles]
+    # Bootstrap: one promise round seeds the promise vector; every
+    # later promise rides a round reply.
+    for handle in handles:
+        handle.send_promise()
+    promises = [handle.recv_promise() for handle in handles]
+    messages = 2 * shards
+    while True:
+        eff = _effective_promises(promises, pending)
+        peeks = [p for p, _ in eff if p is not None]
+        floor = min(peeks) if peeks else None
+        if floor is None or floor > until:
+            break
+        cushion = (floor + W_MAX, -_CEIL, ())
+        for i, handle in enumerate(handles):
+            # key_min: different shards' promise keys can ride
+            # time-locked chains; native min() recurses to the roots.
+            foreign = key_min(eff[j][1] for j in range(shards) if j != i)
+            if foreign is None:
+                foreign = INF_KEY
+            horizon = min(foreign, cushion, until_bound)
+            handle.send_round(horizon, pending[i])
+        delivered = any(pending)
+        pending = [[] for _ in range(shards)]
+        executed_total = 0
+        slowest = 0.0
+        for i, handle in enumerate(handles):
+            executed, busy, out, epoch, peek, key = handle.recv_round()
+            _check_epoch(plane, i, epoch)
+            executed_total += executed
+            executed_by_shard[i] += executed
+            busy_total += busy
+            if busy > slowest:
+                slowest = busy
+            promises[i] = (peek, key)
+            _route(i, out)
         messages += 2 * shards
-        promise_rounds += 1
-        while True:
-            eff = _effective_promises(promises, pending)
-            peeks = [p for p, _ in eff if p is not None]
-            floor = min(peeks) if peeks else None
-            if floor is None or floor > until:
-                break
-            cushion = (floor + W_MAX, -_CEIL, ())
-            for i, handle in enumerate(handles):
-                # key_min: different shards' promise keys can ride
-                # time-locked chains; native min() recurses to the roots.
-                foreign = key_min(eff[j][1] for j in range(shards) if j != i)
-                if foreign is None:
-                    foreign = INF_KEY
-                horizon = min(foreign, cushion, until_bound)
-                handle.send_round(horizon, pending[i])
-            delivered = any(pending)
-            pending = [[] for _ in range(shards)]
-            executed_total = 0
-            slowest = 0.0
-            for i, handle in enumerate(handles):
-                executed, busy, out, epoch, peek, key = handle.recv_round()
-                _check_epoch(plane, i, epoch)
-                executed_total += executed
-                executed_by_shard[i] += executed
-                busy_total += busy
-                if busy > slowest:
-                    slowest = busy
-                promises[i] = (peek, key)
-                _route(i, out)
-            messages += 2 * shards
-            critical += slowest
-            rounds += 1
-            if executed_total == 0 and not delivered and not any(pending):
-                raise RuntimeError(
-                    "shard window protocol stalled: no shard could advance "
-                    f"at t={floor!r} (round {rounds})"
-                )
-    else:
-        while True:
-            for i, handle in enumerate(handles):
-                handle.send_promise(pending[i])
-            promises = [handle.recv_promise() for handle in handles]
-            messages += 2 * shards
-            promise_rounds += 1
-            pending = [[] for _ in range(shards)]
-            peeks = [p for p, _ in promises if p is not None]
-            floor = min(peeks) if peeks else None
-            if floor is None or floor > until:
-                break
-            cushion = (floor + W_MAX, -_CEIL, ())
-            for i, handle in enumerate(handles):
-                foreign = key_min(
-                    promises[j][1] for j in range(shards) if j != i
-                )
-                if foreign is None:
-                    foreign = INF_KEY
-                horizon = min(foreign, cushion, until_bound)
-                handle.send_execute(horizon)
-            executed_total = 0
-            slowest = 0.0
-            for i, handle in enumerate(handles):
-                executed, busy, out, epoch = handle.recv_execute()
-                _check_epoch(plane, i, epoch)
-                executed_total += executed
-                executed_by_shard[i] += executed
-                busy_total += busy
-                if busy > slowest:
-                    slowest = busy
-                _route(i, out)
-            messages += 2 * shards
-            critical += slowest
-            rounds += 1
-            if executed_total == 0 and not any(pending):
-                raise RuntimeError(
-                    "shard window protocol stalled: no shard could advance "
-                    f"at t={floor!r} (round {rounds})"
-                )
+        critical += slowest
+        rounds += 1
+        if executed_total == 0 and not delivered and not any(pending):
+            raise RuntimeError(
+                "shard window protocol stalled: no shard could advance "
+                f"at t={floor!r} (round {rounds})"
+            )
     return {
         "rounds": rounds,
         "critical_path_seconds": critical,
         "busy_seconds_total": busy_total,
         "per_shard_executed": executed_by_shard,
         "ipc_messages": messages,
-        "promise_rounds": promise_rounds,
+        "promise_rounds": 1,
         # Steady-state messages per round: drop one promise round trip
-        # (the piggyback bootstrap / the legacy trailing break round).
+        # (the bootstrap).
         "ipc_messages_per_round": (
             (messages - 2 * shards) / rounds if rounds else 0.0
         ),
@@ -588,12 +513,20 @@ def _make_handles(config, shards: int, cross: bool, capture_all: bool, plane):
 
 
 def _make_plane(config, shards: int):
-    if shards > 1 and getattr(config, "shard_plane", True) and config.num_nodes > 0:
+    """The shared position plane, or ``None`` when nothing would publish
+    to it: workers publish only from the array index, which the brute
+    reference scan does not build."""
+    if (
+        shards > 1
+        and getattr(config, "shard_plane", True)
+        and config.medium_index != "brute"
+        and config.num_nodes > 0
+    ):
         return ShardPlane(config.num_nodes, shards)
     return None
 
 
-def _calibrated_boundaries(config, shards: int, cross: bool, piggyback: bool):
+def _calibrated_boundaries(config, shards: int, cross: bool):
     """Measure a calibration prefix under uniform splits; return
     load-equalized boundaries.
 
@@ -611,7 +544,7 @@ def _calibrated_boundaries(config, shards: int, cross: bool, piggyback: bool):
     handles: List = []
     try:
         handles = _make_handles(config, shards, cross, False, plane)
-        stats = _coordinate(handles, shards, calib_until, piggyback, plane)
+        stats = _coordinate(handles, shards, calib_until, plane)
     finally:
         for handle in handles:
             handle.close()
@@ -636,14 +569,13 @@ def run_sharded(config):
     shards = config.shards
     cross = config.shard_mode == "cross"
     capture_all = cross or config.keep_trace
-    piggyback = bool(getattr(config, "shard_piggyback", True))
 
     if (
         getattr(config, "shard_adaptive", False)
         and getattr(config, "shard_boundaries", None) is None
         and shards > 1
     ):
-        boundaries = _calibrated_boundaries(config, shards, cross, piggyback)
+        boundaries = _calibrated_boundaries(config, shards, cross)
         if boundaries is not None:
             config = replace(
                 config, shard_boundaries=boundaries, shard_adaptive=False
@@ -653,7 +585,7 @@ def run_sharded(config):
     handles: List = []
     try:
         handles = _make_handles(config, shards, cross, capture_all, plane)
-        stats = _coordinate(handles, shards, config.sim_time, piggyback, plane)
+        stats = _coordinate(handles, shards, config.sim_time, plane)
         parts = [handle.finish(config.sim_time) for handle in handles]
         ipc_bytes = sum(getattr(h, "ipc_bytes", 0) for h in handles)
     finally:
@@ -680,7 +612,6 @@ def run_sharded(config):
         "busy_seconds_total": stats["busy_seconds_total"],
         "transport": "inline" if (cross or shards == 1) else "fork",
         "events": sum(p.processed_events for p in parts),
-        "piggyback": piggyback,
         "plane": plane is not None,
         "boundaries": getattr(config, "shard_boundaries", None),
         "promise_rounds": stats["promise_rounds"],

@@ -17,9 +17,10 @@ the map globally computable); responsibility for the node never migrates
 even as it roams, because its shard replays its full causal history.
 
 The conservative window protocol (driven by :mod:`repro.sim.shard.
-driver`) alternates promise / execute rounds; this module implements the
-worker half: promise computation (see :meth:`ShardWorker.promise`),
-bounded execution, and ghost mirroring via :class:`ShardBridge`.
+driver`) runs rounds that execute a window and then re-promise; this
+module implements the worker half: promise computation (see
+:meth:`ShardWorker.promise`), bounded execution, and ghost mirroring
+via :class:`ShardBridge`.
 
 Lookahead
 ---------
@@ -131,8 +132,8 @@ class GhostTx:
     finish_key: CausalKey
     #: Earliest causal-influence time at the receiver: the mirrored
     #: completion fires at ``end`` and the fastest reply is SIFS-spaced.
-    #: The piggybacking coordinator uses this to compensate a promise
-    #: computed before the ghost was delivered (see the driver).
+    #: The coordinator uses this to compensate a promise computed
+    #: before the ghost was delivered (see the driver).
     resume: float = float("inf")
 
 
@@ -222,9 +223,6 @@ def worker_config(config):
 
     * ``shard_mode="off"`` — workers step their engine directly; the
       config must not re-dispatch into the sharded driver.
-    * ``pool_mode="off"`` — ghost frames outlive the owner's tx window
-      and may be shared across shards (inline transport), so frames must
-      never be recycled (PR 7 proved off == on byte-identical).
     * cross-verification modes drop to their fast halves: the verifiers
       compare against *all* radios, which an ownership-filtered fan-out
       legitimately no longer matches.
@@ -233,7 +231,6 @@ def worker_config(config):
     return replace(
         config,
         shard_mode="off",
-        pool_mode="off",
         medium_index="grid" if config.medium_index == "cross" else config.medium_index,
         keep_trace=False,
         with_sniffer=False,
@@ -742,10 +739,10 @@ class ShardWorker:
     def execute_round(
         self, horizon: CausalKey, ghosts: Sequence[GhostTx]
     ) -> Tuple[int, float, List[GhostTx], Optional[float], CausalKey]:
-        """One piggybacked round: deliver, execute, then re-promise.
+        """One round: deliver, execute, then re-promise.
 
-        Folding the promise into the execute reply halves the
-        steady-state IPC round trips.  The returned promise is computed
+        The promise rides the round reply, so a steady-state round is
+        one request and one reply per shard.  The returned promise is computed
         *before* the next round's ghosts arrive; the coordinator
         compensates with each pending ghost's ``resume`` floor (a ghost
         can only defer existing events or trigger SIFS-spaced responses

@@ -27,7 +27,6 @@ from repro.net.mobility import StaticMobility
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.phy import LISTEN_ALL, LISTEN_IDLE, LISTEN_NONE, PhyRadio
-from repro.net.pool import POOL_MODES
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
@@ -168,7 +167,7 @@ def test_phy_delivers_only_the_callbacks_the_level_asks_for(level, expected):
 
 
 # --------------------------------------------------------- scenario cases
-def _config(seed: int, pool_mode: str, faulted: bool) -> ScenarioConfig:
+def _config(seed: int, faulted: bool) -> ScenarioConfig:
     extra: dict = {}
     if faulted:
         extra = dict(
@@ -188,7 +187,6 @@ def _config(seed: int, pool_mode: str, faulted: bool) -> ScenarioConfig:
         seed=seed,
         pause_time=0.0,
         min_speed=5.0,
-        pool_mode=pool_mode,
         keep_trace=True,
         **extra,
     )
@@ -215,13 +213,12 @@ def _reference(seed: int, faulted: bool) -> list:
             property(lambda self: LISTEN_ALL, lambda self, level: None),
             raising=False,
         )
-        return _fingerprint(_config(seed, "on", faulted))
+        return _fingerprint(_config(seed, faulted))
 
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "loss+churn"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gpsr_traces_match_every_callback_delivered(seed, faulted):
     reference = _reference(seed, faulted)
-    prints = [_fingerprint(_config(seed, mode, faulted)) for mode in POOL_MODES]
-    assert all(p == reference for p in prints)
+    assert _fingerprint(_config(seed, faulted)) == reference
     assert reference[0][0] > 0

@@ -293,9 +293,9 @@ def test_committed_shard_baseline_meets_speedup_floor():
     recorded 4-shard speedup on the 600-node community scenario —
     engine CPU seconds over the sharded run's critical path — must be
     >= 2x, the scaling-curve neighbours must at least break even, the
-    PR 9 10000-node/8-shard point must clear 4x, and the piggybacked
-    promise protocol must hold steady-state IPC at <= 2 messages per
-    shard per round (8 at 4 shards; the legacy split rounds cost 16)."""
+    PR 9 10000-node/8-shard point must clear 4x, and the round protocol
+    must hold steady-state IPC at <= 2 messages per shard per round (8
+    at 4 shards)."""
     path = pathlib.Path(__file__).parent.parent / "benchmarks" / "BENCH_shard.json"
     document = json.loads(path.read_text(encoding="utf-8"))
     assert document["schema_version"] == 1

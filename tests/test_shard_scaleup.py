@@ -1,4 +1,4 @@
-"""Scale-up layer of the sharded runtime: piggybacked promise rounds,
+"""Scale-up layer of the sharded runtime: promises riding round replies,
 the shared-memory position plane, adaptive column boundaries, and the
 keyed engine's swept promise indexes.
 
@@ -94,30 +94,15 @@ def test_keyed_promise_indexes_match_brute_min_under_churn(seed):
     assert sim.pending_events == 0
 
 
-# --------------------------------------------------- promise piggybacking
-def test_piggyback_halves_ipc_messages_per_round():
-    pig = Scenario(_cfg(1, shard_mode="on", shards=2)).run()
-    legacy = Scenario(
-        _cfg(1, shard_mode="on", shards=2, shard_piggyback=False)
-    ).run()
-    assert _fingerprint(pig) == _fingerprint(legacy)
-    ps, ls = pig.shard_stats, legacy.shard_stats
-    assert ps["piggyback"] and not ls["piggyback"]
-    # Steady state is exactly 2 messages per shard per round piggybacked
-    # (request + reply) vs 4 legacy (promise round + execute round).
-    assert ps["ipc_messages_per_round"] == pytest.approx(2 * 2, abs=0.01)
-    assert ls["ipc_messages_per_round"] == pytest.approx(4 * 2, abs=0.01)
-    assert ls["ipc_messages"] >= 2 * ps["ipc_messages"] * 0.9
-    assert ps["promise_rounds"] == 1  # the bootstrap round only
-    assert ps["ipc_bytes"] > 0 and ls["ipc_bytes"] > 0
-
-
-def test_cross_legacy_rounds_byte_identical():
-    result = Scenario(
-        _cfg(7, shard_mode="cross", shards=3, shard_piggyback=False)
-    ).run()
-    assert result.sent > 0
-    assert result.shard_stats["piggyback"] is False
+# ----------------------------------------------- promises in round replies
+def test_promise_rides_the_round_reply():
+    stats = Scenario(_cfg(1, shard_mode="on", shards=2)).run().shard_stats
+    # Steady state is exactly one request and one reply per shard per
+    # round; the bootstrap is the only promise-only round.
+    assert stats["ipc_messages_per_round"] == pytest.approx(2 * 2, abs=0.01)
+    assert stats["ipc_messages"] == 2 * 2 * (stats["rounds"] + 1)
+    assert stats["promise_rounds"] == 1
+    assert stats["ipc_bytes"] > 0
 
 
 # ------------------------------------------------- shared position plane
@@ -127,6 +112,15 @@ def test_fork_plane_enabled_matches_plane_disabled():
     assert _fingerprint(on) == _fingerprint(off)
     assert on.shard_stats["plane"] is True
     assert off.shard_stats["plane"] is False
+
+
+def test_brute_index_allocates_no_plane():
+    """Workers publish only from the array index, so a brute-scan run
+    gets no plane — and the same outcome as the grid run."""
+    grid = Scenario(_cfg(2, shard_mode="on", shards=2)).run()
+    brute = Scenario(_cfg(2, shard_mode="on", shards=2, medium_index="brute")).run()
+    assert brute.shard_stats["plane"] is False
+    assert _fingerprint(brute) == _fingerprint(grid)
 
 
 def test_plane_resolve_matches_position_formula():
@@ -288,7 +282,7 @@ def test_explicit_boundaries_any_split_same_trace():
 # ------------------------------------------- everything on, under faults
 @pytest.mark.parametrize("seed", [11, 12])
 def test_cross_all_features_faulted_byte_identical(seed):
-    """Acceptance: piggybacking + shared plane + adaptive boundaries,
+    """Acceptance: shared plane + adaptive boundaries,
     under loss and churn, across seeds — byte-identical."""
     cfg = _faulted(
         _cfg(
@@ -302,5 +296,4 @@ def test_cross_all_features_faulted_byte_identical(seed):
     result = Scenario(cfg).run()
     assert result.fault_counters["drops_injected"] > 0
     stats = result.shard_stats
-    assert stats["piggyback"] is True
     assert stats["plane"] is True

@@ -231,7 +231,6 @@ def _config(seed: int, index_mode: str, **overrides) -> ScenarioConfig:
         min_speed=5.0,
         keep_trace=True,
         medium_index=index_mode,
-        pool_mode="off",
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -286,7 +285,7 @@ def test_jobs_pool_identical_across_spatial_modes():
             sim_time=4.0,
             seed=3,
             jobs=2,
-            base=ScenarioConfig(medium_index=mode, pool_mode="off"),
+            base=ScenarioConfig(medium_index=mode),
         )
         for mode in ("brute", "grid")
     }
