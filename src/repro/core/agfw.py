@@ -159,7 +159,10 @@ class AgfwRouter(BaseRouter):
         self.trapdoors = trapdoor_factory or TrapdoorFactory(
             config.crypto_mode,
             config.cost_model,
-            node.rng("trapdoor"),
+            # Only real sealing draws (PKCS#1 padding): modeled crypto
+            # creates no stream, and streams are seeded by name, so
+            # leaving this one out moves no other.
+            node.rng("trapdoor") if config.crypto_mode == "real" else None,
             cache_mode=config.crypto_cache_mode,
         )
         self.acks = AckManager(

@@ -21,7 +21,7 @@ from repro.geo.vec import Position
 __all__ = ["AntEntry", "AnonymousNeighborTable"]
 
 
-@dataclass
+@dataclass(slots=True)
 class AntEntry:
     """One ``<n, loc, ts, t_o>`` row of the ANT."""
 

@@ -15,6 +15,7 @@ you need to attach sniffers or poke at nodes before running.
 
 from __future__ import annotations
 
+import math
 import time as _wall
 from dataclasses import dataclass, field as dc_field, fields as dc_fields, is_dataclass
 from typing import Dict, List, Optional
@@ -174,10 +175,12 @@ class ScenarioConfig:
         if self.placement == "clusters":
             if self.num_clusters < 1:
                 raise ValueError("num_clusters must be >= 1")
-            if self.cluster_radius <= 0:
-                raise ValueError("cluster_radius must be positive")
-        if self.flow_locality is not None and self.flow_locality <= 0:
-            raise ValueError("flow_locality must be positive")
+            if not (math.isfinite(self.cluster_radius) and self.cluster_radius > 0):
+                raise ValueError("cluster_radius must be positive and finite")
+        if self.flow_locality is not None and not (
+            math.isfinite(self.flow_locality) and self.flow_locality > 0
+        ):
+            raise ValueError("flow_locality must be positive and finite")
         validate_shard_mode(self.shard_mode)
         if self.teleports:
             if not self.static:

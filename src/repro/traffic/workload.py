@@ -8,6 +8,7 @@ uniformly chosen distinct destination.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +42,12 @@ def make_flows(
     no neighbour in range falls back to the next node id, keeping the
     flow count exact).  ``locality=None`` runs the original draw with an
     untouched rng call sequence — existing seeds stay byte-identical.
+
+    Finding those neighbours is linear in the node count: the positions
+    are bucketed once into a uniform grid (see :func:`_near_candidates`),
+    so each sender tests only the nodes of its own and the eight
+    adjacent cells, O(nodes + senders x local density) in all, where a
+    scan of every node per sender was O(senders x nodes).
     """
     if num_senders > len(node_ids):
         raise ValueError("more senders than nodes")
@@ -48,24 +55,20 @@ def make_flows(
         raise ValueError("need at least one sender and one flow")
     if len(node_ids) < 2:
         raise ValueError("need at least two nodes for traffic")
-    if locality is not None and (positions is None or len(positions) != len(node_ids)):
-        raise ValueError("locality needs one position per node id")
     senders = rng.sample(list(node_ids), num_senders)
     index_of = {nid: i for i, nid in enumerate(node_ids)}
     near: Dict[int, List[int]] = {}  # src -> candidate dest indices
+    if locality is not None:
+        if positions is None or len(positions) != len(node_ids):
+            raise ValueError("locality needs one position per node id")
+        if not (math.isfinite(locality) and locality > 0):
+            raise ValueError(f"locality must be a positive finite distance, got {locality!r}")
+        near = _near_candidates(node_ids, positions, senders, index_of, locality)
     flows: List[CbrFlow] = []
     for i in range(num_flows):
         src = senders[i % num_senders]
         if locality is not None:
-            cands = near.get(src)
-            if cands is None:
-                sx, sy = positions[index_of[src]]
-                reach = locality * locality
-                cands = near[src] = [
-                    j
-                    for j, (x, y) in enumerate(positions)
-                    if node_ids[j] != src and (x - sx) ** 2 + (y - sy) ** 2 <= reach
-                ]
+            cands = near[src]
             if cands:
                 dest_index = cands[rng.randrange(len(cands))]
             else:
@@ -85,6 +88,47 @@ def make_flows(
             )
         )
     return flows
+
+
+def _near_candidates(
+    node_ids: Sequence[int],
+    positions: Sequence[Tuple[float, float]],
+    senders: Sequence[int],
+    index_of: Dict[int, int],
+    locality: float,
+) -> Dict[int, List[int]]:
+    """Ascending indices of the nodes within ``locality`` of each sender.
+
+    Cells are ``2 * locality`` wide, so every node the distance test
+    accepts lies in the sender's cell or one of its eight neighbours
+    with a full ``locality`` of slack: rounding in the cell index cannot
+    push an accepted node out of that ring while ``|coordinate| / cell``
+    stays below ``2**51``.  The gathered indices are
+    sorted and filtered by the same scalar test a scan of every node
+    applies, so each list equals that scan's list exactly.
+    """
+    cell = 2.0 * locality
+    grid: Dict[Tuple[int, int], List[int]] = {}
+    for j, (x, y) in enumerate(positions):
+        grid.setdefault((math.floor(x / cell), math.floor(y / cell)), []).append(j)
+    reach = locality * locality
+    near: Dict[int, List[int]] = {}
+    for src in senders:
+        sx, sy = positions[index_of[src]]
+        cx, cy = math.floor(sx / cell), math.floor(sy / cell)
+        ring = sorted(
+            j
+            for gx in (cx - 1, cx, cx + 1)
+            for gy in (cy - 1, cy, cy + 1)
+            for j in grid.get((gx, gy), ())
+        )
+        hits: List[int] = []
+        near[src] = hits
+        for j in ring:
+            x, y = positions[j]
+            if node_ids[j] != src and (x - sx) ** 2 + (y - sy) ** 2 <= reach:
+                hits.append(j)
+    return near
 
 
 def make_paper_flows(

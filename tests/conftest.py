@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import pytest
+from hypothesis import settings
 
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AgfwConfig
@@ -21,6 +23,12 @@ from repro.routing.gpsr import GpsrConfig, GpsrRouter
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
+
+# ``HYPOTHESIS_PROFILE=ci`` replays the same examples on every run: no
+# random generation and no example database carried between runs.  Per
+# test ``@settings`` (example counts, deadlines) still apply on top.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @dataclass

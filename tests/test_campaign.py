@@ -123,6 +123,24 @@ def test_bad_medium_index_fails_at_expansion():
         spec.points()
 
 
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        ({"flow_locality": [900.0, float("nan")]}, "flow_locality must be positive and finite"),
+        (
+            {"placement": ["clusters"], "cluster_radius": [400.0, float("nan")]},
+            "cluster_radius must be positive and finite",
+        ),
+    ],
+)
+def test_nan_distance_fails_at_expansion(axes, message):
+    """TOML admits ``nan``; it must fail while the matrix expands, like a
+    bad backend value, instead of running a silently degenerate point."""
+    spec = spec_from_mapping({**SMOKE, "axes": axes})
+    with pytest.raises(CampaignSpecError, match=message):
+        spec.points()
+
+
 def test_churn_axis_expands_to_fault_plan():
     spec = spec_from_mapping(
         {

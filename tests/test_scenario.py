@@ -7,9 +7,13 @@ slowest tests in the suite (seconds each).
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.experiments.scenario import Scenario, ScenarioConfig, run_scenario
+from repro.sim.rng import derive_seed
 
 
 def _short(protocol, **kwargs):
@@ -41,6 +45,12 @@ def test_config_validation():
         ScenarioConfig(placement="clusters", cluster_radius=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(flow_locality=-1.0)
+    # ``nan <= 0`` is False, so a bare sign check let NaN through.
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="flow_locality must be positive and finite"):
+            ScenarioConfig(flow_locality=value)
+        with pytest.raises(ValueError, match="cluster_radius must be positive and finite"):
+            ScenarioConfig(placement="clusters", cluster_radius=value)
 
 
 def test_clustered_placement_confines_nodes():
@@ -158,6 +168,29 @@ def test_real_crypto_scenario_end_to_end():
     )
     # 20 random nodes in 1500x300 m is still sparse: expect most, not all.
     assert result.delivery_fraction > 0.5
+
+
+def test_modeled_crypto_creates_no_trapdoor_stream():
+    """Modeled trapdoors never draw, so no node builds the stream."""
+    scenario = Scenario(_short("agfw", sim_time=1.0))
+    for node in scenario.nodes:
+        assert "trapdoor" not in node.rngs
+        assert node.router.trapdoors.rng is None
+
+
+def test_real_crypto_trapdoor_stream_seeded_by_name():
+    """Real sealing still draws PKCS#1 padding from the node's
+    ``trapdoor`` stream, fresh from its name-derived seed at build
+    time, so every seal is the one it always was."""
+    scenario = Scenario(
+        _short("agfw", num_nodes=6, sim_time=1.0, num_flows=2, num_senders=2, real_crypto=True)
+    )
+    for node in scenario.nodes:
+        assert "trapdoor" in node.rngs
+        stream = node.router.trapdoors.rng
+        assert stream is node.rng("trapdoor")
+        fresh = random.Random(derive_seed(node.rngs.seed, "trapdoor"))
+        assert stream.getstate() == fresh.getstate()
 
 
 def test_wallclock_recorded():

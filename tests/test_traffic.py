@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo.vec import Position
 from repro.location.service import OracleLocationService
 from repro.traffic.cbr import CbrFlow, CbrSource
-from repro.traffic.workload import make_flows, make_paper_flows
+from repro.traffic.workload import _near_candidates, make_flows, make_paper_flows
 from tests.conftest import build_static_net, line_positions
 
 
@@ -145,6 +148,120 @@ def test_workload_locality_requires_positions():
             ids, identities, 5, 5, random.Random(0),
             positions=[(0.0, 0.0)], locality=100.0,  # wrong length
         )
+
+
+@pytest.mark.parametrize("locality", [math.nan, math.inf, -math.inf, 0.0, -250.0])
+def test_workload_locality_rejects_non_positive_or_non_finite(locality):
+    """A NaN reach used to pass every check and silently turn every flow
+    into the next-node-id fallback."""
+    ids = list(range(10))
+    identities = [f"node-{i}" for i in ids]
+    positions = [(100.0 * i, 0.0) for i in ids]
+    with pytest.raises(ValueError, match="positive finite"):
+        make_flows(
+            ids, identities, 5, 5, random.Random(0),
+            positions=positions, locality=locality,
+        )
+
+
+def _brute_near(node_ids, positions, src, locality):
+    """The reference: scan every node with the workload's distance test."""
+    sx, sy = positions[node_ids.index(src)]
+    reach = locality * locality
+    return [
+        j
+        for j, (x, y) in enumerate(positions)
+        if node_ids[j] != src and (x - sx) ** 2 + (y - sy) ** 2 <= reach
+    ]
+
+
+def _brute_flows(node_ids, identities, num_flows, num_senders, rng, positions, locality):
+    """``make_flows`` with ``locality`` set, as a scan of every node per sender."""
+    senders = rng.sample(list(node_ids), num_senders)
+    flows = []
+    for i in range(num_flows):
+        src = senders[i % num_senders]
+        cands = _brute_near(node_ids, positions, src, locality)
+        if cands:
+            dest_index = cands[rng.randrange(len(cands))]
+        else:
+            dest_index = (node_ids.index(src) + 1) % len(node_ids)
+        flows.append(
+            CbrFlow(src, identities[dest_index], start_time=rng.uniform(5.0, 30.0))
+        )
+    return flows
+
+
+_LOCALITIES = st.one_of(
+    st.sampled_from([1.0, 0.1, 250.0, 900.0, 1e-3, 3.0e4]),
+    st.floats(min_value=1e-3, max_value=1e4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _layouts(draw):
+    """``(positions, locality)`` over the shapes the cell index must survive.
+
+    Base layouts are uniform, clustered, a lattice on cell-width and
+    locality multiples, and a sparse line where every sender falls back.
+    Extra points sit exactly ``locality`` from an existing one (axis
+    offsets and a 3-4-5 diagonal) or duplicate one.  Coordinates go
+    negative throughout.
+    """
+    locality = draw(_LOCALITIES)
+    cell = 2.0 * locality
+    n = draw(st.integers(min_value=2, max_value=40))
+    layout = draw(st.sampled_from(["uniform", "clustered", "lattice", "sparse"]))
+    span = locality * draw(st.sampled_from([0.5, 3.0, 12.0]))
+    coord = st.floats(min_value=-span, max_value=span, allow_nan=False)
+    if layout == "uniform":
+        points = [(draw(coord), draw(coord)) for _ in range(n)]
+    elif layout == "clustered":
+        centers = [(draw(coord) * 10, draw(coord) * 10) for _ in range(draw(st.integers(1, 4)))]
+        offset = st.floats(min_value=-locality, max_value=locality, allow_nan=False)
+        points = []
+        for _ in range(n):
+            cx, cy = draw(st.sampled_from(centers))
+            points.append((cx + draw(offset), cy + draw(offset)))
+    elif layout == "lattice":
+        step = draw(st.sampled_from([cell, locality, cell / 3.0]))
+        k = st.integers(min_value=-5, max_value=5)
+        points = [(draw(k) * step, draw(k) * step) for _ in range(n)]
+    else:
+        points = [(-5.0 * cell * i, 0.0) for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        bx, by = draw(st.sampled_from(points))
+        dx, dy = draw(
+            st.sampled_from(
+                [(locality, 0.0), (-locality, 0.0), (0.0, locality), (0.0, -locality),
+                 (0.6 * locality, 0.8 * locality), (0.0, 0.0)]
+            )
+        )
+        points.append((bx + dx, by + dy))
+    return points, locality
+
+
+@settings(max_examples=200, deadline=None)
+@given(_layouts(), st.integers(min_value=0, max_value=2**32), st.randoms(use_true_random=False))
+def test_bucketed_locality_matches_brute_scan(layout, seed, shuffler):
+    positions, locality = layout
+    node_ids = [3 * i + 7 for i in range(len(positions))]
+    shuffler.shuffle(node_ids)  # ids need not follow index order
+    identities = [f"node-{nid}" for nid in node_ids]
+    index_of = {nid: i for i, nid in enumerate(node_ids)}
+    near = _near_candidates(node_ids, positions, node_ids, index_of, locality)
+    for src in node_ids:
+        assert near[src] == _brute_near(node_ids, positions, src, locality)
+    num_senders = len(node_ids)
+    got = make_flows(
+        node_ids, identities, 2 * num_senders, num_senders, random.Random(seed),
+        positions=positions, locality=locality,
+    )
+    want = _brute_flows(
+        node_ids, identities, 2 * num_senders, num_senders, random.Random(seed),
+        positions, locality,
+    )
+    assert got == want
 
 
 # ------------------------------------------------------------------- oracle
