@@ -103,7 +103,7 @@ def test_ring_verify_k4(benchmark):
 
 @pytest.mark.benchmark(group="crypto")
 def test_trapdoor_seal_and_open_real(benchmark):
-    factory = TrapdoorFactory("real", rng=_rng, cache_mode="off")
+    factory = TrapdoorFactory("real", rng=_rng, memoize=False)
     contents = TrapdoorContents("node-1", Position(10, 20), 1.0)
 
     def roundtrip():
@@ -137,33 +137,33 @@ _hello_args = (b"\x0a" * 6, Position(100.0, 50.0), 7.0)
 _attachment, _ = _signer.sign_hello(*_hello_args)
 
 _sealed_contents = TrapdoorContents("node-0", Position(100.0, 50.0), 7.0)
-_sealer = TrapdoorFactory("real", rng=_fp_rng, cache_mode="off")
+_sealer = TrapdoorFactory("real", rng=_fp_rng, memoize=False)
 _region_trapdoor, _ = _sealer.seal(
     "node-5", _stores[5].certificate.public_key, _sealed_contents
 )
 
 
-def _receivers(cache_mode: str) -> list[AantAuthenticator]:
+def _receivers(memoize: bool) -> list[AantAuthenticator]:
     return [
         AantAuthenticator(
             AantConfig(ring_size=_RING_K), mode="real",
-            keystore=_stores[i], ca=_ca, cache_mode=cache_mode,
+            keystore=_stores[i], ca=_ca, memoize=memoize,
         )
         for i in range(1, 11)
     ]
 
 
 @pytest.mark.benchmark(group="crypto-fast-path")
-@pytest.mark.parametrize("cache_mode", ["off", "on"])
-def test_hello_verify_ring5_10_receivers(benchmark, cache_mode):
+@pytest.mark.parametrize("memoize", [False, True], ids=["off", "on"])
+def test_hello_verify_ring5_10_receivers(benchmark, memoize):
     """The broadcast-verify hot path: one ring-signed hello (ring size 5)
     verified by 10 distinct receivers.  'off' recomputes 10x(5 cert
     verifies + 1 ring verify); 'on' collapses them to memo lookups after
     the first receiver.  Charged virtual-time delays are identical either
     way — only the wall clock changes, which is what this pair measures."""
     reset_caches()
-    _ca.cache_mode = cache_mode
-    verifiers = _receivers(cache_mode)
+    _ca.memoize = memoize
+    verifiers = _receivers(memoize)
 
     def verify_all() -> int:
         valid_count = 0
@@ -175,17 +175,17 @@ def test_hello_verify_ring5_10_receivers(benchmark, cache_mode):
     try:
         assert benchmark(verify_all) == 10
     finally:
-        _ca.cache_mode = "on"
+        _ca.memoize = True
 
 
 @pytest.mark.benchmark(group="crypto-fast-path")
-@pytest.mark.parametrize("cache_mode", ["off", "on"])
-def test_trapdoor_open_region10(benchmark, cache_mode):
+@pytest.mark.parametrize("memoize", [False, True], ids=["off", "on"])
+def test_trapdoor_open_region10(benchmark, memoize):
     """The last-hop-region open: 10 nodes attempt the same trapdoor (9
     negative opens + the destination).  Negative results memoize too —
     the common case the paper's 8.5 ms decrypt charge exists for."""
     reset_caches()
-    factory = TrapdoorFactory("real", rng=_fp_rng, cache_mode=cache_mode)
+    factory = TrapdoorFactory("real", rng=_fp_rng, memoize=memoize)
 
     def open_region() -> int:
         opened = 0

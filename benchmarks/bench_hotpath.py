@@ -7,7 +7,7 @@ array index batches exactly that work.  Three pairs:
 * ``test_neighbor_gather_150_nodes`` — **acceptance micro #1**: classify
   one broadcast fan-out for every node at the paper's top density, the
   brute reference (per-radio scalar interpolation/distance over every
-  radio, as ``medium_index="brute"`` does) vs
+  radio, as ``reference=True`` does) vs
   ``ArraySpatialIndex.classify_fanout`` (one batched sweep).
   ``bench_to_json.py --suite hotpath`` derives
   ``neighbor_gather_speedup`` (floor: 5x).
@@ -16,8 +16,8 @@ array index batches exactly that work.  Three pairs:
   ``WaypointLeg.position_at`` loop vs ``batch_position_at`` into
   preallocated buffers.  Derived ``batch_mobility_speedup`` (floor: 5x).
 * ``test_end_to_end_scenario_150`` — the whole-stack number: a 150-node
-  AGFW run on the reference scan (``medium_index="brute"``) vs the
-  default array index (``"grid"``).  Derived
+  AGFW run on the reference scan (``reference=True``) vs the
+  default array index.  Derived
   ``scenario_hotpath_speedup`` (floor: 1.3x).
 
 All pairs run the *same* workload to bitwise-identical results (the
@@ -183,7 +183,7 @@ def test_batch_mobility_150_legs(benchmark, path):
     assert benchmark(run) != 0.0
 
 
-def _scenario(index_mode: str) -> float:
+def _scenario(reference: bool) -> float:
     config = ScenarioConfig(
         protocol="agfw",
         num_nodes=NUM_NODES,  # the paper sweep's top density
@@ -197,7 +197,7 @@ def _scenario(index_mode: str) -> float:
         # same convention as the medium-equivalence suite.
         pause_time=0.0,
         min_speed=5.0,
-        medium_index=index_mode,
+        reference=reference,
     )
     result = Scenario(config).run()
     return result.delivery_fraction
@@ -206,6 +206,5 @@ def _scenario(index_mode: str) -> float:
 @pytest.mark.benchmark(group="hotpath")
 @pytest.mark.parametrize("stack", ["baseline", "fast"])
 def test_end_to_end_scenario_150(benchmark, stack):
-    index_mode = "brute" if stack == "baseline" else "grid"
-    fraction = benchmark.pedantic(_scenario, args=(index_mode,), rounds=3)
+    fraction = benchmark.pedantic(_scenario, args=(stack == "baseline",), rounds=3)
     assert fraction > 0.0

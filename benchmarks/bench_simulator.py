@@ -91,11 +91,11 @@ def test_broadcast_fanout_50_nodes(benchmark):
     assert benchmark(run) > 0
 
 
-def _phy_mesh(num_nodes: int, index_mode: str):
+def _phy_mesh(num_nodes: int, reference: bool):
     """A square static grid of bare radios, 250 m pitch (PHY only: no MAC,
     so the benchmark isolates the medium's per-frame fan-out cost)."""
     sim = Simulator()
-    medium = RadioMedium(sim, index_mode=index_mode)
+    medium = RadioMedium(sim, reference=reference)
     side = math.ceil(math.sqrt(num_nodes))
     radios = [
         PhyRadio(
@@ -111,11 +111,11 @@ def _phy_mesh(num_nodes: int, index_mode: str):
 # both fan-out strategies.  bench_to_json.py derives the grid-vs-brute
 # speedup from this pair and records it in BENCH_substrate.json.
 @pytest.mark.benchmark(group="substrate")
-@pytest.mark.parametrize("index_mode", ["grid", "brute"])
-def test_medium_fanout_150_nodes(benchmark, index_mode):
+@pytest.mark.parametrize("reference", [False, True], ids=["grid", "brute"])
+def test_medium_fanout_150_nodes(benchmark, reference):
     # Mesh built once outside the timed region: both modes pay identical
     # construction cost, so the measurement isolates per-frame fan-out.
-    sim, medium, radios = _phy_mesh(150, index_mode)
+    sim, medium, radios = _phy_mesh(150, reference)
     frame = MacFrame(FrameKind.DATA, MacAddress(1), BROADCAST)
 
     def run():

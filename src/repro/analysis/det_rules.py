@@ -1480,7 +1480,7 @@ class MultiprocessingOrderEscape(Rule):
 _PLANE_INTERNALS = frozenset({"_fields", "_epochs"})
 
 #: Symbol-name hint marking an object as a shard plane (``plane``,
-#: ``self.plane``, ``shard_plane`` ...) for the attribute-chain check.
+#: ``self.plane``, ``self._plane`` ...) for the attribute-chain check.
 _PLANE_NAME_HINT = re.compile(r"plane", re.IGNORECASE)
 
 #: ndarray methods that mutate the array in place.

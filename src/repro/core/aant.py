@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.cache import RING_VERIFY, memo, validate_cache_mode
+from repro.crypto.cache import RING_VERIFY, memo
 from repro.crypto.certificates import Certificate, CertificateAuthority, KeyStore
 from repro.crypto.hashing import sha256
 from repro.crypto.ring_signature import RingSignature, ring_sign, ring_verify
@@ -119,7 +119,7 @@ class AantAuthenticator:
         keystore: Optional[KeyStore] = None,
         ca: Optional[CertificateAuthority] = None,
         rng: Optional[random.Random] = None,
-        cache_mode: str = "on",
+        memoize: bool = True,
     ) -> None:
         if mode not in ("modeled", "real"):
             raise ValueError(f"unknown AANT mode {mode!r}")
@@ -130,10 +130,10 @@ class AantAuthenticator:
         self.cost = cost_model
         self.keystore = keystore
         self.ca = ca
-        #: Crypto fast path switch ("on" | "off" | "cross"); hits and
-        #: misses charge identical CryptoCostModel delays, so the mode
-        #: never changes simulated outcomes (see repro.crypto.cache).
-        self.cache_mode = validate_cache_mode(cache_mode)
+        #: Crypto fast path switch; hits and misses charge identical
+        #: CryptoCostModel delays, so it never changes simulated
+        #: outcomes (see repro.crypto.cache).
+        self.memoize = memoize
         #: Only real-mode *signing* draws randomness (decoy picking, ring
         #: glue); verification is deterministic, so the rng stays optional
         #: and :meth:`sign_hello` rejects a missing one at use.
@@ -253,7 +253,7 @@ class AantAuthenticator:
         return memo(RING_VERIFY).get_or_compute(
             key,
             lambda: ring_verify(message, keys, signature),
-            self.cache_mode,
+            self.memoize,
         )
 
     # ---------------------------------------------------------- cert fetch

@@ -146,6 +146,7 @@ class AgfwRouter(BaseRouter):
         tracer=None,
         authenticator: Optional[AantAuthenticator] = None,
         trapdoor_factory: Optional[TrapdoorFactory] = None,
+        memoize: bool = True,
     ) -> None:
         config = config or AgfwConfig()
         super().__init__(node, location_service, config, tracer)
@@ -163,7 +164,7 @@ class AgfwRouter(BaseRouter):
             # creates no stream, and streams are seeded by name, so
             # leaving this one out moves no other.
             node.rng("trapdoor") if config.crypto_mode == "real" else None,
-            cache_mode=config.crypto_cache_mode,
+            memoize=memoize,
         )
         self.acks = AckManager(
             self.sim,

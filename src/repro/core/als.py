@@ -174,7 +174,6 @@ class AlsAgent:
         cost_model: CryptoCostModel = DEFAULT_COST_MODEL,
         trapdoor_factory: Optional[TrapdoorFactory] = None,
         install: bool = True,
-        cache_mode: str = "on",
     ) -> None:
         if mode not in ("modeled", "real"):
             raise ValueError(f"unknown ALS mode {mode!r}")
@@ -185,9 +184,7 @@ class AlsAgent:
         self.config = config or AlsConfig()
         self.mode = mode
         self.cost = cost_model
-        self.sealer = trapdoor_factory or TrapdoorFactory(
-            mode, cost_model, node.rng("als"), cache_mode=cache_mode
-        )
+        self.sealer = trapdoor_factory or TrapdoorFactory(mode, cost_model, node.rng("als"))
         self._rng: random.Random = node.rng("als.proto")
         self.potential_senders: List[str] = []
         self.store: Dict[bytes, _StoredBlob] = {}

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.crypto.cache import validate_cache_mode
 from repro.crypto.timing import DEFAULT_COST_MODEL, CryptoCostModel
 from repro.routing.base import RoutingConfig
 
@@ -80,13 +79,6 @@ class AgfwConfig(RoutingConfig):
     crypto_mode: CryptoMode = "modeled"
     """'modeled' = charge calibrated costs; 'real' = run actual crypto."""
 
-    crypto_cache_mode: str = "on"
-    """Crypto fast path (real mode): 'on' memoizes deterministic
-    verify/open results, 'off' always recomputes, 'cross' runs both and
-    asserts identical results per call (see repro.crypto.cache).
-    Outcome-invariant by construction: hits charge the same cost-model
-    delays as misses."""
-
     cost_model: CryptoCostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
 
     aant: Optional[AantConfig] = None
@@ -96,7 +88,6 @@ class AgfwConfig(RoutingConfig):
     def __post_init__(self) -> None:
         if self.crypto_mode not in ("modeled", "real"):
             raise ValueError(f"unknown crypto_mode {self.crypto_mode!r}")
-        validate_cache_mode(self.crypto_cache_mode)
         if self.pseudonym_memory < 1:
             raise ValueError("pseudonym_memory must be >= 1")
         if self.max_retransmissions < 0:

@@ -25,7 +25,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.crypto.cache import TRAPDOOR_OPEN, memo, validate_cache_mode
+from repro.crypto.cache import TRAPDOOR_OPEN, memo
 from repro.crypto.hashing import sha256 as _sha256
 from repro.crypto.rsa import DecryptionError, RsaPrivateKey, RsaPublicKey
 from repro.crypto.timing import DEFAULT_COST_MODEL, CryptoCostModel
@@ -106,18 +106,18 @@ class TrapdoorFactory:
         mode: str = "modeled",
         cost_model: CryptoCostModel = DEFAULT_COST_MODEL,
         rng: Optional[random.Random] = None,
-        cache_mode: str = "on",
+        memoize: bool = True,
     ) -> None:
         if mode not in ("modeled", "real"):
             raise ValueError(f"unknown trapdoor mode {mode!r}")
         self.mode = mode
         self.cost = cost_model
-        #: Crypto fast path switch ("on" | "off" | "cross").  Opening a
-        #: trapdoor is a pure function of (private key, ciphertext), so
-        #: memoized opens — including *negative* ones, the common case
-        #: for every non-destination node in the last-hop region — are
+        #: Crypto fast path switch.  Opening a trapdoor is a pure
+        #: function of (private key, ciphertext), so memoized opens —
+        #: including *negative* ones, the common case for every
+        #: non-destination node in the last-hop region — are
         #: outcome-identical; the pk_decrypt delay is charged either way.
-        self.cache_mode = validate_cache_mode(cache_mode)
+        self.memoize = memoize
         #: Only ``real`` mode draws randomness (PKCS#1 padding); the rng
         #: stays optional so modeled factories need no stream, but real
         #: sealing without one is rejected at use (see :meth:`seal`).
@@ -198,7 +198,7 @@ class TrapdoorFactory:
             contents = memo(TRAPDOOR_OPEN).get_or_compute(
                 key,
                 lambda: self._open_real(ciphertext, private_key),
-                self.cache_mode,
+                self.memoize,
             )
             return contents, delay
         if trapdoor._sealed_for == own_identity:

@@ -6,15 +6,7 @@ protocol's cryptographic code paths are genuinely exercised, while the
 simulator may substitute a calibrated cost model per the paper.
 """
 
-from repro.crypto.cache import (
-    CACHE_MODES,
-    CacheCoherenceError,
-    LruMemo,
-    cache_counters,
-    memo,
-    reset_caches,
-    validate_cache_mode,
-)
+from repro.crypto.cache import LruMemo, cache_counters, memo, reset_caches
 from repro.crypto.certificates import (
     Certificate,
     CertificateAuthority,
@@ -41,13 +33,10 @@ from repro.crypto.symmetric import FeistelPermutation, StreamCipher
 from repro.crypto.timing import DEFAULT_COST_MODEL, CryptoCostModel
 
 __all__ = [
-    "CACHE_MODES",
-    "CacheCoherenceError",
     "LruMemo",
     "cache_counters",
     "memo",
     "reset_caches",
-    "validate_cache_mode",
     "Certificate",
     "CertificateAuthority",
     "CertificateError",

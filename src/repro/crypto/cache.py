@@ -18,17 +18,11 @@ outcome**: cached or not, the caller charges the same
 the memoized value equals what recomputation would produce (keys cover
 every input the computation reads).
 
-Cache modes (``crypto_cache_mode`` in :class:`~repro.core.config.
-AgfwConfig` / ``ScenarioConfig``):
-
-``"on"``
-    memoize (default).
-``"off"``
-    always recompute; the caches are never consulted or populated.
-``"cross"``
-    recompute *and* consult the cache, raising
-    :class:`CacheCoherenceError` on any disagreement — the same
-    per-query equivalence proof ``RadioMedium`` uses for grid-vs-brute.
+Every call site takes one ``memoize`` flag: ``True`` (default) consults
+and fills the cache, ``False`` always recomputes and never touches it.
+``ScenarioConfig(reference=True)`` runs without the memo; the test suite
+proves the two trace identically and recomputes every hit to compare it
+with the memoized value.
 
 Why the registry may live at module scope (audited DET-007 exception):
 the stored values are pure functions of their keys, so state persisting
@@ -36,23 +30,21 @@ across :class:`~repro.sim.engine.Simulator` instances is *outcome
 invisible* — a warm cache returns exactly what a cold recomputation
 would, and the charged delays do not depend on hit/miss.  The
 determinism equivalence suite (``tests/test_crypto_cache.py``) runs
-on/off/cross back-to-back in one process and asserts byte-identical
-traces, which would catch any violation.  Every other module is barred
-from module-level mutable caches by lint rule DET-007.
+memoized and reference scenarios back-to-back in one process and
+asserts byte-identical traces, which would catch any violation.  Every
+other module is barred from module-level mutable caches by lint rule
+DET-007.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, TypeVar
 
 __all__ = [
-    "CACHE_MODES",
-    "CacheCoherenceError",
     "CacheStats",
     "LruMemo",
-    "validate_cache_mode",
     "memo",
     "cache_counters",
     "reset_caches",
@@ -62,9 +54,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-#: The three switch positions of the crypto fast path.
-CACHE_MODES: Tuple[str, ...] = ("on", "off", "cross")
 
 #: Canonical cache names used by the wired call sites.
 CERT_VERIFY = "cert_verify"
@@ -76,24 +65,6 @@ TRAPDOOR_OPEN = "trapdoor_open"
 DEFAULT_MAXSIZE = 4096
 
 
-class CacheCoherenceError(AssertionError):
-    """Cross-check mode found a memoized value differing from recomputation.
-
-    This is the crypto-cache analogue of the medium's grid-vs-brute
-    mismatch: it means a cache key fails to cover every input the
-    computation actually reads — a correctness bug, never ignorable.
-    """
-
-
-def validate_cache_mode(mode: str) -> str:
-    """Return ``mode`` or raise ``ValueError`` for an unknown switch."""
-    if mode not in CACHE_MODES:
-        raise ValueError(
-            f"unknown crypto_cache_mode {mode!r}; expected one of {CACHE_MODES}"
-        )
-    return mode
-
-
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters for one memo cache."""
@@ -101,15 +72,9 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    cross_checks: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "cross_checks": self.cross_checks,
-        }
+        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
 
 class LruMemo:
@@ -148,45 +113,25 @@ class LruMemo:
             self.stats.evictions += 1
 
     def get_or_compute(
-        self, key: Hashable, compute: Callable[[], T], mode: str = "on"
+        self, key: Hashable, compute: Callable[[], T], memoize: bool = True
     ) -> T:
-        """Return the memoized value for ``key`` under the given mode.
+        """Return the memoized value for ``key``, computing it on a miss;
+        with ``memoize=False`` just return ``compute()``.
 
         ``compute`` must be a pure function of ``key``'s constituents;
         the caller is responsible for charging any virtual-time cost
         identically on hit and miss.
         """
-        if mode == "off":
+        if not memoize:
             return compute()
-        if mode == "on":
-            if key in self._store:
-                self._store.move_to_end(key)
-                self.stats.hits += 1
-                return self._store[key]  # type: ignore[return-value]
-            value = compute()
-            self.put(key, value)
-            self.stats.misses += 1
-            return value
-        if mode == "cross":
-            fresh = compute()
-            if key in self._store:
-                self._store.move_to_end(key)
-                cached = self._store[key]
-                self.stats.hits += 1
-                self.stats.cross_checks += 1
-                if cached != fresh:
-                    raise CacheCoherenceError(
-                        f"crypto cache {self.name!r}: memoized value differs "
-                        f"from recomputation for key {key!r} "
-                        f"(cached={cached!r}, fresh={fresh!r})"
-                    )
-            else:
-                self.put(key, fresh)
-                self.stats.misses += 1
-            return fresh
-        raise ValueError(
-            f"unknown crypto_cache_mode {mode!r}; expected one of {CACHE_MODES}"
-        )
+        if key in self._store:
+            self._store.move_to_end(key)
+            self.stats.hits += 1
+            return self._store[key]  # type: ignore[return-value]
+        value = compute()
+        self.put(key, value)
+        self.stats.misses += 1
+        return value
 
     def clear(self) -> None:
         """Drop all entries (counters are kept; they are cumulative)."""

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.crypto.cache import CERT_VERIFY, memo, validate_cache_mode
+from repro.crypto.cache import CERT_VERIFY, memo
 from repro.crypto.hashing import sha256
 from repro.crypto.rsa import (
     CryptoError,
@@ -119,7 +119,7 @@ class CertificateAuthority:
         name: str = "repro-ca",
         key_bits: int = 768,
         rng: Optional[random.Random] = None,
-        cache_mode: str = "on",
+        memoize: bool = True,
     ) -> None:
         if rng is None:
             raise ValueError(
@@ -128,7 +128,7 @@ class CertificateAuthority:
                 "from the master seed"
             )
         self.name = name
-        self.cache_mode = validate_cache_mode(cache_mode)
+        self.memoize = memoize
         self._rng = rng
         self._key = generate_keypair(key_bits, self._rng)
         self._public_key = self._key.public()  # one instance, cached fingerprint
@@ -200,7 +200,7 @@ class CertificateAuthority:
         return memo(CERT_VERIFY).get_or_compute(
             key,
             lambda: self.public_key.verify(cert.tbs_bytes(), cert.signature),
-            self.cache_mode,
+            self.memoize,
         )
 
 

@@ -24,7 +24,6 @@ from repro.adversary.sniffer import GlobalSniffer
 from repro.core.aant import AantAuthenticator
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AantConfig, AgfwConfig
-from repro.crypto.cache import validate_cache_mode
 from repro.crypto.certificates import CertificateAuthority
 from repro.faults.loss import make_loss_process, validate_loss_model
 from repro.faults.plan import FaultInjector, FaultPlan
@@ -34,7 +33,7 @@ from repro.location.service import OracleLocationService
 from repro.metrics.collectors import DeliveryCollector, OverheadCollector
 from repro.metrics.faults import FaultMetrics
 from repro.metrics.stats import Summary, summarize
-from repro.net.medium import RadioMedium, validate_medium_index
+from repro.net.medium import RadioMedium
 from repro.net.mobility import RandomWaypointMobility, StaticMobility
 from repro.net.node import Node
 from repro.routing.base import RouterStats
@@ -63,12 +62,11 @@ class ScenarioConfig:
     interference_range: float = 550.0
     sim_time: float = 900.0
     seed: int = 1
-    # Medium fan-out strategy: "grid" (numpy array spatial index,
-    # default), "brute" (the scalar O(N) reference scan), or "cross"
-    # (grid verified bitwise against brute on every transmission and
-    # neighbor query).  Outcome-identical by construction; see
-    # repro.net.medium and repro.geo.spatial_array.
-    medium_index: str = "grid"
+    # The proof oracle: brute-scan fan-out with no fan-out memo, no
+    # crypto memo and no shard position plane.  Traces identically to
+    # the default fast paths by construction; see repro.net.medium,
+    # repro.crypto.cache and repro.sim.shard.
+    reference: bool = False
     # Sharded execution: "off" (single engine, default), "on" (column
     # shards, one engine per shard in a worker process, conservative
     # window synchronization), or "cross" (sharded inline + single engine
@@ -77,10 +75,6 @@ class ScenarioConfig:
     shard_mode: str = "off"
     # Number of column shards when shard_mode != "off".
     shards: int = 2
-    # Shared-memory position plane: workers publish owned leg arrays at
-    # each barrier and ghost positions cross the pipes NaN-compressed.
-    # Trace-invariant; auto-disabled without the array index.
-    shard_plane: bool = True
     # Explicit inner column boundaries (shards - 1 strictly increasing
     # x positions), e.g. from committed calibration stats.  None keeps
     # equal-width columns.  Trace-invariant: ownership moves between
@@ -132,11 +126,6 @@ class ScenarioConfig:
     agfw_overrides: Dict[str, object] = dc_field(default_factory=dict)
     gpsr_overrides: Dict[str, object] = dc_field(default_factory=dict)
     real_crypto: bool = False  # run actual RSA/ring signatures
-    # Crypto fast path (real crypto only): "on" memoizes deterministic
-    # verify/open results, "off" recomputes everything, "cross" runs both
-    # and asserts per-call equality.  Outcome-identical by construction;
-    # see repro.crypto.cache.
-    crypto_cache_mode: str = "on"
 
     # Faults (defaults = the exact seed behaviour; see repro.faults).
     # loss_model: "none" | "bernoulli" | "gilbert" | "distance" — a seeded
@@ -161,10 +150,13 @@ class ScenarioConfig:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
         if self.num_nodes < 2:
             raise ValueError("need at least two nodes")
-        if self.sim_time <= 0:
-            raise ValueError("sim_time must be positive")
-        validate_cache_mode(self.crypto_cache_mode)
-        validate_medium_index(self.medium_index)
+        for name in ("sim_time", "radio_range", "interference_range"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not isinstance(self.reference, bool):
+            # A campaign axis value such as "false" is truthy.
+            raise ValueError(f"reference must be a bool, got {self.reference!r}")
         validate_loss_model(self.loss_model)
         if self.loss_model == "none" and (self.loss_rate or self.loss_params):
             raise ValueError(
@@ -314,7 +306,7 @@ class Scenario:
             self.tracer,
             radio_range=config.radio_range,
             interference_range=config.interference_range,
-            index_mode=config.medium_index,
+            reference=config.reference,
         )
         self.region = Region.of_size(config.width, config.height)
         self.rngs = RngRegistry(config.seed)
@@ -441,7 +433,7 @@ class Scenario:
         from repro.crypto.certificates import KeyStore
 
         self.ca = CertificateAuthority(
-            rng=self.rngs.stream("ca"), cache_mode=self.config.crypto_cache_mode
+            rng=self.rngs.stream("ca"), memoize=not self.config.reference
         )
         stores = []
         for node in self.nodes:
@@ -462,7 +454,6 @@ class Scenario:
             overrides["enable_ack"] = False
         if cfg.real_crypto:
             overrides.setdefault("crypto_mode", "real")
-        overrides.setdefault("crypto_cache_mode", cfg.crypto_cache_mode)
         agfw_cfg = AgfwConfig(radio_range=cfg.radio_range, **overrides)
         authenticator = None
         if cfg.aant_ring_size is not None:
@@ -475,9 +466,12 @@ class Scenario:
                 keystore=node.keystore,
                 ca=self.ca,
                 rng=node.rng("aant"),
-                cache_mode=cfg.crypto_cache_mode,
+                memoize=not cfg.reference,
             )
-        return AgfwRouter(node, self.oracle, agfw_cfg, self.tracer, authenticator=authenticator)
+        return AgfwRouter(
+            node, self.oracle, agfw_cfg, self.tracer,
+            authenticator=authenticator, memoize=not cfg.reference,
+        )
 
     # -------------------------------------------------------------- running
     def run(self) -> ScenarioResult:

@@ -5,8 +5,8 @@ scan over *all* radios into a scan over the radios binned in the few
 grid cells that can possibly intersect the query disc.  It is
 **outcome-invisible**: filtering its candidates by true distance yields
 the same radios, in the same (registration) order, as the brute-force
-scan the medium keeps as its reference (``medium_index="brute"``), and
-``medium_index="cross"`` asserts exactly that on every query.
+scan the medium keeps as its reference (``reference=True``); the test
+suite asserts exactly that on every query.
 
 Why the grid is exact
 ---------------------

@@ -17,7 +17,7 @@ __all__ = ["crypto_cache_counters", "crypto_cache_hit_rates", "format_crypto_cac
 
 
 def crypto_cache_counters() -> Dict[str, Dict[str, int]]:
-    """Per-cache counters: ``{name: {hits, misses, evictions, cross_checks, size}}``.
+    """Per-cache counters: ``{name: {hits, misses, evictions, size}}``.
 
     Counters are cumulative for the process (the caches deliberately
     outlive any single :class:`~repro.sim.engine.Simulator`); take a

@@ -24,16 +24,10 @@ classifies it through a :class:`~repro.geo.spatial_array.ArraySpatialIndex`
 rebinning, numpy batch kernels): one batched sweep yields the affected
 radios in registration order, their deliverability, and each receiver's
 sender distance — **bitwise** what the scalar scan computes.
-``index_mode`` selects:
-
-* ``"grid"``  — the array index (default),
-* ``"brute"`` — the reference: a scalar scan over every registered
-  radio, each PHY recomputing its own sender distance,
-* ``"cross"`` — the array index, checked against the brute scan on
-  every transmission (fan-out memo hits included) and every
-  :meth:`RadioMedium.neighbors_within` query — membership, order,
-  deliverability, and bitwise sender position and distances — raising
-  :class:`SpatialCoherenceError` on the first divergence.
+``reference=True`` replaces it with the proof oracle: a scalar scan over
+every registered radio, each PHY recomputing its own sender distance.
+The test suite checks the index against that scan on every transmission
+and neighbor query.
 
 Fan-out memo
 ------------
@@ -43,7 +37,7 @@ replays it.  The key is the index's ``stationary_stamp``: equal stamps
 mean every radio sits bitwise where it sat, which the array index proves
 for paused random-waypoint windows (every node of the paper's arena
 waits 60 s before its first leg) as well as for all-static topologies.
-A hit skips the index entirely.  The brute reference keeps no memo.
+A hit skips the index entirely.  The reference scan keeps no memo.
 """
 
 from __future__ import annotations
@@ -66,30 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.keyed import KeyedSimulator
     from repro.sim.shard.worker import ShardBridge
 
-__all__ = [
-    "Transmission",
-    "RadioMedium",
-    "INDEX_MODES",
-    "SpatialCoherenceError",
-    "validate_medium_index",
-]
-
-INDEX_MODES = ("grid", "brute", "cross")
+__all__ = ["Transmission", "RadioMedium"]
 
 #: Key-scope tag for the sender's transmission-completion work; sorts
 #: before every receiver tag ``(node_id,)`` because node ids are >= 0.
 _SENDER_SCOPE = (-1,)
-
-
-def validate_medium_index(mode: str) -> str:
-    """Validate a ``medium_index`` value, returning it for chaining."""
-    if mode not in INDEX_MODES:
-        raise ValueError(f"medium_index must be one of {INDEX_MODES}")
-    return mode
-
-
-class SpatialCoherenceError(AssertionError):
-    """The array index diverged from the brute scalar scan."""
 
 
 @dataclass(slots=True)
@@ -128,16 +103,14 @@ class RadioMedium:
         tracer: Optional[Tracer] = None,
         radio_range: float = 250.0,
         interference_range: float = 550.0,
-        index_mode: str = "grid",
+        reference: bool = False,
     ) -> None:
         if interference_range < radio_range:
             raise ValueError("interference range must cover the radio range")
-        validate_medium_index(index_mode)
         self.sim = sim
         self.tracer = tracer
         self.radio_range = radio_range
         self.interference_range = interference_range
-        self.index_mode = index_mode
         self._radios: List["PhyRadio"] = []
         self._radio_range2 = radio_range * radio_range
         self._interference_range2 = interference_range * interference_range
@@ -148,9 +121,7 @@ class RadioMedium:
         self._tx_uid = itertools.count(1)
         #: The array index; ``None`` under the brute reference scan.
         self._aindex: Optional[ArraySpatialIndex] = (
-            ArraySpatialIndex(cell_size=interference_range)
-            if index_mode != "brute"
-            else None
+            None if reference else ArraySpatialIndex(cell_size=interference_range)
         )
         #: Fan-out memo (see the module docstring): sender node id ->
         #: (stationary stamp, sender position, affected radios in
@@ -201,55 +172,6 @@ class RadioMedium:
             return self._radios
         return self._aindex.candidates_within(center, rng, self.sim.now)
 
-    def _cross_check(
-        self,
-        origin: "PhyRadio",
-        center: Position,
-        rng: float,
-        got: List["PhyRadio"],
-        dists: Optional[List[float]] = None,
-        deliverable: AbstractSet[int] = frozenset(),
-    ) -> None:
-        """``index_mode="cross"``: verify an index-derived result against
-        the brute scalar scan over every other radio within ``rng`` of
-        ``origin``'s position ``center``.
-
-        Checks membership and registration order, the bitwise ``center``
-        itself, and — for a fan-out, where ``dists`` is given — every
-        receiver's bitwise distance and deliverability.
-        """
-        ref = origin.position
-        if (ref.x, ref.y) != (center.x, center.y):
-            raise SpatialCoherenceError(
-                f"indexed position {center.as_tuple()!r} of node {origin.node_id} "
-                f"!= scalar {ref.as_tuple()!r} at t={self.sim.now:.9f}"
-            )
-        fanout = dists is not None
-        rows: list = (
-            [(r, d, r.node_id in deliverable) for r, d in zip(got, dists)]
-            if dists is not None
-            else [(r,) for r in got]
-        )
-        limit = rng * rng
-        expected: list = []
-        for radio in self._radios:
-            if radio is origin:
-                continue
-            rpos = radio.position
-            d2 = rpos.distance2_to(center)
-            if d2 <= limit:
-                expected.append(
-                    (radio, rpos.distance_to(center), d2 <= self._radio_range2)
-                    if fanout
-                    else (radio,)
-                )
-        if expected != rows:  # object identity, order, exact float equality
-            raise SpatialCoherenceError(
-                f"spatial index diverged from the brute scan at t={self.sim.now:.9f}: "
-                f"expected {[(e[0].node_id, *e[1:]) for e in expected]}, "
-                f"got {[(g[0].node_id, *g[1:]) for g in rows]}"
-            )
-
     # ------------------------------------------------------------- transmit
     def transmit(self, sender: "PhyRadio", frame: MacFrame, duration: float) -> Transmission:
         """Put ``frame`` on the air for ``duration`` seconds.
@@ -259,7 +181,7 @@ class RadioMedium:
         """
         now = self.sim.now
         aindex = self._aindex
-        # -1 disables the memo (brute mode, or some radio may have moved).
+        # -1 disables the memo (the reference scan, or some radio may have moved).
         stamp = aindex.stationary_stamp(now) if aindex is not None else -1
         cached = None
         if stamp >= 0:
@@ -319,11 +241,9 @@ class RadioMedium:
 
         sender.begin_transmit(tx)
         owned = self._shard_owned
-        dists: Optional[List[float]] = None
         if cached is not None:
             affected = cached[2]
-            dists = cached[4]
-            for radio, dist in zip(affected, dists):
+            for radio, dist in zip(affected, cached[4]):
                 radio.on_tx_start(tx, dist)
         elif fan is not None:
             affected = []
@@ -331,11 +251,10 @@ class RadioMedium:
             add = members.add
             hypot = math.hypot
             rows, fdx, fdy, fdel = fan.rows, fan.dx, fan.dy, fan.deliverable
-            # The distances list is only consumed by the fan-out memo and
-            # the cross check; mobile non-cross runs (the common hot case)
-            # skip collecting it entirely.
-            if stamp >= 0 or self.index_mode == "cross":
-                dists = []
+            # The distances list is only consumed by the fan-out memo;
+            # mobile runs (the common hot case) skip collecting it.
+            if stamp >= 0:
+                dists: List[float] = []
                 for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
                     radio = radios[row]
                     if owned is not None and radio.node_id not in owned:
@@ -350,13 +269,12 @@ class RadioMedium:
                     radio.on_tx_start(tx, dist)
                     affected.append(radio)
                     dists.append(dist)
-                if stamp >= 0:
-                    # affected is shared with the memo but never mutated in
-                    # place (recomputes build a fresh list), so in-flight
-                    # _finish closures stay correct across invalidation.
-                    self._fanout_memo[sender.node_id] = (
-                        stamp, sender_pos, affected, frozenset(members), dists
-                    )
+                # affected is shared with the memo but never mutated in
+                # place (recomputes build a fresh list), so in-flight
+                # _finish closures stay correct across invalidation.
+                self._fanout_memo[sender.node_id] = (
+                    stamp, sender_pos, affected, frozenset(members), dists
+                )
             else:
                 for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
                     radio = radios[row]
@@ -383,10 +301,6 @@ class RadioMedium:
                         add(radio.node_id)
                     radio.on_tx_start(tx)
                     affected.append(radio)
-        if self.index_mode == "cross":
-            self._cross_check(
-                sender, sender_pos, self.interference_range, affected, dists, deliverable
-            )
 
         keyed = self._shard_keyed
 
@@ -497,15 +411,12 @@ class RadioMedium:
         """Radios within ``rng`` metres of ``radio`` (excluding itself)."""
         center = radio.position
         limit = rng * rng
-        result = [
+        return [
             other
             for other in self._candidates(center, rng)
             if other is not radio and other.position.distance2_to(center) <= limit
         ]
-        if self.index_mode == "cross":
-            self._cross_check(radio, center, rng, result)
-        return result
 
     def index_stats(self) -> Optional[dict]:
-        """Spatial-index telemetry (``None`` in brute-force mode)."""
+        """Spatial-index telemetry (``None`` under the reference scan)."""
         return self._aindex.stats() if self._aindex is not None else None

@@ -28,6 +28,8 @@ Design notes
 * Event times must be finite: a NaN time compares false against
   everything (it would fire first and poison the clock) and an infinite
   one can never be reached, so both raise :class:`SimulationError`.
+  A run horizon must not be NaN either (the loop would never reach it);
+  ``until=inf`` means no horizon.
 * Time is a float in **seconds** of simulated time.  MAC-level code deals
   in microseconds; helpers in :mod:`repro.net.mac.constants` convert.
 
@@ -274,6 +276,7 @@ class Simulator:
         * with no horizon, :attr:`now` is the time of the last executed
           event.
         """
+        until = self._horizon(until)
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
@@ -312,6 +315,18 @@ class Simulator:
                     self._now = until
         finally:
             self._running = False
+
+    @staticmethod
+    def _horizon(until: Optional[float]) -> Optional[float]:
+        """Validate a run horizon; ``inf`` is the same as none at all.
+
+        ``time > nan`` is always False, so a NaN horizon would never stop
+        the loop; ``-inf`` would clamp the clock to it."""
+        if until is None or until == math.inf:
+            return None
+        if not math.isfinite(until):
+            raise SimulationError(f"run horizon must be a number or inf, got {until!r}")
+        return until
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes.

@@ -326,6 +326,7 @@ class KeyedSimulator(Simulator):
         Used by the keyed-vs-plain equivalence tests; the sharded driver
         steps via :meth:`execute_next` instead.
         """
+        until = self._horizon(until)
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True

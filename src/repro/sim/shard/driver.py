@@ -77,6 +77,7 @@ from repro.sim.shard.worker import (
     SlimRecord,
     W_MAX,
 )
+from repro.sim.trace import trace_divergence
 
 __all__ = ["run_sharded", "effective_jobs"]
 
@@ -476,25 +477,9 @@ def _coordinate(
 # --------------------------------------------------------------- cross check
 def _compare_traces(reference, merged: List[SlimRecord]) -> None:
     """Record-by-record equivalence per the repo trace contract."""
-    limit = min(len(reference), len(merged))
-    for i in range(limit):
-        ref = reference[i]
-        got = merged[i]
-        if (repr(ref.time), ref.category, ref.node) != (
-            repr(got.time),
-            got.category,
-            got.node,
-        ):
-            raise ShardCoherenceError(
-                f"trace divergence at record {i}: single engine "
-                f"({ref.time!r}, {ref.category!r}, node={ref.node!r}) vs "
-                f"sharded ({got.time!r}, {got.category!r}, node={got.node!r})"
-            )
-    if len(reference) != len(merged):
-        raise ShardCoherenceError(
-            f"trace length mismatch: single engine {len(reference)} records, "
-            f"sharded {len(merged)} (first {limit} identical)"
-        )
+    divergence = trace_divergence(reference, merged, "single engine", "sharded")
+    if divergence is not None:
+        raise ShardCoherenceError(divergence)
 
 
 # --------------------------------------------------------------- entry point
@@ -513,15 +498,10 @@ def _make_handles(config, shards: int, cross: bool, capture_all: bool, plane):
 
 
 def _make_plane(config, shards: int):
-    """The shared position plane, or ``None`` when nothing would publish
-    to it: workers publish only from the array index, which the brute
-    reference scan does not build."""
-    if (
-        shards > 1
-        and getattr(config, "shard_plane", True)
-        and config.medium_index != "brute"
-        and config.num_nodes > 0
-    ):
+    """The shared position plane, or ``None`` under the reference run
+    (whose brute scan builds no array index to publish from) and when
+    there is no second shard to read it."""
+    if shards > 1 and not config.reference:
         return ShardPlane(config.num_nodes, shards)
     return None
 

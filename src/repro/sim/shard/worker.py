@@ -223,18 +223,9 @@ def worker_config(config):
 
     * ``shard_mode="off"`` — workers step their engine directly; the
       config must not re-dispatch into the sharded driver.
-    * cross-verification modes drop to their fast halves: the verifiers
-      compare against *all* radios, which an ownership-filtered fan-out
-      legitimately no longer matches.
     * No retention, no sniffer: the worker ships records itself.
     """
-    return replace(
-        config,
-        shard_mode="off",
-        medium_index="grid" if config.medium_index == "cross" else config.medium_index,
-        keep_trace=False,
-        with_sniffer=False,
-    )
+    return replace(config, shard_mode="off", keep_trace=False, with_sniffer=False)
 
 
 class ShardWorker:
@@ -341,7 +332,7 @@ class ShardWorker:
         #: bitwise-equal to scalar ``position_at``, so min/max folds and
         #: distance floors computed on the arrays match the scalar path
         #: IEEE-op for IEEE-op.  Falls back to the scalar loops when the
-        #: medium runs without an index (``medium_index="brute"``).
+        #: medium runs without an index (``reference=True``).
         self._aindex = self.scenario.medium._aindex
         self._shard_rows: Optional[List] = None
         if self._aindex is not None:

@@ -33,15 +33,20 @@ factor is engine-level:
 ``mute`` uses the same *prefix* semantics as ``subscribe``/``filter``:
 ``mute("mac.")`` drops ``mac.drop`` too (it used to match only the exact
 category, a long-standing asymmetry).
+
+Two runs trace *the same* when their records agree one by one on
+``(repr(time), category, node)`` — packet and frame uids are module
+counters and deliberately exempt (DET-006).  :func:`trace_divergence`
+is the one definition of that contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from sys import intern as _intern
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["TraceRecord", "Tracer"]
+__all__ = ["TraceRecord", "Tracer", "trace_divergence"]
 
 #: Dispatch-cache marker for "this category is muted".  Distinct from the
 #: empty tuple (= live but subscriber-less, still retained when keep=True).
@@ -211,3 +216,34 @@ class Tracer:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
+
+
+def trace_divergence(
+    expected: Sequence[Any], got: Sequence[Any], expected_name: str, got_name: str
+) -> Optional[str]:
+    """Where ``got`` first departs from ``expected``, or ``None`` when the
+    two traces are the same (see the module docstring).
+
+    Records are anything with ``time``, ``category`` and ``node``
+    attributes; the message names the first divergent record, or the
+    length mismatch after an identical prefix.
+    """
+    limit = min(len(expected), len(got))
+    for i in range(limit):
+        want, have = expected[i], got[i]
+        if (repr(want.time), want.category, want.node) != (
+            repr(have.time),
+            have.category,
+            have.node,
+        ):
+            return (
+                f"trace divergence at record {i}: {expected_name} "
+                f"({want.time!r}, {want.category!r}, node={want.node!r}) vs "
+                f"{got_name} ({have.time!r}, {have.category!r}, node={have.node!r})"
+            )
+    if len(expected) != len(got):
+        return (
+            f"trace length mismatch: {expected_name} {len(expected)} records, "
+            f"{got_name} {len(got)} (first {limit} identical)"
+        )
+    return None

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import settings
 
+import repro.experiments.scenario as scenario_module
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AgfwConfig
+from repro.crypto.cache import LruMemo
+from repro.experiments.scenario import Scenario, ScenarioConfig, ScenarioResult
 from repro.faults import FaultInjector, FaultPlan, make_loss_process
 from repro.geo.vec import Position
 from repro.location.service import OracleLocationService
@@ -22,7 +25,7 @@ from repro.net.node import Node
 from repro.routing.gpsr import GpsrConfig, GpsrRouter
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceRecord, Tracer, trace_divergence
 
 # ``HYPOTHESIS_PROFILE=ci`` replays the same examples on every run: no
 # random generation and no example database carried between runs.  Per
@@ -220,3 +223,148 @@ def ca_with_nodes():
     for store in stores:
         store.add_all(certs)
     return ca, stores
+
+
+# ------------------------------------------------ reference-path checkers
+class CheckedMedium(RadioMedium):
+    """A :class:`RadioMedium` that checks every fan-out and neighbor query
+    against a brute scalar scan over :attr:`radios`, memo hits included.
+
+    A transmission must start on exactly the radios within interference
+    range of the sender, in registration order, each with the bitwise
+    scalar distance and the right deliverability; the sender position
+    must be bitwise the scalar one.  The receivers are read off the
+    ``on_tx_start(tx, distance)`` calls; under the reference scan each
+    PHY computes its own distance, which is the scalar one by definition.
+    Single-engine runs only: a shard's fan-out skips radios it does not
+    own."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: ``(radio, distance)`` per ``on_tx_start`` of the transmit in flight.
+        self._starts: Optional[list] = None
+
+    def register(self, radio) -> None:
+        super().register(radio)
+        real = radio.on_tx_start
+
+        def on_tx_start(tx, distance=None) -> None:
+            if self._starts is not None:
+                self._starts.append((radio, distance))
+            real(tx, distance)
+
+        radio.on_tx_start = on_tx_start
+
+    def transmit(self, sender, frame, duration):
+        self._starts = starts = []
+        try:
+            tx = super().transmit(sender, frame, duration)
+        finally:
+            self._starts = None
+        center, ref = tx.sender_pos, sender.position
+        assert (center.x, center.y) == (ref.x, ref.y), (
+            f"sender {sender.node_id} at {center.as_tuple()!r}, "
+            f"scalar {ref.as_tuple()!r} at t={self.sim.now!r}"
+        )
+        expected = []
+        for radio in self.radios:
+            if radio is sender:
+                continue
+            pos = radio.position
+            d2 = pos.distance2_to(center)
+            if d2 <= self._interference_range2:
+                expected.append(
+                    (radio.node_id, pos.distance_to(center), d2 <= self._radio_range2)
+                )
+        got = [
+            (
+                radio.node_id,
+                radio.position.distance_to(center) if distance is None else distance,
+                radio.node_id in tx.deliverable_to,
+            )
+            for radio, distance in starts
+        ]
+        assert got == expected, (
+            f"fan-out of node {sender.node_id} at t={self.sim.now!r} diverged "
+            f"from the brute scan: expected {expected}, got {got}"
+        )
+        return tx
+
+    def neighbors_within(self, radio, rng):
+        got = super().neighbors_within(radio, rng)
+        center, limit = radio.position, rng * rng
+        expected = [
+            other
+            for other in self.radios
+            if other is not radio and other.position.distance2_to(center) <= limit
+        ]
+        assert got == expected, (
+            f"neighbors of node {radio.node_id} within {rng!r} m diverged from "
+            f"the brute scan: expected {[r.node_id for r in expected]}, "
+            f"got {[r.node_id for r in got]}"
+        )
+        return got
+
+
+@pytest.fixture
+def checked_medium(monkeypatch):
+    """Build every scenario's medium as a :class:`CheckedMedium`."""
+    monkeypatch.setattr(scenario_module, "RadioMedium", CheckedMedium)
+    return CheckedMedium
+
+
+@pytest.fixture
+def checked_memo(monkeypatch):
+    """Recompute every crypto memo hit and assert it equals the memoized
+    value: a mismatch means a cache key misses an input its computation
+    reads."""
+    real = LruMemo.get_or_compute
+
+    def get_or_compute(self, key, compute, memoize=True):
+        hit = memoize and key in self
+        value = real(self, key, compute, memoize)
+        if hit:
+            fresh = compute()
+            assert fresh == value, (
+                f"crypto cache {self.name!r}: memoized {value!r} != recomputed "
+                f"{fresh!r} for key {key!r}"
+            )
+        return value
+
+    monkeypatch.setattr(LruMemo, "get_or_compute", get_or_compute)
+
+
+# ------------------------------------------------------ trace comparison
+def _traced_run(config: ScenarioConfig) -> Tuple[ScenarioResult, List[TraceRecord]]:
+    scenario = Scenario(replace(config, keep_trace=True))
+    result = scenario.run()
+    assert scenario.tracer.records, "a traced scenario must retain records"
+    return result, scenario.tracer.records
+
+
+def _outcome(result: ScenarioResult) -> str:
+    """Everything observable about a run except wall-clock, as a repr so
+    a NaN latency compares equal to itself."""
+    return repr((
+        result.sent,
+        result.delivered,
+        result.frames_on_air,
+        result.collisions,
+        result.mean_latency,
+        sorted(vars(result.router_totals).items()),
+        sorted(result.bytes_by_kind.items()),
+        sorted(result.frames_by_kind.items()),
+        sorted(result.fault_counters.items()),
+    ))
+
+
+def assert_reference_matches(config: ScenarioConfig) -> ScenarioResult:
+    """Run ``config`` on the reference paths and on the fast paths, assert
+    they trace the same (:func:`repro.sim.trace.trace_divergence`) and
+    report the same outcome, and return the fast run's result."""
+    reference, reference_trace = _traced_run(replace(config, reference=True))
+    fast, fast_trace = _traced_run(replace(config, reference=False))
+    divergence = trace_divergence(reference_trace, fast_trace, "reference", "fast")
+    assert divergence is None, divergence
+    assert _outcome(fast) == _outcome(reference)
+    return fast

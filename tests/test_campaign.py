@@ -115,11 +115,12 @@ def test_spec_validation_rejects_bad_input():
         spec_from_mapping({**SMOKE, "sweep": [{"axes": {"num_nodes": [5]}}]})
 
 
-def test_bad_medium_index_fails_at_expansion():
+def test_bad_reference_fails_at_expansion():
     """A bad backend value must fail while the matrix expands, naming the
-    knob the spec set, not later inside the executor."""
-    spec = spec_from_mapping({**SMOKE, "axes": {"medium_index": ["grid", "bogus"]}})
-    with pytest.raises(CampaignSpecError, match="medium_index must be one of"):
+    knob the spec set, not later inside the executor.  The string
+    ``"false"`` is truthy and would otherwise run the reference."""
+    spec = spec_from_mapping({**SMOKE, "axes": {"reference": [False, "false"]}})
+    with pytest.raises(CampaignSpecError, match="reference must be a bool"):
         spec.points()
 
 
@@ -130,6 +131,12 @@ def test_bad_medium_index_fails_at_expansion():
         (
             {"placement": ["clusters"], "cluster_radius": [400.0, float("nan")]},
             "cluster_radius must be positive and finite",
+        ),
+        ({"sim_time": [2.0, float("nan")]}, "sim_time must be positive and finite"),
+        ({"radio_range": [250.0, float("nan")]}, "radio_range must be positive and finite"),
+        (
+            {"interference_range": [550.0, float("nan")]},
+            "interference_range must be positive and finite",
         ),
     ],
 )

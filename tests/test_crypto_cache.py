@@ -7,9 +7,10 @@ Three layers of assurance for ``repro.crypto.cache``:
    constantly exercised.
 2. **Outcome invariance** — the wired call sites (CA verify, ring
    verify, trapdoor open) return identical results cached or not, and a
-   full real-crypto scenario produces *byte-identical traces* under
-   ``on``/``off``/``cross`` for multiple seeds.  ``cross`` additionally
-   proves every individual memoized value against recomputation.
+   full real-crypto scenario produces *byte-identical traces* with and
+   without the memo (``reference=True``) for multiple seeds.  The
+   ``checked_memo`` fixture additionally proves every individual
+   memoized value against recomputation.
 3. **The committed benchmark artifact** — ``BENCH_crypto.json`` must
    record the acceptance-criterion speedups (the CI bench job regenerates
    and gates; this suite floors the committed numbers).
@@ -27,16 +28,13 @@ from repro.core.aant import AantAuthenticator
 from repro.core.config import AantConfig
 from repro.core.trapdoor import TrapdoorContents, TrapdoorFactory
 from repro.crypto.cache import (
-    CACHE_MODES,
     CERT_VERIFY,
     RING_VERIFY,
     TRAPDOOR_OPEN,
-    CacheCoherenceError,
     LruMemo,
     cache_counters,
     memo,
     reset_caches,
-    validate_cache_mode,
 )
 from repro.crypto.rsa import generate_keypair
 from repro.experiments.scenario import Scenario, ScenarioConfig
@@ -46,6 +44,7 @@ from repro.metrics import (
     crypto_cache_hit_rates,
     format_crypto_cache_report,
 )
+from tests.conftest import assert_reference_matches
 
 
 # ---------------------------------------------------------------- mechanics
@@ -105,32 +104,30 @@ def test_off_mode_never_touches_store():
     cache = LruMemo("off", maxsize=8)
     calls = []
     for _ in range(3):
-        cache.get_or_compute("k", lambda: calls.append(1) or 7, mode="off")
+        cache.get_or_compute("k", lambda: calls.append(1) or 7, memoize=False)
     assert len(calls) == 3 and len(cache) == 0
     assert cache.stats.hits == 0 and cache.stats.misses == 0
 
 
-def test_cross_mode_agrees_and_counts():
+def test_cross_mode_agrees_and_counts(checked_memo):
     cache = LruMemo("x", maxsize=8)
-    assert cache.get_or_compute("k", lambda: 5, mode="cross") == 5  # miss
-    assert cache.get_or_compute("k", lambda: 5, mode="cross") == 5  # checked hit
-    assert cache.stats.cross_checks == 1
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return 5
+
+    assert cache.get_or_compute("k", compute) == 5  # miss
+    assert cache.get_or_compute("k", compute) == 5  # checked hit
+    assert len(calls) == 2  # the hit was recomputed
+    assert cache.stats.misses == 1 and cache.stats.hits == 1
 
 
-def test_cross_mode_detects_poisoned_entry():
+def test_cross_mode_detects_poisoned_entry(checked_memo):
     cache = LruMemo("poison", maxsize=8)
     cache.put("k", "stale")
-    with pytest.raises(CacheCoherenceError):
-        cache.get_or_compute("k", lambda: "fresh", mode="cross")
-
-
-def test_mode_validation():
-    for mode in CACHE_MODES:
-        assert validate_cache_mode(mode) == mode
-    with pytest.raises(ValueError):
-        validate_cache_mode("sometimes")
-    with pytest.raises(ValueError):
-        LruMemo("m").get_or_compute("k", lambda: 1, mode="sometimes")
+    with pytest.raises(AssertionError, match="memoized 'stale' != recomputed 'fresh'"):
+        cache.get_or_compute("k", lambda: "fresh")
 
 
 def test_registry_shares_instances_and_resets():
@@ -229,7 +226,7 @@ def test_trapdoor_negative_open_is_memoized():
 
 
 # --------------------------------------------------- end-to-end invariance
-def _real_scenario(seed: int, cache_mode: str) -> ScenarioConfig:
+def _real_scenario(seed: int, **overrides) -> ScenarioConfig:
     return ScenarioConfig(
         protocol="agfw",
         num_nodes=12,
@@ -240,47 +237,28 @@ def _real_scenario(seed: int, cache_mode: str) -> ScenarioConfig:
         seed=seed,
         real_crypto=True,
         aant_ring_size=2,
-        keep_trace=True,
-        crypto_cache_mode=cache_mode,
+        **overrides,
     )
 
 
-def _trace_fingerprint(seed: int, cache_mode: str) -> list:
-    """Run a full real-crypto scenario and reduce its trace to the fields
-    stable across in-process runs.
-
-    Packet/frame uids come from module-level counters (audited DET-006
-    exemptions) and keep incrementing across runs in one process, so the
-    fingerprint is ``(time, category, node)`` per record — which still
-    captures every event, its virtual timestamp, and its emitter.
-    """
-    reset_caches()
-    scenario = Scenario(_real_scenario(seed, cache_mode))
-    result = scenario.run()
-    records = [(repr(r.time), r.category, r.node) for r in scenario.tracer.records]
-    assert records, "keep_trace scenario must retain records"
-    return [(result.sent, result.delivered)] + records
-
-
 @pytest.mark.parametrize("seed", [3, 17])
-def test_cache_modes_byte_identical_traces(seed):
+def test_cache_modes_byte_identical_traces(seed, checked_memo, checked_medium):
     """The acceptance criterion: an end-to-end AANT + trapdoor run under
-    real crypto emits byte-identical traces with caches on, off, and in
-    cross-check mode — and cross mode's per-value equivalence assertions
-    all hold (any mismatch raises CacheCoherenceError)."""
-    off = _trace_fingerprint(seed, "off")
-    on = _trace_fingerprint(seed, "on")
-    cross = _trace_fingerprint(seed, "cross")
-    assert on == off
-    assert cross == off
+    real crypto emits byte-identical traces with and without the memo,
+    and every memo hit equals its recomputation."""
+    reset_caches()
+    assert_reference_matches(_real_scenario(seed))
     reset_caches()
 
 
 def test_scenario_on_mode_actually_hits():
     """Guard against the fast path silently disconnecting: a real-crypto
-    run with caches on must register hits on the wired call sites."""
+    run with caches on must register hits on the wired call sites, and
+    the reference run none at all."""
     reset_caches()
-    Scenario(_real_scenario(seed=3, cache_mode="on")).run()
+    Scenario(_real_scenario(seed=3, reference=True)).run()
+    assert all(c["hits"] + c["misses"] == 0 for c in cache_counters().values())
+    Scenario(_real_scenario(seed=3)).run()
     counters = cache_counters()
     assert counters[CERT_VERIFY]["hits"] > 0
     assert counters[RING_VERIFY]["hits"] > 0
@@ -288,8 +266,8 @@ def test_scenario_on_mode_actually_hits():
 
 
 def test_scenario_rejects_bad_cache_mode():
-    with pytest.raises(ValueError):
-        _real_scenario(seed=1, cache_mode="warp")
+    with pytest.raises(ValueError, match="reference must be a bool"):
+        _real_scenario(seed=1, reference="off")
 
 
 # ------------------------------------------------------ committed baseline

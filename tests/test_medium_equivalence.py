@@ -1,10 +1,11 @@
-"""Grid-vs-brute equivalence and medium substrate regressions.
+"""Index-vs-reference equivalence and medium substrate regressions.
 
 The spatial index is only admissible because it is *outcome-invisible*:
-every scenario must produce bit-identical results under ``brute``,
-``grid``, and ``cross`` fan-out.  ``cross`` additionally asserts the
-equivalence on every single query inside the run, so one passing cross
-run is a per-transmission proof for that workload.
+every scenario must trace identically on the array index and on the
+brute reference scan (``reference=True``).  Under the ``checked_medium``
+fixture every single fan-out and neighbor query inside the run is also
+checked against the brute scan, so one passing run is a
+per-transmission proof for that workload.
 """
 
 from __future__ import annotations
@@ -19,25 +20,13 @@ from repro.net.phy import PhyRadio
 from repro.sim.engine import Simulator
 from repro.net.addresses import BROADCAST, MacAddress
 from repro.net.mac.frames import FrameKind, MacFrame
-
-
-def _signature(result):
-    """Everything observable about a run except wallclock."""
-    return (
-        result.sent,
-        result.delivered,
-        result.frames_on_air,
-        result.collisions,
-        result.mean_latency,
-        sorted(result.bytes_by_kind.items()),
-        sorted(result.frames_by_kind.items()),
-    )
+from tests.conftest import assert_reference_matches
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("static", [True, False], ids=["static", "rwp"])
-def test_grid_brute_cross_identical_outcomes(seed, static):
-    base = dict(
+def test_grid_brute_cross_identical_outcomes(seed, static, checked_medium):
+    config = ScenarioConfig(
         protocol="agfw",
         num_nodes=22,
         sim_time=12.0,
@@ -50,17 +39,7 @@ def test_grid_brute_cross_identical_outcomes(seed, static):
         pause_time=0.0,
         min_speed=5.0,
     )
-    signatures = [
-        _signature(run_scenario(ScenarioConfig(medium_index=mode, **base)))
-        for mode in ("brute", "grid", "cross")
-    ]
-    assert signatures[0] == signatures[1] == signatures[2]
-    assert signatures[0][0] > 0  # the workload actually sent traffic
-
-
-def test_invalid_index_mode_rejected():
-    with pytest.raises(ValueError):
-        RadioMedium(Simulator(), index_mode="octree")
+    assert assert_reference_matches(config).sent > 0  # traffic actually flowed
 
 
 # ----------------------------------------------------------- tx uid scope
@@ -118,9 +97,9 @@ def test_transmission_membership_fields_are_sets():
 
 
 # -------------------------------------------------------- static fan-out memo
-def _bare_medium(index_mode="grid"):
+def _bare_medium():
     sim = Simulator()
-    medium = RadioMedium(sim, index_mode=index_mode)
+    medium = RadioMedium(sim)
     radios = [
         PhyRadio(sim, i, medium, StaticMobility(Position(float(i) * 200.0, 0.0)))
         for i in range(4)
@@ -155,9 +134,9 @@ def test_teleport_invalidates_static_fanout_memo():
     assert second.deliverable_to == {1, 3}
 
 
-def test_memo_disabled_while_any_radio_mobile_cross_checked():
-    """With a mobile radio present the memo must stay off; run in cross
-    mode so every fan-out is verified against brute force."""
+def test_memo_disabled_while_any_radio_mobile_cross_checked(checked_medium):
+    """With a mobile radio present the memo must stay off; run on a
+    checked medium so every fan-out is verified against brute force."""
     cfg = ScenarioConfig(
         protocol="agfw",
         num_nodes=12,
@@ -168,7 +147,6 @@ def test_memo_disabled_while_any_radio_mobile_cross_checked():
         static=False,
         pause_time=0.0,
         min_speed=5.0,
-        medium_index="cross",
     )
     result = run_scenario(cfg)
-    assert result.sent > 0  # cross mode raised nowhere: equivalence held
+    assert result.sent > 0  # the checks raised nowhere: equivalence held

@@ -230,7 +230,6 @@ def _real_crypto_digest(seed: int) -> tuple:
             real_crypto=True,
             aant_ring_size=2,
             keep_trace=True,
-            crypto_cache_mode="on",
         )
     )
     result = scenario.run()

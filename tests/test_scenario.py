@@ -45,8 +45,13 @@ def test_config_validation():
         ScenarioConfig(placement="clusters", cluster_radius=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(flow_locality=-1.0)
+    with pytest.raises(ValueError, match="radio_range must be positive and finite"):
+        ScenarioConfig(radio_range=-5.0)
     # ``nan <= 0`` is False, so a bare sign check let NaN through.
     for value in (math.nan, math.inf):
+        for name in ("sim_time", "radio_range", "interference_range"):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                ScenarioConfig(**{name: value})
         with pytest.raises(ValueError, match="flow_locality must be positive and finite"):
             ScenarioConfig(flow_locality=value)
         with pytest.raises(ValueError, match="cluster_radius must be positive and finite"):

@@ -106,19 +106,13 @@ def test_promise_rides_the_round_reply():
 
 
 # ------------------------------------------------- shared position plane
-def test_fork_plane_enabled_matches_plane_disabled():
-    on = Scenario(_cfg(2, shard_mode="on", shards=2)).run()
-    off = Scenario(_cfg(2, shard_mode="on", shards=2, shard_plane=False)).run()
-    assert _fingerprint(on) == _fingerprint(off)
-    assert on.shard_stats["plane"] is True
-    assert off.shard_stats["plane"] is False
-
-
 def test_brute_index_allocates_no_plane():
-    """Workers publish only from the array index, so a brute-scan run
-    gets no plane — and the same outcome as the grid run."""
+    """Workers publish only from the array index, so the reference run
+    (brute scan) gets no plane — and the same outcome as the fast run,
+    which does."""
     grid = Scenario(_cfg(2, shard_mode="on", shards=2)).run()
-    brute = Scenario(_cfg(2, shard_mode="on", shards=2, medium_index="brute")).run()
+    brute = Scenario(_cfg(2, shard_mode="on", shards=2, reference=True)).run()
+    assert grid.shard_stats["plane"] is True
     assert brute.shard_stats["plane"] is False
     assert _fingerprint(brute) == _fingerprint(grid)
 

@@ -81,7 +81,9 @@ def test_schedule_at_in_past_rejected(sim):
 def test_non_finite_times_rejected(bad):
     """A NaN time compares false against everything, so a bare heap would
     fire it first and set ``now`` to NaN; an infinite one never fires.
-    Every entry point refuses both without queueing anything."""
+    Every entry point refuses both without queueing anything.  As a run
+    horizon, NaN would never be reached (``time > nan`` is always False)
+    and is refused too; ``inf`` means no horizon."""
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule(bad, lambda: None)
@@ -94,6 +96,15 @@ def test_non_finite_times_rejected(bad):
     with pytest.raises(SimulationError):
         keyed.insert_ghost((bad, 0, (0, 1)), lambda: None, "phy.tx_end")
     assert keyed.pending_events == 0
+    for engine in (sim, keyed):
+        engine.schedule_at(1.5, lambda: None)
+        if bad == math.inf:
+            engine.run(until=bad)
+            assert engine.now == 1.5  # drained with no horizon to clamp to
+        else:
+            with pytest.raises(SimulationError):
+                engine.run(until=bad)
+            assert engine.pending_events == 1 and engine.now == 0.0
 
 
 def test_cancelled_event_does_not_fire(sim):

@@ -1,12 +1,13 @@
 """Array spatial index: unit contracts + whole-scenario equivalence.
 
-The index (``medium_index="grid"``) is only admissible because it is
+The index (the default medium) is only admissible because it is
 *outcome-invisible*: candidates come back in registration order, every
 escaping float is bitwise what the brute scalar scan computes, and whole
-scenarios — mobile, faulted, and multiprocess — trace identically under
-``grid``, ``brute``, and ``cross``.  ``cross`` additionally re-derives
-every fan-out with the brute scan inside the run, so a passing cross run
-is a per-transmission proof for that workload; the negative cases below
+scenarios — mobile, faulted, and multiprocess — trace identically on the
+index and on the brute reference (``reference=True``).  The
+:class:`~tests.conftest.CheckedMedium` additionally re-derives every
+fan-out with the brute scan inside the run, so a passing checked run is
+a per-transmission proof for that workload; the negative cases below
 show that it fires.
 """
 
@@ -19,25 +20,26 @@ import struct
 import pytest
 
 from repro.experiments.fig1 import run_fig1
-from repro.experiments.scenario import Scenario, ScenarioConfig, run_scenario
+from repro.experiments.scenario import ScenarioConfig
 from repro.faults import FaultPlan
 from repro.geo.spatial_array import ArraySpatialIndex, FanOut
 from repro.geo.vec import Position
 from repro.geo.region import Region
 from repro.net.addresses import BROADCAST, MacAddress
 from repro.net.mac.frames import FrameKind, MacFrame
-from repro.net.medium import INDEX_MODES, RadioMedium, SpatialCoherenceError
+from repro.net.medium import RadioMedium
 from repro.net.mobility import RandomWaypointMobility, StaticMobility
 from repro.net.phy import PhyRadio
 from repro.sim.engine import Simulator
+from tests.conftest import CheckedMedium, assert_reference_matches
 
 
 # ------------------------------------------------------------ unit level
-def _static_population(seed: int, n: int = 30, index_mode: str = "grid"):
+def _static_population(seed: int, n: int = 30, medium_class=RadioMedium):
     """A medium with ``n`` static radios scattered over the paper arena."""
     rng = random.Random(seed)
     sim = Simulator()
-    medium = RadioMedium(sim, index_mode=index_mode)
+    medium = medium_class(sim)
     radios = [
         PhyRadio(
             sim,
@@ -153,15 +155,14 @@ def test_mobile_rows_track_legs_without_teleports():
 
 
 def test_invalid_medium_index_rejected():
-    """A bad value fails when the config is built (so campaign expansion
-    catches it), naming the knob the user set."""
-    with pytest.raises(ValueError, match="medium_index"):
-        RadioMedium(Simulator(), index_mode="quadtree")
-    with pytest.raises(ValueError, match="medium_index"):
-        ScenarioConfig(medium_index="quadtree")
+    """A non-bool ``reference`` fails when the config is built (so
+    campaign expansion catches it), naming the knob the user set."""
+    for bad in ("brute", "false", 0, None):
+        with pytest.raises(ValueError, match="reference"):
+            ScenarioConfig(reference=bad)
 
 
-# ------------------------------------------------- the cross check fires
+# ------------------------------------------------- the checked medium fires
 def _broadcast(medium, sender):
     frame = MacFrame(FrameKind.DATA, MacAddress(sender.node_id), BROADCAST)
     medium.transmit(sender, frame, 1e-4)
@@ -181,30 +182,30 @@ def _corrupt_fanout(monkeypatch, corrupt):
 
 
 def test_cross_check_detects_a_dropped_receiver(monkeypatch):
-    _sim, medium, radios = _static_population(seed=12, n=12, index_mode="cross")
+    _sim, medium, radios = _static_population(seed=12, n=12, medium_class=CheckedMedium)
 
     def drop_last(rows, dx, dy, deliv):
         for column in (rows, dx, dy, deliv):
             del column[-1]
 
     _corrupt_fanout(monkeypatch, drop_last)
-    with pytest.raises(SpatialCoherenceError):
+    with pytest.raises(AssertionError, match="diverged from the brute scan"):
         _broadcast(medium, radios[0])
 
 
 def test_cross_check_detects_a_one_ulp_distance(monkeypatch):
-    _sim, medium, radios = _static_population(seed=12, n=12, index_mode="cross")
+    _sim, medium, radios = _static_population(seed=12, n=12, medium_class=CheckedMedium)
 
     def nudge_first(rows, dx, dy, deliv):
         dx[0] = math.nextafter(dx[0], math.inf)
 
     _corrupt_fanout(monkeypatch, nudge_first)
-    with pytest.raises(SpatialCoherenceError):
+    with pytest.raises(AssertionError, match="diverged from the brute scan"):
         _broadcast(medium, radios[0])
 
 
 def test_cross_check_detects_a_corrupted_memo_hit():
-    _sim, medium, radios = _static_population(seed=12, n=12, index_mode="cross")
+    _sim, medium, radios = _static_population(seed=12, n=12, medium_class=CheckedMedium)
     sender = radios[0]
     _broadcast(medium, sender)  # classifies and stores the memo entry
     _broadcast(medium, sender)  # a clean hit passes
@@ -212,12 +213,12 @@ def test_cross_check_detects_a_corrupted_memo_hit():
     dists = entry[4]
     assert dists, "the sender must reach someone"
     dists[0] = math.nextafter(dists[0], math.inf)
-    with pytest.raises(SpatialCoherenceError):
+    with pytest.raises(AssertionError, match="diverged from the brute scan"):
         _broadcast(medium, sender)
 
 
 # ------------------------------------------------------- scenario level
-def _config(seed: int, index_mode: str, **overrides) -> ScenarioConfig:
+def _config(seed: int, **overrides) -> ScenarioConfig:
     base = dict(
         protocol="agfw",
         num_nodes=16,
@@ -229,67 +230,43 @@ def _config(seed: int, index_mode: str, **overrides) -> ScenarioConfig:
         static=False,
         pause_time=0.0,
         min_speed=5.0,
-        keep_trace=True,
-        medium_index=index_mode,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
 
 
-def _fingerprint(config: ScenarioConfig) -> list:
-    """Trace reduced to the in-process-stable fields (uids are module
-    counters, deliberately exempt — see DET-006)."""
-    scenario = Scenario(config)
-    result = scenario.run()
-    records = [(repr(r.time), r.category, r.node) for r in scenario.tracer.records]
-    assert records, "keep_trace scenario must retain records"
-    return [(result.sent, result.delivered, result.collisions)] + records
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_spatial_modes_trace_identically(seed):
-    prints = [_fingerprint(_config(seed, mode)) for mode in INDEX_MODES]
-    assert prints[0] == prints[1] == prints[2]
-    assert prints[0][0][0] > 0  # the workload actually sent traffic
+def test_spatial_modes_trace_identically(seed, checked_medium):
+    assert assert_reference_matches(_config(seed)).sent > 0  # traffic actually flowed
 
 
 @pytest.mark.parametrize("seed", [6, 7, 8])
-def test_spatial_modes_trace_identically_under_faults(seed):
+def test_spatial_modes_trace_identically_under_faults(seed, checked_medium):
     """Loss + churn exercise down-radio gaps, teleporting recoveries and
     memo invalidation; the array index must still trace identically."""
     plan = FaultPlan.churn(
         range(16), sim_time=6.0, seed=seed, rate=1.0, mean_downtime=1.0
     )
-    prints = [
-        _fingerprint(
-            _config(
-                seed,
-                mode,
-                loss_model="bernoulli",
-                loss_rate=0.15,
-                fault_plan=plan,
-            )
-        )
-        for mode in INDEX_MODES
-    ]
-    assert prints[0] == prints[1] == prints[2]
+    assert_reference_matches(
+        _config(seed, loss_model="bernoulli", loss_rate=0.15, fault_plan=plan)
+    )
 
 
 def test_jobs_pool_identical_across_spatial_modes():
     """--jobs workers pickle configs into subprocesses; the array index
     must survive the trip and produce the exact same sweep points."""
     points = {
-        mode: run_fig1(
+        reference: run_fig1(
             node_counts=(10, 14),
             schemes=("agfw",),
             sim_time=4.0,
             seed=3,
             jobs=2,
-            base=ScenarioConfig(medium_index=mode),
+            base=ScenarioConfig(reference=reference),
         )
-        for mode in ("brute", "grid")
+        for reference in (True, False)
     }
-    assert points["brute"] == points["grid"]
+    assert points[True] == points[False]
 
 
 # --------------------------------------------------- committed benchmark

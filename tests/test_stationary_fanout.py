@@ -25,6 +25,7 @@ from repro.net.medium import RadioMedium
 from repro.net.mobility import RandomWaypointMobility, StaticMobility, WaypointLeg
 from repro.net.phy import PhyRadio
 from repro.sim.engine import Simulator
+from tests.conftest import CheckedMedium, assert_reference_matches
 
 ARENA = Region(0.0, 0.0, 1500.0, 300.0)
 
@@ -164,10 +165,12 @@ def test_window_reopens_after_every_leg_arrives_and_pauses():
     assert second >= 0 and second != first
 
 
-@pytest.mark.parametrize("index_mode", ["grid", "cross"])
-def test_teleport_and_liveness_drop_the_medium_memo(index_mode):
+@pytest.mark.parametrize(
+    "medium_class", [RadioMedium, CheckedMedium], ids=["grid", "cross"]
+)
+def test_teleport_and_liveness_drop_the_medium_memo(medium_class):
     sim = Simulator()
-    medium = RadioMedium(sim, index_mode=index_mode)
+    medium = medium_class(sim)
     radios = [
         PhyRadio(sim, i, medium, StaticMobility(Position(200.0 * i, 0.0))) for i in range(4)
     ]
@@ -194,8 +197,8 @@ def test_teleport_and_liveness_drop_the_medium_memo(index_mode):
 PAUSE_ENDS = 2.0
 
 
-def _config(seed: int, **overrides) -> ScenarioConfig:
-    base = dict(
+def _config(seed: int) -> ScenarioConfig:
+    return ScenarioConfig(
         protocol="agfw",
         num_nodes=16,
         sim_time=5.0,
@@ -204,34 +207,17 @@ def _config(seed: int, **overrides) -> ScenarioConfig:
         num_senders=4,
         seed=seed,
         pause_time=PAUSE_ENDS,
-        keep_trace=True,
     )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def _fingerprint(config: ScenarioConfig) -> list:
-    scenario = Scenario(config)
-    result = scenario.run()
-    records = [(repr(r.time), r.category, r.node) for r in scenario.tracer.records]
-    assert records, "keep_trace scenario must retain records"
-    return [(result.sent, result.delivered, result.collisions)] + records
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_pause_ending_mid_run_traces_identically(seed):
-    variants = [
-        dict(medium_index="grid"),
-        dict(medium_index="cross"),  # re-derives every memo hit too
-        dict(medium_index="brute"),
-    ]
-    prints = [_fingerprint(_config(seed, **variant)) for variant in variants]
-    assert all(p == prints[0] for p in prints[1:])
-    assert prints[0][0][0] > 0  # the workload actually sent traffic
+def test_pause_ending_mid_run_traces_identically(seed, checked_medium):
+    """The checked medium re-derives every memo hit, too."""
+    assert assert_reference_matches(_config(seed)).sent > 0  # traffic actually flowed
 
 
 def test_memo_hits_before_the_first_departure_and_none_after():
-    scenario = Scenario(_config(1, keep_trace=False))
+    scenario = Scenario(_config(1))
     sim, medium = scenario.sim, scenario.medium
     index = medium._aindex
     transmits, fanouts = [], []
