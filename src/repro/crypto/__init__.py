@@ -1,6 +1,6 @@
 """Cryptographic substrate: RSA, ring signatures, certificates, cost model.
 
-Everything is implemented from first principles (Miller-Rabin primes, raw
+Everything is implemented from first principles (provable primes, raw
 modular exponentiation, SHA-256-based symmetric constructions) so the
 protocol's cryptographic code paths are genuinely exercised, while the
 simulator may substitute a calibrated cost model per the paper.

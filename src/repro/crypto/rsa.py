@@ -4,7 +4,7 @@ The paper evaluates with 512-bit RSA ("the size of *trapdoor* does not
 exceed 64-byte since it is obtained from the RSA encryption with a 512-bit
 public key").  This module implements:
 
-* key generation (Miller–Rabin primes, e = 65537),
+* key generation (Shawe–Taylor provable primes, e = 65537),
 * PKCS#1 v1.5-style block encryption (type-2 padding) — one 64-byte block
   for a 512-bit key, matching the paper's trapdoor size,
 * hybrid (KEM/DEM) encryption for payloads beyond one block,

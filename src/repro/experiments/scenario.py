@@ -157,6 +157,15 @@ class ScenarioConfig:
         if not isinstance(self.reference, bool):
             # A campaign axis value such as "false" is truthy.
             raise ValueError(f"reference must be a bool, got {self.reference!r}")
+        if self.aant_ring_size is not None:
+            if self.aant_ring_size < 0:
+                raise ValueError("aant_ring_size must be >= 0")
+            if self.real_crypto and self.aant_ring_size > self.num_nodes - 1:
+                # Real rings draw their decoys from the other nodes'
+                # certificates, so a larger ring cannot be signed at all.
+                raise ValueError(
+                    "aant_ring_size must be <= num_nodes - 1 with real_crypto"
+                )
         validate_loss_model(self.loss_model)
         if self.loss_model == "none" and (self.loss_rate or self.loss_params):
             raise ValueError(
@@ -397,7 +406,9 @@ class Scenario:
                 self.sim, self.nodes, cfg.fault_plan, self.fault_metrics, self.tracer
             )
 
-        if cfg.real_crypto:
+        # Only the AGFW-family routers read node.keystore; GPSR would pay
+        # for a whole PKI's key generation and never touch it.
+        if cfg.real_crypto and cfg.protocol != "gpsr":
             self._provision_pki()
 
         for node in self.nodes:

@@ -138,11 +138,17 @@ def test_bad_reference_fails_at_expansion():
             {"interference_range": [550.0, float("nan")]},
             "interference_range must be positive and finite",
         ),
+        ({"aant_ring_size": [2, -3]}, "aant_ring_size must be >= 0"),
+        (
+            {"num_nodes": [6], "real_crypto": [True], "aant_ring_size": [5, 10]},
+            "aant_ring_size must be <= num_nodes - 1",
+        ),
     ],
 )
 def test_nan_distance_fails_at_expansion(axes, message):
     """TOML admits ``nan``; it must fail while the matrix expands, like a
-    bad backend value, instead of running a silently degenerate point."""
+    bad backend value, instead of running a silently degenerate point.
+    So must a ring size no run could sign with."""
     spec = spec_from_mapping({**SMOKE, "axes": axes})
     with pytest.raises(CampaignSpecError, match=message):
         spec.points()

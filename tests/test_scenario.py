@@ -56,6 +56,14 @@ def test_config_validation():
             ScenarioConfig(flow_locality=value)
         with pytest.raises(ValueError, match="cluster_radius must be positive and finite"):
             ScenarioConfig(placement="clusters", cluster_radius=value)
+    # A bad ring size used to fail only when the first hello was signed.
+    with pytest.raises(ValueError, match="aant_ring_size must be >= 0"):
+        ScenarioConfig(protocol="agfw", num_nodes=6, aant_ring_size=-3)
+    with pytest.raises(ValueError, match="aant_ring_size must be <= num_nodes - 1"):
+        ScenarioConfig(protocol="agfw", num_nodes=6, aant_ring_size=10, real_crypto=True)
+    ScenarioConfig(protocol="agfw", num_nodes=6, aant_ring_size=0)
+    ScenarioConfig(protocol="agfw", num_nodes=6, aant_ring_size=5, real_crypto=True)
+    ScenarioConfig(protocol="agfw", num_nodes=6, aant_ring_size=10)  # modeled ring
 
 
 def test_clustered_placement_confines_nodes():
@@ -173,6 +181,23 @@ def test_real_crypto_scenario_end_to_end():
     )
     # 20 random nodes in 1500x300 m is still sparse: expect most, not all.
     assert result.delivery_fraction > 0.5
+
+
+def test_gpsr_real_crypto_builds_no_pki():
+    """GPSR never reads node.keystore, so real_crypto must not pay for a
+    CA and its key generation, and must not change the run."""
+
+    def outcome(real_crypto):
+        scenario = Scenario(_short("gpsr", sim_time=4.0, real_crypto=real_crypto))
+        assert scenario.ca is None
+        assert all(node.keystore is None for node in scenario.nodes)
+        r = scenario.run()
+        return (
+            r.sent, r.delivered, r.mean_latency, r.frames_on_air, r.collisions,
+            vars(r.router_totals), r.bytes_by_kind, r.frames_by_kind,
+        )
+
+    assert outcome(True) == outcome(False)
 
 
 def test_modeled_crypto_creates_no_trapdoor_stream():
