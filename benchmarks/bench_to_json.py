@@ -20,16 +20,13 @@ Output schema (``schema_version`` 1)::
 
     {
       "schema_version": 1,
-      "suite": "substrate" | "crypto" | ... | "shard",
+      "suite": "substrate" | "crypto" | ... | "campaign",
       "benchmarks": {"<name>": {"mean_s": ..., "stddev_s": ..., "rounds": ...,
                                 "extra_info": {...}}},   # only when recorded
       "derived": {"<metric>": <numerator / denominator>}
     }
 
-A derived metric's numerator/denominator is a benchmark's mean by
-default; a ``["<name>", "<key>"]`` spec reads ``extra_info["<key>"]``
-instead (the shard suite derives its speedups from CPU-time
-measurements the benchmarks record, not from wall-clock means).
+A derived metric's numerator/denominator is a benchmark's mean.
 
 Absolute means are hardware-dependent; the *ratios* (the derived
 speedups and the regression comparison) are what the numbers are for.
@@ -65,14 +62,6 @@ Suites:
   cold (empty store) vs warm (pre-filled store); derived
   ``campaign_warm_cache_speedup`` (acceptance floor: 10x — reruns of a
   completed campaign must be effectively free).
-* ``shard`` — sharded execution (PR 8, scaled up in PR 9): clustered
-  community scenarios at 150/600/2000 nodes vs 4 column shards plus a
-  10000-node point vs 8 shards; derived ``shard4_speedup_<n>_nodes``
-  and ``shard8_speedup_10000_nodes`` = engine CPU seconds over the
-  sharded run's critical path (floors: 2x at 600 nodes, 4x at 10000),
-  and ``shard4_ipc_messages_per_round_2000_nodes`` (floor: <= 8 — the
-  round protocol's 2 messages per shard per round, the promise riding
-  each reply).
 """
 
 from __future__ import annotations
@@ -164,34 +153,6 @@ SUITES: dict[str, dict] = {
             ),
         },
     },
-    "shard": {
-        "file": "bench_shard.py",
-        "derived": {
-            "shard4_speedup_150_nodes": (
-                ("test_shard_scenario[engine-150]", "cpu_seconds"),
-                ("test_shard_scenario[shards4-150]", "critical_path_seconds"),
-            ),
-            "shard4_speedup_600_nodes": (
-                ("test_shard_scenario[engine-600]", "cpu_seconds"),
-                ("test_shard_scenario[shards4-600]", "critical_path_seconds"),
-            ),
-            "shard4_speedup_2000_nodes": (
-                ("test_shard_scenario[engine-2000]", "cpu_seconds"),
-                ("test_shard_scenario[shards4-2000]", "critical_path_seconds"),
-            ),
-            "shard8_speedup_10000_nodes": (
-                ("test_shard_scenario[engine-10000]", "cpu_seconds"),
-                ("test_shard_scenario[shards8-10000]", "critical_path_seconds"),
-            ),
-            # Not a ratio: the literal denominator publishes the raw
-            # IPC economy so the round-protocol floor (<= 2*2*shards
-            # messages per round) is pinnable from the committed file.
-            "shard4_ipc_messages_per_round_2000_nodes": (
-                ("test_shard_scenario[shards4-2000]", "ipc_messages_per_round"),
-                1,
-            ),
-        },
-    },
     "campaign": {
         "file": "bench_campaign.py",
         "derived": {
@@ -234,24 +195,9 @@ def run_suite(pytest_args: list[str] | None = None, suite: str = "substrate") ->
         return json.loads(raw_path.read_text(encoding="utf-8"))
 
 
-def _metric_value(benchmarks: dict, spec) -> float | None:
-    """Resolve one side of a derived ratio.
-
-    A plain benchmark name reads that benchmark's mean; a
-    ``(name, key)`` pair reads ``extra_info[key]`` — for suites whose
-    meaningful number is a measurement the benchmark records rather
-    than the wall-clock mean (the shard suite's CPU times).  A numeric
-    literal is itself — used as a denominator of 1 to publish a raw
-    recorded value (the shard suite's IPC messages per round) through
-    the derived table.
-    """
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    if isinstance(spec, (list, tuple)):
-        name, key = spec
-        entry = benchmarks.get(name)
-        return entry.get("extra_info", {}).get(key) if entry else None
-    entry = benchmarks.get(spec)
+def _metric_value(benchmarks: dict, name: str) -> float | None:
+    """One side of a derived ratio: the named benchmark's mean."""
+    entry = benchmarks.get(name)
     return entry["mean_s"] if entry else None
 
 

@@ -34,9 +34,8 @@ DET-010     address-dependent values: builtin ``id()`` as data, or
             address and differs across runs/processes (the
             ``Trapdoor.ref_bytes`` fallback bug class fixed in PR 5)
 DET-011     module-level mutable containers (``[]``, ``set()``,
-            ``bytearray()``, ``deque()``) — state that forks into
-            divergent per-process copies under the sharded-simulation
-            roadmap item and silently desynchronizes shards
+            ``bytearray()``, ``deque()``) — state that leaks from one
+            sweep point into the next one a ``--jobs`` pool worker runs
 DET-012     unsorted filesystem enumeration (``os.listdir``, ``glob``,
             ``Path.glob/rglob/iterdir``) — directory order is
             filesystem-dependent, so any derived ordering differs
@@ -48,18 +47,12 @@ DET-013     numpy determinism escapes in the vectorized hot core:
             (quicksort tie order is value-address dependent), and
             ``np.unique(..., return_index=True)`` (first-occurrence
             indices among equal keys inherit the unstable sort)
-DET-014     nondeterministic multiprocessing patterns under the sharded
-            engine: unordered iteration over shard/queue-shaped dicts
-            inside scheduler-feeding functions, per-process identity
-            (``os.getpid()``) or wall timers leaking into simulation
-            state, and iteration over sets that crossed a pickle
-            boundary (worker pipes, queues)
-DET-015     writes to shared-memory-backed arrays — ``np.ndarray``
-            views over a ``SharedMemory`` buffer, aliases of them, and
-            the ``ShardPlane._fields``/``_epochs`` internals — anywhere
-            but ``ShardPlane.__init__``/``publish_legs``: the
-            epoch-barrier publication helper is the only write site
-            whose ordering the shard protocol proves race-free
+DET-014     nondeterministic multiprocessing patterns around the
+            ``--jobs`` process pool: unordered iteration over
+            worker/queue-shaped dicts inside scheduler-feeding
+            functions, per-process identity (``os.getpid()``) or wall
+            timers leaking into simulation state, and iteration over
+            sets that crossed a pickle boundary (worker pipes, queues)
 ==========  ===========================================================
 
 DET-009 only fires when the engine runs interprocedurally (it needs the
@@ -89,7 +82,6 @@ __all__ = [
     "UnsortedFilesystemEnumeration",
     "NumpyDeterminismEscape",
     "MultiprocessingOrderEscape",
-    "SharedPlaneWriteEscape",
 ]
 
 #: ``random`` module functions that draw from (or reseed) the global stream.
@@ -846,12 +838,6 @@ class AddressDependentValue(Rule):
     )
     exempt_paths = (
         "analysis/*",  # id(node) as AST-lifetime dict identity keys only
-        # KeyCodec memoizes canonical key nodes by identity (the nodes are
-        # pinned for the codec's lifetime); ids never cross the pipe, reach
-        # trace output, or order anything — the wire format carries table
-        # indices only, and cross-process equivalence is proven by the
-        # shard_mode="cross" suite.
-        "sim/shard/keycodec.py",
         "tests/*",
         "test_*.py",
         "conftest.py",
@@ -903,26 +889,28 @@ _MUTABLE_CONTAINER_CONSTRUCTORS = frozenset({"list", "set", "bytearray", "deque"
 
 @register
 class ModuleLevelMutableState(Rule):
-    """DET-011: module-level mutable containers vs. the sharding roadmap.
+    """DET-011: module-level mutable containers vs. the ``--jobs`` pool.
 
-    The roadmap's sharded distributed simulation runs node partitions in
-    separate worker processes.  A module-level list/set accumulates
-    state per *process*: each shard gets its own copy, the copies
-    diverge, and behavior that silently depended on that state stops
-    being a pure function of the master seed — the multi-process
-    generalization of DET-006/007.  Flagged: *empty* mutable containers
-    bound at module scope (``_pending = []``, ``_seen = set()``,
-    ``deque()``, ``bytearray()``).  Populated literals pass — they are
-    constant tables.  Hold working state on the Simulator-owned object
-    instead, where the shard protocol can replicate it explicitly.
+    Sweeps fan their points over a process pool
+    (:mod:`repro.experiments.parallel`, :mod:`repro.campaign.executor`),
+    and one pool worker runs several points in turn.  A module-level
+    list/set outlives the point that filled it: the next point in that
+    worker starts with its leftovers, so a point's result depends on
+    which points happened to run before it in the same process — and
+    ``--jobs 1`` and ``--jobs 4`` disagree.  The container-shaped
+    sibling of DET-006/007.  Flagged: *empty* mutable containers bound
+    at module scope (``_pending = []``, ``_seen = set()``, ``deque()``,
+    ``bytearray()``).  Populated literals pass — they are constant
+    tables.  Hold working state on a Simulator-owned object instead,
+    which every point builds afresh.
     """
 
     id = "DET-011"
     name = "module-level-mutable-state"
     rationale = (
-        "Module-level mutable containers become divergent per-process "
-        "copies under sharded simulation; working state must live on "
-        "Simulator-owned objects the shard protocol replicates."
+        "Module-level mutable containers outlive the sweep point that "
+        "filled them and leak into the next point a pool worker runs; "
+        "working state must live on Simulator-owned objects built per point."
     )
     exempt_paths = ("tests/*", "test_*.py", "conftest.py", "benchmarks/*")
 
@@ -944,9 +932,9 @@ class ModuleLevelMutableState(Rule):
             yield self.finding(
                 module,
                 stmt,
-                f"module-level mutable container '{names}' forks into "
-                "divergent per-process copies under sharded simulation; "
-                "hold working state on a Simulator-owned object",
+                f"module-level mutable container '{names}' leaks state "
+                "between the points one pool worker runs; hold working "
+                "state on a Simulator-owned object",
             )
 
     @staticmethod
@@ -1170,13 +1158,13 @@ class NumpyDeterminismEscape(Rule):
         return False
 
 
-#: Names whose dicts look like per-process shard plumbing.
-_SHARD_DICT_HINT = re.compile(
-    r"shard|worker|queue|pending|inbox|mailbox|ghost|conn", re.IGNORECASE
+#: Names whose dicts look like per-process worker plumbing.
+_WORKER_DICT_HINT = re.compile(
+    r"shard|worker|queue|pending|inbox|mailbox|conn", re.IGNORECASE
 )
 
 #: Terminal call names that feed the event scheduler (or an ordered
-#: merge of per-shard streams) from a loop body.
+#: merge of per-worker streams) from a loop body.
 _SCHEDULER_SINKS = frozenset(
     {"schedule", "schedule_at", "call_later", "emit", "heappush", "heapreplace", "merge"}
 )
@@ -1190,7 +1178,7 @@ _WALL_TIMERS = frozenset(
     }
 )
 
-#: Per-process identity calls — different in every shard worker.
+#: Per-process identity calls — different in every pool worker.
 _PROCESS_IDENTITY = {
     ("os", "getpid"): "os.getpid()",
     ("os", "getppid"): "os.getppid()",
@@ -1266,15 +1254,17 @@ def _function_scopes(tree: ast.Module) -> Iterator[Tuple[ast.AST, List[ast.AST]]
 
 @register
 class MultiprocessingOrderEscape(Rule):
-    """DET-014: nondeterminism sneaking in through the shard boundary.
+    """DET-014: nondeterminism sneaking in through a process boundary.
 
-    The sharded engine (:mod:`repro.sim.shard`) moves simulation state
-    across process boundaries; three patterns silently break the
-    byte-identical guarantee there:
+    The ``--jobs`` pool (:mod:`repro.experiments.parallel`,
+    :mod:`repro.campaign.executor`) runs sweep points in worker
+    processes and ships configs and results across pickle pipes, and
+    output must be byte-identical for any job count.  Three patterns
+    silently break that:
 
-    * **shard/queue dict iteration feeding the scheduler** — a dict
-      populated per-process (ghost buffers, per-shard queues, worker
-      connection maps) preserves *its own* insertion order, which is
+    * **worker/queue dict iteration feeding the scheduler** — a dict
+      populated per-process (per-worker queues, worker connection
+      maps) preserves *its own* insertion order, which is
       message-arrival order, not simulation order.  A loop over such a
       dict that reaches ``schedule``/``emit``/``heappush``/``merge``
       replays arrival order into the event queue — iterate
@@ -1283,9 +1273,10 @@ class MultiprocessingOrderEscape(Rule):
       et al. differ in every worker, and wall timers
       (``time.monotonic``...) differ between any two runs; either one
       assigned onto an object attribute (or passed to a scheduling
-      call) forks shard state the single engine never sees.  Local
-      wallclock measurement (``t0 = time.perf_counter()``) stays legal:
-      measuring a run is fine, feeding the measurement back in is not;
+      call) makes a point's result depend on where and when it ran.
+      Local wallclock measurement (``t0 = time.perf_counter()``) stays
+      legal: measuring a run is fine, feeding the measurement back in
+      is not;
     * **unpickled-set iteration** — a set rehydrated by ``pickle`` on
       the far side of a worker pipe is re-inserted element-by-element
       into a fresh table under the *receiving* process's hash seed, so
@@ -1297,14 +1288,14 @@ class MultiprocessingOrderEscape(Rule):
     name = "multiprocessing-order-escape"
     rationale = (
         "Per-process insertion order, process identity, wall timers, and "
-        "rehydrated-set layout all differ between shard workers; any of "
-        "them reaching the scheduler desynchronizes shards from the "
-        "single-engine trace."
+        "rehydrated-set layout all differ between pool workers; any of "
+        "them reaching the simulation makes a point's result depend on "
+        "the worker that ran it."
     )
     exempt_paths = ("tests/*", "test_*.py", "conftest.py")
 
     def check(self, module: ModuleContext, project: ProjectContext) -> Iterator[Finding]:
-        shardish_dicts = self._shardish_dict_symbols(module.tree)
+        worker_dicts = self._worker_dict_symbols(module.tree)
         unpickled = self._unpickled_symbols(module)
         set_typed: Set[str] = set()
         for node in ast.walk(module.tree):
@@ -1326,7 +1317,7 @@ class MultiprocessingOrderEscape(Rule):
                 elif isinstance(n, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                     iters.extend(comp.iter for comp in n.generators)
                 for it in iters:
-                    if has_sink and self._is_shardish_dict_iter(it, shardish_dicts):
+                    if has_sink and self._is_worker_dict_iter(it, worker_dicts):
                         yield self.finding(
                             module,
                             it,
@@ -1354,8 +1345,8 @@ class MultiprocessingOrderEscape(Rule):
                         module,
                         node,
                         f"{label} is per-process identity — it differs in "
-                        "every shard worker; derive identity from the shard "
-                        "index in the config instead",
+                        "every pool worker; derive identity from the point's "
+                        "config instead",
                     )
             elif isinstance(node, ast.Assign) and self._is_wall_timer(module, node.value):
                 if any(isinstance(t, ast.Attribute) for t in node.targets):
@@ -1385,7 +1376,7 @@ class MultiprocessingOrderEscape(Rule):
 
     # -------------------------------------------------------------- helpers
     @staticmethod
-    def _shardish_dict_symbols(tree: ast.Module) -> Set[str]:
+    def _worker_dict_symbols(tree: ast.Module) -> Set[str]:
         symbols: Set[str] = set()
         for node in ast.walk(tree):
             targets: Tuple[ast.AST, ...] = ()
@@ -1395,7 +1386,7 @@ class MultiprocessingOrderEscape(Rule):
                 targets = tuple(node.targets)
             for target in targets:
                 key = _symbol_key(target)
-                if key is not None and _SHARD_DICT_HINT.search(key):
+                if key is not None and _WORKER_DICT_HINT.search(key):
                     symbols.add(key)
         return symbols
 
@@ -1406,7 +1397,7 @@ class MultiprocessingOrderEscape(Rule):
         return _symbol_key(it) or "<dict>"
 
     @staticmethod
-    def _is_shardish_dict_iter(it: ast.AST, symbols: Set[str]) -> bool:
+    def _is_worker_dict_iter(it: ast.AST, symbols: Set[str]) -> bool:
         if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute):
             if it.func.attr in {"values", "items", "keys"}:
                 it = it.func.value
@@ -1472,202 +1463,3 @@ class MultiprocessingOrderEscape(Rule):
             return False
         target = _resolve_call_target(module, value.func)
         return target is not None and target[0] == "time" and target[1] in _WALL_TIMERS
-
-
-#: ``ShardPlane`` internals: a subscript store through
-#: ``<...>plane._fields[...]`` / ``._epochs[...]`` is a plane write even
-#: in modules that never constructed the views themselves.
-_PLANE_INTERNALS = frozenset({"_fields", "_epochs"})
-
-#: Symbol-name hint marking an object as a shard plane (``plane``,
-#: ``self.plane``, ``self._plane`` ...) for the attribute-chain check.
-_PLANE_NAME_HINT = re.compile(r"plane", re.IGNORECASE)
-
-#: ndarray methods that mutate the array in place.
-_NDARRAY_MUTATORS = frozenset({"fill", "sort", "partition", "put", "itemset", "resize"})
-
-
-@register
-class SharedPlaneWriteEscape(Rule):
-    """DET-015: shared-memory array writes outside the publication helper.
-
-    The shared position plane (:mod:`repro.sim.shard.shmplane`) is
-    race-free by *protocol*, not by locking: shard ``i`` writes only its
-    owned rows, only from :meth:`ShardPlane.publish_legs`, strictly
-    before sending its round reply, and the coordinator reads only after
-    receiving that reply — the pipe message is the happens-before edge.
-    A write from any other site has no such edge; it can interleave with
-    a coordinator read (torn position resolution, silent trace
-    divergence) or with another shard's publication.  Flagged shapes:
-
-    * a subscript store / augmented store into an ``np.ndarray`` view
-      constructed over a shared buffer (``np.ndarray(..., buffer=...)``),
-      into an alias of one, or into a container that holds them;
-    * the same store through :class:`ShardPlane` internals reached from
-      outside — ``plane._fields["ox"][ids] = ...`` or
-      ``self.plane._epochs[i] = ...``;
-    * in-place ndarray mutators (``.fill``/``.sort``/``.put``...) and
-      ``np.copyto(dst, ...)`` aimed at any of the above.
-
-    The two sanctioned sites are ``ShardPlane.__init__`` (pre-fork
-    initialisation — no reader exists yet) and
-    ``ShardPlane.publish_legs`` (the epoch-barrier helper).  Everything
-    else must hand rows to ``publish_legs`` instead.
-    """
-
-    id = "DET-015"
-    name = "shared-plane-write-escape"
-    rationale = (
-        "The shared position plane is race-free only because every write "
-        "goes through the epoch-barrier publication helper before the "
-        "worker's round reply; a write anywhere else has no "
-        "happens-before edge to the coordinator's reads and can tear a "
-        "position resolution or desynchronize shards."
-    )
-    exempt_paths = ("tests/*", "test_*.py", "conftest.py")
-
-    _SANCTUARY_CLASS = "ShardPlane"
-    _SANCTUARY_FUNCS = frozenset({"__init__", "publish_legs"})
-
-    def check(self, module: ModuleContext, project: ProjectContext) -> Iterator[Finding]:
-        backed, containers = self._shm_symbols(module.tree)
-        for node in ast.walk(module.tree):
-            targets: Tuple[ast.AST, ...] = ()
-            if isinstance(node, ast.Assign):
-                targets = tuple(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = (node.target,)
-            for target in targets:
-                if not isinstance(target, ast.Subscript):
-                    continue
-                if self._is_plane_expr(target.value, backed, containers):
-                    if not self._in_sanctuary(module, node):
-                        yield self.finding(
-                            module,
-                            node,
-                            f"write to shared-memory-backed array "
-                            f"'{self._label(target.value)}' outside "
-                            "ShardPlane.publish_legs; plane rows may only "
-                            "be published through the epoch-barrier helper",
-                        )
-                    break
-            if not isinstance(node, ast.Call):
-                continue
-            victim: Optional[ast.AST] = None
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _NDARRAY_MUTATORS
-                and self._is_plane_expr(node.func.value, backed, containers)
-            ):
-                victim = node.func.value
-            elif (
-                _terminal_identifier(node.func) == "copyto"
-                and node.args
-                and self._is_plane_expr(node.args[0], backed, containers)
-            ):
-                victim = node.args[0]
-            if victim is not None and not self._in_sanctuary(module, node):
-                yield self.finding(
-                    module,
-                    node,
-                    f"in-place mutation of shared-memory-backed array "
-                    f"'{self._label(victim)}' outside "
-                    "ShardPlane.publish_legs; plane rows may only be "
-                    "published through the epoch-barrier helper",
-                )
-
-    # -------------------------------------------------------------- helpers
-    @staticmethod
-    def _shm_symbols(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
-        """``(backed, containers)`` symbol keys, to an alias fixpoint.
-
-        ``backed`` holds symbols bound to an ndarray view over a shared
-        buffer (``np.ndarray(..., buffer=...)``) or aliased from one;
-        ``containers`` holds symbols that had a backed value stored under
-        a subscript (``self._fields[field] = view``) or were aliased
-        from such a container (``fields = self._fields``).
-        """
-        backed: Set[str] = set()
-        containers: Set[str] = set()
-        for _ in range(4):  # alias chains are short; 4 passes reach fixpoint
-            grew = len(backed) + len(containers)
-            for node in ast.walk(tree):
-                targets: Tuple[ast.AST, ...] = ()
-                value: Optional[ast.AST] = None
-                if isinstance(node, ast.Assign):
-                    targets, value = tuple(node.targets), node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    targets, value = (node.target,), node.value
-                if value is None:
-                    continue
-                value_key = _symbol_key(value)
-                is_view = (
-                    isinstance(value, ast.Call)
-                    and _terminal_identifier(value.func) == "ndarray"
-                    and any(kw.arg == "buffer" for kw in value.keywords)
-                )
-                for target in targets:
-                    if isinstance(target, ast.Subscript):
-                        # ``cont[key] = view`` marks ``cont`` as a container.
-                        cont_key = _symbol_key(target.value)
-                        if cont_key is not None and (
-                            is_view or (value_key is not None and value_key in backed)
-                        ):
-                            containers.add(cont_key)
-                        continue
-                    key = _symbol_key(target)
-                    if key is None:
-                        continue
-                    if is_view or (value_key is not None and value_key in backed):
-                        backed.add(key)
-                    elif value_key is not None and value_key in containers:
-                        containers.add(key)
-            if len(backed) + len(containers) == grew:
-                break
-        return backed, containers
-
-    @staticmethod
-    def _is_plane_expr(expr: ast.AST, backed: Set[str], containers: Set[str]) -> bool:
-        """Is ``expr`` a shared-memory-backed array (or a row of one)?"""
-        while isinstance(expr, ast.Subscript):
-            base_key = _symbol_key(expr.value)
-            if base_key is not None and base_key in containers:
-                return True
-            expr = expr.value
-        # A bare container symbol is the dict *holding* views, not a
-        # view: ``cont[k] = view`` is a dict store and passes; only a
-        # deeper subscript (``cont[k][ids] = ...``) reaches the array.
-        key = _symbol_key(expr)
-        if key is not None and key in backed:
-            return True
-        # ShardPlane internals reached from outside the class:
-        # ``plane._fields`` / ``self.plane._epochs``.
-        if isinstance(expr, ast.Attribute) and expr.attr in _PLANE_INTERNALS:
-            root = expr.value
-            label = _symbol_key(root) or _terminal_identifier(root) or ""
-            if isinstance(root, ast.Attribute) and _symbol_key(root) is None:
-                label = root.attr
-            return bool(_PLANE_NAME_HINT.search(label))
-        return False
-
-    def _in_sanctuary(self, module: ModuleContext, node: ast.AST) -> bool:
-        """Is ``node`` inside ``ShardPlane.__init__``/``publish_legs``?"""
-        func: Optional[ast.AST] = None
-        cur: Optional[ast.AST] = node
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)) and func is None:
-                func = cur
-            elif isinstance(cur, ast.ClassDef):
-                return (
-                    func is not None
-                    and cur.name == self._SANCTUARY_CLASS
-                    and func.name in self._SANCTUARY_FUNCS
-                )
-            cur = module.parent_of(cur)
-        return False
-
-    @staticmethod
-    def _label(expr: ast.AST) -> str:
-        while isinstance(expr, ast.Subscript):
-            expr = expr.value
-        return _symbol_key(expr) or _terminal_identifier(expr) or "<array>"

@@ -14,9 +14,10 @@ salt)``.  The three ingredients of the key:
 * **code-relevant version salt** — :data:`RESULT_SALT`.  Bump it when a
   change alters what a stored record *means* (simulation outcomes, the
   record schema, metric definitions); every old cache entry then misses
-  and reruns.  Pure performance work (sharding, pooling, vectorization)
-  is proven trace-invariant by the ``cross`` modes and does NOT bump the
-  salt — that invariance is exactly what makes the cache safe.
+  and reruns.  Pure performance work (pooling, vectorization, memos) is
+  proven trace-invariant against ``reference=True`` runs by the test
+  suite and does NOT bump the salt — that invariance is exactly what
+  makes the cache safe.
 
 The digest is stable across process restarts, ``--jobs`` pool workers,
 and machines: it reads no filesystem state, no wall clock, and no

@@ -131,8 +131,7 @@ def run_campaign(
     """Fill the store with every missing point of ``spec``'s matrix.
 
     Completed points are cache hits and never rerun; only the missing
-    cells execute, fanned over ``jobs`` processes (each point may
-    additionally shard itself — ``parallel_map`` clamps the product).
+    cells execute, fanned over ``jobs`` processes.
     Safe to interrupt and re-invoke: the call converges on the complete
     matrix across any number of partial runs.
     """
@@ -143,12 +142,10 @@ def run_campaign(
         f"points cached, executing {len(missing)}"
     )
     if missing:
-        template = spec.points()[0].config
         parallel_map(
             _execute_point,
             [(digest, str(store.root), point) for point, digest in missing],
             jobs=jobs,
-            shards=template.shards if template.shard_mode == "on" else 1,
             describe=lambda item: item[2].label,
         )
     return RunSummary(

@@ -75,7 +75,7 @@ METRIC_NAMES: Tuple[str, ...] = (
 SPECIAL_KEYS = ("churn_rate", "churn_downtime")
 
 #: ScenarioConfig fields whose TOML/JSON list form must become a tuple.
-_TUPLE_FIELDS = frozenset({"traffic_start", "teleports", "shard_boundaries"})
+_TUPLE_FIELDS = frozenset({"traffic_start", "teleports"})
 
 #: Fields a spec may never set directly: the campaign owns seeding
 #: (``seed`` derives per point) and plans come from the churn keys.

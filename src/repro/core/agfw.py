@@ -40,7 +40,6 @@ from repro.net.addresses import BROADCAST
 from repro.net.mac.frames import MacFrame
 from repro.net.packet import Packet
 from repro.routing.base import BaseRouter
-from repro.sim.engine import PURE_ACTOR
 
 __all__ = ["AntHello", "AgfwData", "AgfwAck", "AgfwRouter"]
 
@@ -184,12 +183,7 @@ class AgfwRouter(BaseRouter):
 
     def _purge_tick(self) -> None:
         self.ant.purge(self.sim.now)
-        # PURE: ANT expiry drops table entries and can never lead to a
-        # transmission, so the sharded promise scan skips the tick chain.
-        self.sim.schedule(
-            self.config.beacon_interval, self._purge_tick, name="agfw.purge",
-            actor=PURE_ACTOR,
-        )
+        self.sim.schedule(self.config.beacon_interval, self._purge_tick, name="agfw.purge")
 
     # ------------------------------------------------------ lifecycle faults
     def on_fault_down(self) -> None:

@@ -159,7 +159,6 @@ def run_faults_sweep(
         _run_fault_point,
         items,
         jobs=jobs,
-        shards=template.shards if template.shard_mode == "on" else 1,
         describe=lambda it: f"faults:{it[0]}:{it[2].protocol}:{it[1]}:seed={it[2].seed}",
     )
 

@@ -123,7 +123,6 @@ def run_fig1(
         _run_fig1_point,
         configs,
         jobs=jobs,
-        shards=template.shards if template.shard_mode == "on" else 1,
         describe=lambda c: f"fig1:{c.protocol}:n={c.num_nodes}:seed={c.seed}",
     )
 

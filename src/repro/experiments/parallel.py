@@ -39,8 +39,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from repro.sim.shard.driver import effective_jobs
-
 __all__ = ["parallel_map", "WorkerCrashError"]
 
 T = TypeVar("T")
@@ -77,7 +75,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     jobs: int = 1,
-    shards: int = 1,
     describe: Optional[Callable[[T], str]] = None,
 ) -> List[R]:
     """``[fn(x) for x in items]``, fanned over ``jobs`` processes.
@@ -87,15 +84,6 @@ def parallel_map(
     formatting for any ``jobs`` value.  ``jobs <= 1`` (or fewer than two
     items) runs inline in this process.
 
-    ``shards`` declares how many worker processes each *point* spawns on
-    its own (``shard_mode="on"`` runs).  The pool is clamped so the
-    grand total ``pool x shards`` never exceeds ``os.cpu_count()``;
-    precedence is documented on
-    :func:`repro.sim.shard.driver.effective_jobs` (the per-run shard
-    count always wins, the sweep pool gives way).  Clamping only changes
-    the degree of parallelism, never results: points are order-preserved
-    and independent for any pool size.
-
     ``describe`` maps an item to a short identity string ("scheme/n=150/
     seed=7") used in :class:`WorkerCrashError` when a worker dies hard;
     the default is a truncated ``repr``.  It is only called in the
@@ -103,8 +91,6 @@ def parallel_map(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if shards > 1:
-        jobs = effective_jobs(jobs, shards)
     items = list(items)
     if jobs == 1 or len(items) < 2:
         return [fn(item) for item in items]

@@ -35,8 +35,6 @@ from repro.experiments.overhead import (
 )
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.security import format_exposure, run_exposure_experiment
-from repro.sim.shard import SHARD_MODES
-from repro.sim.shard.driver import effective_jobs
 
 __all__ = ["main"]
 
@@ -61,30 +59,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="worker processes for independent experiment points "
         "(output is byte-identical for any value)",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=SHARD_MODES,
-        default="off",
-        help="sharded execution: off (single engine, default), on "
-        "(column shards in worker processes), or cross (sharded + "
-        "single engine side by side, asserting byte-identical traces); "
-        "output is byte-identical for any value",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="column shards per run when --shard-mode is not off; the "
-        "--jobs pool is clamped so jobs x shards never exceeds the "
-        "machine (shards win — a sharded run is one coherent unit)",
-    )
-    parser.add_argument(
-        "--shard-adaptive",
-        action="store_true",
-        help="rebalance column boundaries from a calibration prefix "
-        "(deterministic per-shard executed-event counts) before the "
-        "real run; output is byte-identical either way",
     )
     parser.add_argument(
         "--profile",
@@ -143,15 +117,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--fault-churn takes RATE [MEAN_DOWNTIME]")
         churn = (args.fault_churn[0], args.fault_churn[1] if len(args.fault_churn) == 2 else None)
 
-    if args.shard_mode != "off":
-        capped = effective_jobs(args.jobs, args.shards)
-        if capped != args.jobs:
-            print(
-                f"[jobs] clamped --jobs {args.jobs} -> {capped} so "
-                f"{args.shards} shards per run never oversubscribe the machine"
-            )
-        args.jobs = capped
-
     sim_time = args.sim_time if args.sim_time is not None else (900.0 if args.full else 20.0)
     counts = tuple(args.nodes) if args.nodes else (
         DEFAULT_NODE_COUNTS if args.full else (50, 100, 112, 150)
@@ -193,13 +158,7 @@ def _run_experiments(args, sim_time: float, counts: tuple, churn) -> None:
             sim_time=sim_time,
             seed=args.seed,
             jobs=args.jobs,
-            base=ScenarioConfig(
-                shard_mode=args.shard_mode,
-                shards=args.shards,
-                shard_adaptive=args.shard_adaptive,
-                loss_model=args.loss_model,
-                loss_rate=args.loss_rate,
-            ),
+            base=ScenarioConfig(loss_model=args.loss_model, loss_rate=args.loss_rate),
             churn=churn,
         )
         print(format_fig1a(points))
@@ -233,11 +192,7 @@ def _run_experiments(args, sim_time: float, counts: tuple, churn) -> None:
             sim_time=fault_time,
             seed=args.seed,
             jobs=args.jobs,
-            base=ScenarioConfig(
-                shard_mode=args.shard_mode,
-                shards=args.shards,
-                shard_adaptive=args.shard_adaptive,
-            ),
+            base=ScenarioConfig(),
         )
         print(format_faults_sweep(fault_points))
         print()

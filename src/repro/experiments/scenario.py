@@ -39,7 +39,6 @@ from repro.net.node import Node
 from repro.routing.base import RouterStats
 from repro.routing.gpsr import GpsrConfig, GpsrRouter
 from repro.sim.engine import Simulator
-from repro.sim.shard import validate_shard_mode
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 from repro.traffic.cbr import CbrSource
@@ -62,30 +61,10 @@ class ScenarioConfig:
     interference_range: float = 550.0
     sim_time: float = 900.0
     seed: int = 1
-    # The proof oracle: brute-scan fan-out with no fan-out memo, no
-    # crypto memo and no shard position plane.  Traces identically to
-    # the default fast paths by construction; see repro.net.medium,
-    # repro.crypto.cache and repro.sim.shard.
+    # The proof oracle: brute-scan fan-out with no fan-out memo and no
+    # crypto memo.  Traces identically to the default fast paths by
+    # construction; see repro.net.medium and repro.crypto.cache.
     reference: bool = False
-    # Sharded execution: "off" (single engine, default), "on" (column
-    # shards, one engine per shard in a worker process, conservative
-    # window synchronization), or "cross" (sharded inline + single engine
-    # side by side, raising ShardCoherenceError on the first trace
-    # divergence).  See repro.sim.shard.
-    shard_mode: str = "off"
-    # Number of column shards when shard_mode != "off".
-    shards: int = 2
-    # Explicit inner column boundaries (shards - 1 strictly increasing
-    # x positions), e.g. from committed calibration stats.  None keeps
-    # equal-width columns.  Trace-invariant: ownership moves between
-    # shards but the merged trace is a pure function of config + seed.
-    shard_boundaries: Optional[tuple] = None
-    # Derive boundaries automatically from a calibration prefix run
-    # (per-shard executed-event counts — deterministic, unlike busy CPU
-    # seconds), then rebuild and run from t=0 with the derived splits.
-    shard_adaptive: bool = False
-    # Fraction of sim_time the calibration prefix covers.
-    shard_calibration: float = 0.1
 
     # Mobility (paper defaults); static=True pins nodes for debugging.
     min_speed: float = 1.0
@@ -97,9 +76,8 @@ class ScenarioConfig:
     # field) or "clusters" (node_id % num_clusters picks one of
     # num_clusters equally spaced vertical bands; the node starts — and
     # keeps all its waypoints — within cluster_radius of that band's
-    # center line).  The community model for sharded-execution studies:
-    # clusters much narrower than their pitch leave radio-silent border
-    # corridors between shard columns.
+    # center line).  Dense communities with radio-silent corridors
+    # between them: the large mobile arena of the e2e benchmark.
     placement: str = "uniform"
     num_clusters: int = 8
     cluster_radius: float = 400.0
@@ -137,7 +115,7 @@ class ScenarioConfig:
     # ships through --jobs pools); None = no lifecycle faults.
     fault_plan: Optional[FaultPlan] = None
     # Scripted teleports: (time, node_id, x, y) tuples applied as normal
-    # simulation events (deterministic, replicated in sharded runs).
+    # simulation events, in canonical (time, node_id) order.
     # Requires static=True — waypoint mobility owns its own trajectory.
     teleports: tuple = ()
 
@@ -150,10 +128,22 @@ class ScenarioConfig:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
         if self.num_nodes < 2:
             raise ValueError("need at least two nodes")
-        for name in ("sim_time", "radio_range", "interference_range"):
+        for name in (
+            "sim_time", "width", "height", "radio_range", "interference_range", "rate_pps",
+        ):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
+        # The chained comparisons below are False for NaN, which a bare
+        # ``value < 0`` test lets through.  A NaN or infinite speed makes
+        # every waypoint leg zero-length and livelocks the run at t = 0.
+        if not 0 < self.min_speed <= self.max_speed < math.inf:
+            raise ValueError("need 0 < min_speed <= max_speed < inf")
+        for name in ("pause_time", "oracle_staleness"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not all(0 <= t < math.inf for t in self.traffic_start):
+            raise ValueError("traffic_start must be non-negative and finite")
         if not isinstance(self.reference, bool):
             # A campaign axis value such as "false" is truthy.
             raise ValueError(f"reference must be a bool, got {self.reference!r}")
@@ -182,7 +172,6 @@ class ScenarioConfig:
             math.isfinite(self.flow_locality) and self.flow_locality > 0
         ):
             raise ValueError("flow_locality must be positive and finite")
-        validate_shard_mode(self.shard_mode)
         if self.teleports:
             if not self.static:
                 raise ValueError(
@@ -195,24 +184,6 @@ class ScenarioConfig:
                     raise ValueError(f"teleport time must be >= 0: {entry}")
                 if not (0 <= node_id < self.num_nodes):
                     raise ValueError(f"teleport targets unknown node: {entry}")
-        if self.shard_mode != "off":
-            if self.shards < 1:
-                raise ValueError("shards must be >= 1")
-            if self.with_sniffer:
-                # The sniffer subscribes to one process's tracer; a merged
-                # multi-engine trace has no single live stream to tap.
-                raise ValueError("with_sniffer is incompatible with shard_mode != 'off'")
-            if not 0.0 <= self.shard_calibration <= 1.0:
-                raise ValueError("shard_calibration must be within [0, 1]")
-            if self.shard_boundaries is not None:
-                # Delegate shape/ordering checks to the partition (the
-                # authority on split geometry) so configs fail fast.
-                from repro.geo.partition import ColumnPartition
-
-                ColumnPartition(
-                    0.0, self.width, self.shards,
-                    boundaries=tuple(self.shard_boundaries),
-                )
 
     def canonical_dict(self) -> Dict[str, object]:
         """A JSON-stable encoding of this config for content addressing.
@@ -299,11 +270,9 @@ class ScenarioResult:
 class Scenario:
     """A fully wired simulation, ready to run."""
 
-    def __init__(self, config: ScenarioConfig, sim: Optional[Simulator] = None) -> None:
+    def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
-        # Shard workers inject a KeyedSimulator; the default path builds
-        # the plain engine exactly as before.
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.tracer = Tracer(keep=config.keep_trace)
         self.delivery = DeliveryCollector(self.tracer)
         self.overhead = OverheadCollector(self.tracer)
@@ -367,11 +336,10 @@ class Scenario:
         self.oracle.register_all(self.nodes)
 
         # Scripted teleports run as ordinary simulation events in
-        # canonical (time, node_id) order, so sequence numbers — and the
-        # sharded engines' causal keys — are a pure function of the
-        # config.  StaticMobility.move_to notifies subscribers (radio
-        # position, spatial index, fan-out memo) exactly like any other
-        # position change.
+        # canonical (time, node_id) order, so sequence numbers are a pure
+        # function of the config.  StaticMobility.move_to notifies
+        # subscribers (radio position, spatial index, fan-out memo)
+        # exactly like any other position change.
         for tp_time, tp_node, tp_x, tp_y in sorted(cfg.teleports):
             node = self.nodes[tp_node]
 
@@ -379,9 +347,7 @@ class Scenario:
                 n.mobility.move_to(Position(x, y))
                 self.tracer.emit(at, "mob.teleport", node=n.node_id)
 
-            self.sim.schedule_at(
-                tp_time, _teleport, name="mob.teleport", actor=tp_node
-            )
+            self.sim.schedule_at(tp_time, _teleport, name="mob.teleport")
 
         # Channel impairment: one loss process per receiver, each on its
         # own per-purpose derived stream, so loss draws at one node never
@@ -486,17 +452,6 @@ class Scenario:
 
     # -------------------------------------------------------------- running
     def run(self) -> ScenarioResult:
-        if self.config.shard_mode != "off":
-            # Lazy import: the driver imports this module back (workers
-            # rebuild the scenario from the config), so binding it at
-            # module import time would be circular.
-            from repro.sim.shard.driver import run_sharded
-
-            return run_sharded(self.config)
-        return self._run_single()
-
-    def _run_single(self) -> ScenarioResult:
-        """The single-engine run loop (the exact seed path)."""
         started = _wall.perf_counter()
         for node in self.nodes:
             node.start()

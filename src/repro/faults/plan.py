@@ -39,8 +39,6 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
-    ContextManager,
     Dict,
     Iterable,
     List,
@@ -212,13 +210,6 @@ class FaultInjector:
         self._down_since: Dict[int, float] = {}
         self._armed = False
         self._finalized = False
-        #: Sharded execution hook: wraps each event application in a
-        #: context derived from the target node id.  The shard worker
-        #: installs a suppressor here so a non-owned node's crash/recover
-        #: still runs (identical metrics, RNG draws, and trace keys) but
-        #: any events it schedules — e.g. the post-reboot beacon restart —
-        #: are born dead, keeping dormant replicas dormant.
-        self.scope_guard: Optional[Callable[[int], ContextManager[None]]] = None
         if tracer is not None:
             tracer.subscribe("app.recv", self._on_delivery)
 
@@ -233,17 +224,9 @@ class FaultInjector:
                 event.time,
                 (lambda e=event: self._apply(e)),
                 name=f"fault.{event.action}",
-                actor=event.node_id,
             )
 
     def _apply(self, event: FaultEvent) -> None:
-        if self.scope_guard is not None:
-            with self.scope_guard(event.node_id):
-                self._apply_inner(event)
-            return
-        self._apply_inner(event)
-
-    def _apply_inner(self, event: FaultEvent) -> None:
         node = self._nodes[event.node_id]
         now = self.sim.now
         if event.action == "crash":

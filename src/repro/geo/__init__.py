@@ -1,13 +1,11 @@
 """Geometry: positions, rectangular regions, and grid partitioning."""
 
 from repro.geo.grid import Cell, Grid
-from repro.geo.partition import ColumnPartition
 from repro.geo.region import Region
 from repro.geo.vec import Position, bearing, centroid, distance, distance2, midpoint
 
 __all__ = [
     "Cell",
-    "ColumnPartition",
     "Grid",
     "Region",
     "Position",

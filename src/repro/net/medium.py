@@ -45,26 +45,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
-)
+from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.geo.spatial_array import ArraySpatialIndex, FanOut
 from repro.geo.vec import Position
 from repro.net.mac.frames import MacFrame
-from repro.sim.engine import MEDIUM_ACTOR, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.phy import PhyRadio
-    from repro.sim.keyed import KeyedSimulator
-    from repro.sim.shard.worker import ShardBridge
 
 __all__ = ["Transmission", "RadioMedium"]
-
-#: Key-scope tag for the sender's transmission-completion work; sorts
-#: before every receiver tag ``(node_id,)`` because node ids are >= 0.
-_SENDER_SCOPE = (-1,)
 
 
 @dataclass(slots=True)
@@ -131,24 +123,6 @@ class RadioMedium:
         self._fanout_memo: Dict[
             int, Tuple[int, Position, List["PhyRadio"], FrozenSet[int], List[float]]
         ] = {}
-        # Sharded execution (repro.sim.shard): when set, fan-out only
-        # touches owned radios, transmission completion runs under
-        # per-receiver key scopes, and every local transmission is
-        # announced to the bridge for cross-border mirroring.
-        self._shard_owned: Optional[FrozenSet[int]] = None
-        self._shard_keyed: Optional["KeyedSimulator"] = None
-        self._shard_bridge: Optional["ShardBridge"] = None
-
-    def set_shard_context(
-        self,
-        keyed_sim: "KeyedSimulator",
-        owned: FrozenSet[int],
-        bridge: Optional["ShardBridge"],
-    ) -> None:
-        """Enter sharded operation (called once by the shard worker)."""
-        self._shard_keyed = keyed_sim
-        self._shard_owned = owned
-        self._shard_bridge = bridge
 
     def register(self, radio: "PhyRadio") -> None:
         self._radios.append(radio)
@@ -240,7 +214,6 @@ class RadioMedium:
             )
 
         sender.begin_transmit(tx)
-        owned = self._shard_owned
         if cached is not None:
             affected = cached[2]
             for radio, dist in zip(affected, cached[4]):
@@ -257,8 +230,6 @@ class RadioMedium:
                 dists: List[float] = []
                 for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
                     radio = radios[row]
-                    if owned is not None and radio.node_id not in owned:
-                        continue
                     # Scalar hypot on the batch-derived deltas: bitwise
                     # what own_pos.distance_to(sender_pos) computes in the
                     # PHY, so capture ratios and loss draws see identical
@@ -278,8 +249,6 @@ class RadioMedium:
             else:
                 for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
                     radio = radios[row]
-                    if owned is not None and radio.node_id not in owned:
-                        continue
                     dist = hypot(dxv, dyv)
                     if deliv:
                         add(radio.node_id)
@@ -293,8 +262,6 @@ class RadioMedium:
             for radio in self._radios:
                 if radio is sender:
                     continue
-                if owned is not None and radio.node_id not in owned:
-                    continue
                 d2 = radio.position.distance2_to(sender_pos)
                 if d2 <= interference_range2:
                     if d2 <= radio_range2:
@@ -302,94 +269,13 @@ class RadioMedium:
                     radio.on_tx_start(tx)
                     affected.append(radio)
 
-        keyed = self._shard_keyed
-
-        if keyed is None:
-
-            def _finish() -> None:
-                sender.end_transmit(tx)
-                for radio in affected:
-                    radio.on_tx_end(tx)
-
-        else:
-
-            def _finish() -> None:
-                # Per-participant key scopes: the sender's completion and
-                # each receiver's reception draw causal keys independent
-                # of which subset of receivers this shard owns.  The
-                # sender tag (-1,) sorts before every node-id tag, and
-                # ``affected`` is in registration (node-id) order, so the
-                # scope order matches single-engine schedule order.
-                with keyed.key_scope(_SENDER_SCOPE, actor=tx.sender_id):
-                    sender.end_transmit(tx)
-                for radio in affected:
-                    with keyed.key_scope((radio.node_id,)):
-                        radio.on_tx_end(tx)
-
-        finish_event = self.sim.schedule(
-            duration, _finish, priority=-1, name="phy.tx_end", actor=MEDIUM_ACTOR
-        )
-        bridge = self._shard_bridge
-        if bridge is not None:
-            bridge.note_local_tx(tx, frame, affected, finish_event)
-        return tx
-
-    # --------------------------------------------------- ghost transmissions
-    def apply_ghost_start(
-        self,
-        sender_id: int,
-        sender_pos: Position,
-        frame: MacFrame,
-        start: float,
-        end: float,
-    ) -> Tuple[Transmission, List["PhyRadio"]]:
-        """Mirror a remote shard's transmission onto our owned radios.
-
-        Reconstructs a :class:`Transmission` (its uid is local — uids are
-        deliberately outside the trace-equivalence contract, see DET-006)
-        and applies ``on_tx_start`` to every owned radio in range, with
-        the scalar distance recomputation that is bitwise-equal to the
-        owner shard's batched path.  Emits nothing and bumps no counters:
-        the owner already accounted for this frame.
-        """
-        members: Set[int] = set()
-        tx = Transmission(
-            uid=next(self._tx_uid),
-            sender_id=sender_id,
-            sender_pos=sender_pos,
-            frame=frame,
-            start=start,
-            end=end,
-            deliverable_to=members,
-        )
-        owned = self._shard_owned
-        affected: List["PhyRadio"] = []
-        radio_range2 = self._radio_range2
-        interference_range2 = self._interference_range2
-        for radio in self._candidates(sender_pos, self.interference_range):
-            # The sender's dormant replica sits in our index too.
-            if radio.node_id == sender_id:
-                continue
-            if owned is not None and radio.node_id not in owned:
-                continue
-            d2 = radio.position.distance2_to(sender_pos)
-            if d2 <= interference_range2:
-                if d2 <= radio_range2:
-                    members.add(radio.node_id)
-                radio.on_tx_start(tx)
-                affected.append(radio)
-        return tx, affected
-
-    def apply_ghost_finish(self, tx: Transmission, affected: List["PhyRadio"]) -> None:
-        """Complete a mirrored transmission (receiver side only).
-
-        Runs at the owner's ``phy.tx_end`` key, so each receiver scope
-        draws exactly the keys the single engine would."""
-        keyed = self._shard_keyed
-        assert keyed is not None
-        for radio in affected:
-            with keyed.key_scope((radio.node_id,)):
+        def _finish() -> None:
+            sender.end_transmit(tx)
+            for radio in affected:
                 radio.on_tx_end(tx)
+
+        self.sim.schedule(duration, _finish, priority=-1, name="phy.tx_end")
+        return tx
 
     # --------------------------------------------------------------- faults
     def invalidate_radio(self, radio: "PhyRadio") -> None:

@@ -12,12 +12,13 @@ one event per leg to roll the next waypoint.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Optional, Protocol
 
 from repro.geo.region import Region
 from repro.geo.vec import Position
-from repro.sim.engine import PURE_ACTOR, Simulator
+from repro.sim.engine import Simulator
 
 __all__ = ["MobilityModel", "StaticMobility", "RandomWaypointMobility", "WaypointLeg"]
 
@@ -152,10 +153,12 @@ class RandomWaypointMobility:
         max_speed: float = 20.0,
         pause_time: float = 60.0,
     ) -> None:
-        if min_speed <= 0 or max_speed < min_speed:
-            raise ValueError("need 0 < min_speed <= max_speed")
-        if pause_time < 0:
-            raise ValueError("pause_time must be non-negative")
+        # Chained so NaN fails too: a NaN or infinite speed makes every
+        # leg zero-length and the roll chain livelocks at t = 0.
+        if not 0 < min_speed <= max_speed < math.inf:
+            raise ValueError("need 0 < min_speed <= max_speed < inf")
+        if not 0 <= pause_time < math.inf:
+            raise ValueError("pause_time must be non-negative and finite")
         self.sim = sim
         self.region = region
         self.rng = rng
@@ -174,9 +177,7 @@ class RandomWaypointMobility:
 
     def _schedule_roll(self) -> None:
         delay = max(0.0, self._leg.arrive_time - self.sim.now)
-        # PURE: waypoint rolls touch only mobility state and can never
-        # lead to a transmission, so the sharded promise scan skips them.
-        self.sim.schedule(delay, self._roll, name="rwp.roll", actor=PURE_ACTOR)
+        self.sim.schedule(delay, self._roll, name="rwp.roll")
 
     def _roll(self) -> None:
         self._leg = self._next_leg(self._leg.target, self.sim.now)

@@ -93,11 +93,7 @@ class BaseRouter:
         self._started = True
         # First beacon at a uniform offset so the network's beacons desynchronize.
         first = self._rng.uniform(0.0, self.config.beacon_interval)
-        # actor tag: start() may run outside any event (the build phase),
-        # where the sharded runtime cannot infer whose event this is.
-        self._beacon_timer = self.sim.schedule(
-            first, self._beacon_tick, name="router.beacon", actor=self.node.node_id
-        )
+        self._beacon_timer = self.sim.schedule(first, self._beacon_tick, name="router.beacon")
 
     def _beacon_tick(self) -> None:
         self.send_beacon()

@@ -21,7 +21,6 @@ from repro.net.mac.frames import MacFrame
 from repro.net.packet import Packet
 from repro.routing.base import BaseRouter, RoutingConfig
 from repro.routing.neighbor_table import NeighborTable
-from repro.sim.engine import PURE_ACTOR
 from repro.routing.planar import (
     crossing_point,
     gabriel_neighbors,
@@ -106,12 +105,7 @@ class GpsrRouter(BaseRouter):
 
     def _purge_tick(self) -> None:
         self.table.purge(self.sim.now)
-        # PURE: purging a neighbor table can never lead to a transmission,
-        # so the sharded promise scan skips the tick chain.
-        self.sim.schedule(
-            self.config.beacon_interval, self._purge_tick, name="gpsr.purge",
-            actor=PURE_ACTOR,
-        )
+        self.sim.schedule(self.config.beacon_interval, self._purge_tick, name="gpsr.purge")
 
     # ------------------------------------------------------ lifecycle faults
     def on_fault_down(self) -> None:

@@ -1,13 +1,11 @@
 """Discrete-event simulation substrate (engine, RNG streams, tracing)."""
 
 from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.keyed import KeyedSimulator
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Event",
-    "KeyedSimulator",
     "SimulationError",
     "Simulator",
     "RngRegistry",

@@ -53,8 +53,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "call_later",
-    "PURE_ACTOR",
-    "MEDIUM_ACTOR",
 ]
 
 #: Compaction trigger: rebuild the heap once the backlog exceeds this
@@ -63,21 +61,10 @@ __all__ = [
 #: entries removed.
 COMPACT_MIN_BACKLOG = 512
 
-#: Actor tag for events that provably never lead to a transmission
-#: (mobility waypoint rolls, routing-table purge ticks).  The sharded
-#: runtime's promise computation skips them entirely.
-PURE_ACTOR = -2
-
-#: Actor tag for medium ``phy.tx_end`` events, which run receiver-side
-#: code at *many* nodes.  The sharded runtime tracks these through its
-#: in-flight transmission list instead of the per-actor index.
-MEDIUM_ACTOR = -3
-
 #: Queue entry: the ordering key first, the event payload last.  The
-#: tie-break is the schedule sequence number here and the causal key in
-#: :mod:`repro.sim.keyed`; either way it is unique, so the heap never
-#: compares two events.
-Entry = Tuple[float, int, Any, "Event"]
+#: tie-break is the schedule sequence number, which is unique, so the
+#: heap never compares two events.
+Entry = Tuple[float, int, int, "Event"]
 
 
 class SimulationError(RuntimeError):
@@ -91,13 +78,7 @@ class Event:
     for cancellation.  They should not be constructed directly.
     """
 
-    __slots__ = (
-        "time", "priority", "seq", "callback", "name", "cancelled", "_sim",
-        # Sharded execution (repro.sim.keyed / repro.sim.shard): the causal
-        # sort key and the acting node.  Plain Simulator never assigns or
-        # reads them (unset slots cost nothing); KeyedSimulator sets both.
-        "key", "actor",
-    )
+    __slots__ = ("time", "priority", "seq", "callback", "name", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -184,24 +165,16 @@ class Simulator:
         *,
         priority: int = 0,
         name: str = "",
-        actor: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         ``delay`` must be non-negative; a zero delay fires after all events
         already scheduled for the current instant.  Lower ``priority`` values
         fire earlier among events at the same time.
-
-        ``actor`` attributes the event to a node for the sharded runtime's
-        conservative-lookahead bookkeeping (see :mod:`repro.sim.keyed`);
-        the plain simulator accepts and ignores it so call sites stay
-        engine-agnostic.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(
-            self._now + delay, callback, priority=priority, name=name, actor=actor
-        )
+        return self.schedule_at(self._now + delay, callback, priority=priority, name=name)
 
     def schedule_at(
         self,
@@ -210,7 +183,6 @@ class Simulator:
         *,
         priority: int = 0,
         name: str = "",
-        actor: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
         if not self._now <= time < math.inf:

@@ -62,8 +62,7 @@ class CbrSource:
         sharing a start time do not synchronize their channel access)."""
         delay = max(0.0, self.flow.start_time - self.sim.now)
         delay += self.rng.uniform(0.0, self._interval)
-        # actor tag: start() runs at build time, outside any event.
-        self.sim.schedule(delay, self._tick, name="cbr.tick", actor=self.node.node_id)
+        self.sim.schedule(delay, self._tick, name="cbr.tick")
 
     def _tick(self) -> None:
         if self.flow.stop_time is not None and self.sim.now > self.flow.stop_time:

@@ -235,9 +235,7 @@ class CheckedMedium(RadioMedium):
     scalar distance and the right deliverability; the sender position
     must be bitwise the scalar one.  The receivers are read off the
     ``on_tx_start(tx, distance)`` calls; under the reference scan each
-    PHY computes its own distance, which is the scalar one by definition.
-    Single-engine runs only: a shard's fan-out skips radios it does not
-    own."""
+    PHY computes its own distance, which is the scalar one by definition."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

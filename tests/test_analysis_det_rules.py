@@ -869,144 +869,3 @@ def test_det014_tests_are_exempt(tmp_path):
         rel="tests/test_fixture.py",
     )
     assert result.findings == []
-
-
-# ------------------------------------------------------------------- DET-015
-def test_det015_shm_view_write_outside_helper(tmp_path):
-    result = lint_source(
-        tmp_path,
-        """\
-        import numpy as np
-
-        def patch(shm, ids, xs):
-            view = np.ndarray((64,), dtype=np.float64, buffer=shm.buf)
-            view[ids] = xs
-        """,
-        select=["DET-015"],
-    )
-    assert rule_ids(result) == ["DET-015"]
-    assert "epoch-barrier" in result.findings[0].message
-    assert result.findings[0].line == 5
-
-
-def test_det015_container_alias_write(tmp_path):
-    """A write through an alias of a view-holding dict still fires."""
-    result = lint_source(
-        tmp_path,
-        """\
-        import numpy as np
-
-        class Cache:
-            def __init__(self, shm):
-                self._fields = {}
-                self._fields["ox"] = np.ndarray(
-                    (64,), dtype=np.float64, buffer=shm.buf
-                )
-
-            def poke(self, ids, xs):
-                fields = self._fields
-                fields["ox"][ids] = xs
-        """,
-        select=["DET-015"],
-    )
-    assert rule_ids(result) == ["DET-015"]
-    assert "'fields'" in result.findings[0].message
-
-
-def test_det015_plane_internals_from_outside(tmp_path):
-    """Reaching into ShardPlane internals from a consumer module fires."""
-    result = lint_source(
-        tmp_path,
-        """\
-        def cheat(plane, node_id, x):
-            plane._fields["ox"][node_id] = x
-        """,
-        select=["DET-015"],
-    )
-    assert rule_ids(result) == ["DET-015"]
-
-
-def test_det015_inplace_mutator_fires(tmp_path):
-    result = lint_source(
-        tmp_path,
-        """\
-        import numpy as np
-
-        def reset(shm):
-            view = np.ndarray((64,), dtype=np.float64, buffer=shm.buf)
-            view.fill(0.0)
-        """,
-        select=["DET-015"],
-    )
-    assert rule_ids(result) == ["DET-015"]
-    assert "in-place" in result.findings[0].message
-
-
-def test_det015_publication_helper_is_sanctioned(tmp_path):
-    """The real ShardPlane write sites pass: __init__ and publish_legs."""
-    result = lint_source(
-        tmp_path,
-        """\
-        import numpy as np
-
-        class ShardPlane:
-            def __init__(self, shm, num_nodes, shards):
-                self._fields = {}
-                for k, field in enumerate(("ox", "oy")):
-                    view = np.ndarray(
-                        (num_nodes,), dtype=np.float64, buffer=shm.buf,
-                        offset=k * num_nodes * 8,
-                    )
-                    self._fields[field] = view
-                self._epochs = np.ndarray(
-                    (shards,), dtype=np.int64, buffer=shm.buf, offset=128
-                )
-                self._fields["ox"].fill(0.0)
-                self._epochs.fill(0)
-
-            def publish_legs(self, shard_index, ids, legs, rows):
-                fields = self._fields
-                for field in ("ox", "oy"):
-                    fields[field][ids] = getattr(legs, field)[rows]
-                self._epochs[shard_index] = int(self._epochs[shard_index]) + 1
-        """,
-        select=["DET-015"],
-    )
-    assert result.findings == []
-
-
-def test_det015_reads_and_plain_arrays_pass(tmp_path):
-    """Reading the plane and writing ordinary numpy arrays are both fine."""
-    result = lint_source(
-        tmp_path,
-        """\
-        import numpy as np
-
-        def resolve(plane, node_id):
-            return float(plane._fields["ox"][node_id])
-
-        def scratch(n):
-            work = np.zeros(n)
-            work[0] = 1.0
-            work.fill(2.0)
-            return work
-        """,
-        select=["DET-015"],
-    )
-    assert result.findings == []
-
-
-def test_det015_tests_are_exempt(tmp_path):
-    result = lint_source(
-        tmp_path,
-        """\
-        import numpy as np
-
-        def poke(shm):
-            view = np.ndarray((4,), dtype=np.float64, buffer=shm.buf)
-            view[0] = 1.0
-        """,
-        select=["DET-015"],
-        rel="tests/test_fixture.py",
-    )
-    assert result.findings == []

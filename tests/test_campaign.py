@@ -143,11 +143,31 @@ def test_bad_reference_fails_at_expansion():
             {"num_nodes": [6], "real_crypto": [True], "aant_ring_size": [5, 10]},
             "aant_ring_size must be <= num_nodes - 1",
         ),
+        ({"min_speed": [1.0, float("nan")]}, "min_speed <= max_speed"),
+        ({"max_speed": [20.0, float("nan")]}, "min_speed <= max_speed"),
+        ({"max_speed": [20.0, float("inf")]}, "min_speed <= max_speed"),
+        ({"pause_time": [0.0, float("nan")]}, "pause_time must be non-negative and finite"),
+        (
+            {"traffic_start": [[0.5, 1.0], [float("nan"), 0.5]]},
+            "traffic_start must be non-negative and finite",
+        ),
+        (
+            {"traffic_start": [[0.5, 1.0], [-1.0, -0.5]]},
+            "traffic_start must be non-negative and finite",
+        ),
+        (
+            {"oracle_staleness": [0.0, float("nan")]},
+            "oracle_staleness must be non-negative and finite",
+        ),
+        ({"rate_pps": [4.0, float("nan")]}, "rate_pps must be positive and finite"),
+        ({"width": [1500.0, float("nan")]}, "width must be positive and finite"),
+        ({"height": [300.0, float("nan")]}, "height must be positive and finite"),
     ],
 )
 def test_nan_distance_fails_at_expansion(axes, message):
-    """TOML admits ``nan``; it must fail while the matrix expands, like a
-    bad backend value, instead of running a silently degenerate point.
+    """TOML admits ``nan`` and ``inf``; they must fail while the matrix
+    expands, like a bad backend value, instead of running a silently
+    degenerate point (a non-finite speed used to hang the run at t = 0).
     So must a ring size no run could sign with."""
     spec = spec_from_mapping({**SMOKE, "axes": axes})
     with pytest.raises(CampaignSpecError, match=message):

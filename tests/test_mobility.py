@@ -112,6 +112,17 @@ def test_rwp_rejects_bad_speeds():
         RandomWaypointMobility(sim, region, random.Random(0), min_speed=5.0, max_speed=1.0)
     with pytest.raises(ValueError):
         RandomWaypointMobility(sim, region, random.Random(0), pause_time=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(min_speed=nan),
+        dict(max_speed=nan),
+        dict(max_speed=inf),
+        dict(min_speed=inf, max_speed=inf),
+        dict(pause_time=nan),
+        dict(pause_time=inf),
+    ):
+        with pytest.raises(ValueError):
+            RandomWaypointMobility(sim, region, random.Random(0), **bad)
 
 
 def test_rwp_explicit_start_position():

@@ -136,34 +136,6 @@ def test_bench_distill_schema_and_derived_speedup():
     assert document["derived"]["fanout_speedup_150_nodes"] == 4.0
 
 
-def test_bench_distill_shard_suite_extra_info_and_literal_specs():
-    """The shard suite derives speedups from recorded CPU times and
-    publishes raw counters through a literal denominator of 1."""
-    harness = _load_bench_to_json()
-    raw = {
-        "benchmarks": [
-            {
-                "name": "test_shard_scenario[engine-2000]",
-                "stats": {"mean": 6.0, "stddev": 0.1, "rounds": 2},
-                "extra_info": {"cpu_seconds": 5.0},
-            },
-            {
-                "name": "test_shard_scenario[shards4-2000]",
-                "stats": {"mean": 14.0, "stddev": 0.1, "rounds": 2},
-                "extra_info": {
-                    "critical_path_seconds": 1.25,
-                    "ipc_messages_per_round": 8.0,
-                },
-            },
-        ]
-    }
-    document = harness.distill(raw, "shard")
-    assert document["derived"]["shard4_speedup_2000_nodes"] == 4.0
-    assert document["derived"]["shard4_ipc_messages_per_round_2000_nodes"] == 8.0
-    # Benchmarks absent from the run simply omit their derived metrics.
-    assert "shard8_speedup_10000_nodes" not in document["derived"]
-
-
 def test_bench_compare_flags_regressions_only():
     harness = _load_bench_to_json()
     baseline = _doc({"a": 0.010, "b": 0.010})

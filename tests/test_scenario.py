@@ -11,8 +11,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.experiments.scenario import Scenario, ScenarioConfig, run_scenario
+from repro.experiments.scenario import PROTOCOLS, Scenario, ScenarioConfig, run_scenario
 from repro.sim.rng import derive_seed
 
 
@@ -64,6 +66,85 @@ def test_config_validation():
     ScenarioConfig(protocol="agfw", num_nodes=6, aant_ring_size=0)
     ScenarioConfig(protocol="agfw", num_nodes=6, aant_ring_size=5, real_crypto=True)
     ScenarioConfig(protocol="agfw", num_nodes=6, aant_ring_size=10)  # modeled ring
+    # Non-finite mobility and traffic inputs.  A NaN or infinite speed
+    # used to livelock the run at t = 0; a NaN traffic start or
+    # staleness was silently clamped to 0; a NaN rate or height failed
+    # only while the scenario was built.
+    nan, inf = math.nan, math.inf
+    for kwargs, message in [
+        (dict(min_speed=nan), "min_speed <= max_speed"),
+        (dict(max_speed=nan), "min_speed <= max_speed"),
+        (dict(max_speed=inf), "min_speed <= max_speed"),
+        (dict(min_speed=0.0), "min_speed <= max_speed"),
+        (dict(min_speed=5.0, max_speed=1.0), "min_speed <= max_speed"),
+        (dict(pause_time=nan), "pause_time must be non-negative and finite"),
+        (dict(pause_time=inf), "pause_time must be non-negative and finite"),
+        (dict(pause_time=-1.0), "pause_time must be non-negative and finite"),
+        (dict(traffic_start=(nan, 0.5)), "traffic_start must be non-negative and finite"),
+        (dict(traffic_start=(0.5, inf)), "traffic_start must be non-negative and finite"),
+        (dict(traffic_start=(-1.0, -0.5)), "traffic_start must be non-negative and finite"),
+        (dict(oracle_staleness=nan), "oracle_staleness must be non-negative and finite"),
+        (dict(oracle_staleness=-0.5), "oracle_staleness must be non-negative and finite"),
+        (dict(rate_pps=nan), "rate_pps must be positive and finite"),
+        (dict(rate_pps=0.0), "rate_pps must be positive and finite"),
+        (dict(width=nan), "width must be positive and finite"),
+        (dict(height=nan), "height must be positive and finite"),
+        (dict(height=inf), "height must be positive and finite"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**kwargs)
+    ScenarioConfig(pause_time=0.0, traffic_start=(0.0, 0.0), oracle_staleness=0.0)
+
+
+def test_teleports_require_static():
+    with pytest.raises(ValueError, match="static"):
+        ScenarioConfig(teleports=((1.0, 0, 10.0, 10.0),), static=False)
+    with pytest.raises(ValueError, match="unknown node"):
+        ScenarioConfig(teleports=((1.0, 99, 10.0, 10.0),), static=True)
+    with pytest.raises(ValueError, match=">= 0"):
+        ScenarioConfig(teleports=((-1.0, 0, 10.0, 10.0),), static=True)
+
+
+#: Ten times what any config drawn below executed in one simulated
+#: second (at most 4.5k events over 200 draws); a livelock at a fixed
+#: instant blows through it within a fraction of a second.
+EVENT_BUDGET = 50_000
+
+
+@st.composite
+def _short_mobile_configs(draw):
+    min_speed = draw(st.floats(0.1, 30.0))
+    start = draw(st.floats(0.0, 1.0))
+    num_nodes = draw(st.integers(4, 12))
+    return ScenarioConfig(
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        num_nodes=num_nodes,
+        width=draw(st.floats(200.0, 1500.0)),
+        sim_time=draw(st.floats(0.1, 1.0)),
+        seed=draw(st.integers(0, 2**31)),
+        min_speed=min_speed,
+        max_speed=min_speed + draw(st.floats(0.0, 30.0)),
+        pause_time=0.0,
+        num_flows=draw(st.integers(1, 6)),
+        num_senders=draw(st.integers(1, num_nodes)),
+        rate_pps=draw(st.floats(0.5, 20.0)),
+        traffic_start=(start, start + draw(st.floats(0.0, 1.0))),
+    )
+
+
+@given(_short_mobile_configs())
+@settings(max_examples=25, deadline=None)
+def test_valid_mobile_configs_reach_sim_time(config):
+    """Any valid mobility and traffic draw, with nodes moving from t = 0,
+    reaches its horizon within a fixed event budget: the run makes
+    progress instead of spinning at one instant."""
+    scenario = Scenario(config)
+    for node in scenario.nodes:
+        node.start()
+    for source in scenario.sources:
+        source.start()
+    scenario.sim.run(until=config.sim_time, max_events=EVENT_BUDGET)
+    assert scenario.sim.now == config.sim_time
 
 
 def test_clustered_placement_confines_nodes():

@@ -2,7 +2,8 @@
 
 Each test takes the ``msim`` fixture (see ``conftest.py``): a plain
 :class:`Simulator`, one whose queue carries a backlog of cancelled
-timers, and a :class:`KeyedSimulator`.  All three must honour the same
+timers, and a :class:`CheckedSimulator` that checks every pop against
+the live queue.  All three must honour the same
 contract — ordering, stop/resume, ``max_events``, drain-after-stop —
 and the compaction bound under mass-cancel churn.  The randomized
 schedule/cancel churn is checked against a ``sorted()`` reference queue.

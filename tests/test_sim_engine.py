@@ -9,7 +9,6 @@ import pathlib
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator, call_later
-from repro.sim.keyed import KeyedSimulator
 
 
 def test_initial_time_is_zero():
@@ -90,21 +89,14 @@ def test_non_finite_times_rejected(bad):
     with pytest.raises(SimulationError):
         sim.schedule_at(bad, lambda: None)
     assert sim.pending_events == 0
-    keyed = KeyedSimulator()
-    with pytest.raises(SimulationError):
-        keyed.schedule_at(bad, lambda: None)
-    with pytest.raises(SimulationError):
-        keyed.insert_ghost((bad, 0, (0, 1)), lambda: None, "phy.tx_end")
-    assert keyed.pending_events == 0
-    for engine in (sim, keyed):
-        engine.schedule_at(1.5, lambda: None)
-        if bad == math.inf:
-            engine.run(until=bad)
-            assert engine.now == 1.5  # drained with no horizon to clamp to
-        else:
-            with pytest.raises(SimulationError):
-                engine.run(until=bad)
-            assert engine.pending_events == 1 and engine.now == 0.0
+    sim.schedule_at(1.5, lambda: None)
+    if bad == math.inf:
+        sim.run(until=bad)
+        assert sim.now == 1.5  # drained with no horizon to clamp to
+    else:
+        with pytest.raises(SimulationError):
+            sim.run(until=bad)
+        assert sim.pending_events == 1 and sim.now == 0.0
 
 
 def test_cancelled_event_does_not_fire(sim):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceRecord, Tracer, trace_divergence
 
 
 def test_emit_and_len(tracer):
@@ -171,3 +171,22 @@ def test_iteration_yields_records_in_order(tracer):
     tracer.emit(1.0, "a")
     tracer.emit(2.0, "b")
     assert [r.category for r in tracer] == ["a", "b"]
+
+
+def test_trace_divergence_names_first_difference():
+    a = [TraceRecord(1.0, "phy.tx", 3), TraceRecord(2.0, "mac.tx", 1)]
+    b = [TraceRecord(1.0, "phy.tx", 3), TraceRecord(2.0, "mac.tx", 2)]
+    # A differing node names the first divergent record, both sides.
+    message = trace_divergence(a, b, "reference", "fast")
+    assert message is not None
+    assert message.startswith("trace divergence at record 1:")
+    assert "reference (2.0, 'mac.tx', node=1)" in message
+    assert "fast (2.0, 'mac.tx', node=2)" in message
+    # A longer trace with an identical prefix is a length mismatch.
+    message = trace_divergence(a, a + a, "reference", "fast")
+    assert message is not None
+    assert message.startswith("trace length mismatch: reference 2 records, fast 4")
+    assert "(first 2 identical)" in message
+    # Identical traces (equal records, distinct objects) do not diverge.
+    copy = [TraceRecord(r.time, r.category, r.node) for r in a]
+    assert trace_divergence(a, copy, "reference", "fast") is None
