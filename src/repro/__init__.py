@@ -6,8 +6,9 @@ The package bundles the paper's contribution (ANT / AANT / AGFW / ALS)
 with everything it runs on: a discrete-event wireless simulator with an
 802.11 DCF MAC, random-waypoint mobility, the GPSR baseline, the DLM
 location service, a from-scratch crypto stack (RSA, RST ring signatures,
-certificates), adversary models, and the experiment harness that
-regenerates the paper's figures.
+certificates), adversary models, the experiment harness, and the
+campaign layer (:mod:`repro.campaign`) that regenerates the paper's
+Fig 1 and faults tables from committed specs.
 
 Quick tour
 ----------
@@ -28,11 +29,12 @@ Subpackages
 ``repro.traffic``     CBR workloads
 ``repro.metrics``     delivery/latency/overhead collectors
 ``repro.adversary``   sniffers, doublet tracking, anonymity metrics
-``repro.experiments`` scenario builder and per-figure harnesses
+``repro.experiments`` scenario builder and per-table harnesses
+``repro.campaign``    sweep specs, result store and reports (Fig 1, faults)
 """
 
 from repro.core import AantConfig, AgfwConfig, AgfwRouter, AlsAgent, AlsConfig
-from repro.experiments import ScenarioConfig, ScenarioResult, run_fig1, run_scenario
+from repro.experiments import ScenarioConfig, ScenarioResult, run_scenario
 from repro.routing import GpsrConfig, GpsrRouter
 
 __version__ = "1.0.0"
@@ -45,7 +47,6 @@ __all__ = [
     "AlsConfig",
     "ScenarioConfig",
     "ScenarioResult",
-    "run_fig1",
     "run_scenario",
     "GpsrConfig",
     "GpsrRouter",

@@ -25,8 +25,8 @@ Every key under ``base`` / ``axes`` must be a ``ScenarioConfig`` field
 (validated against the dataclass, then again by the config's own
 ``__post_init__`` when each point is materialized) or one of the two
 churn conveniences ``churn_rate`` / ``churn_downtime``, which expand to
-a seeded :class:`~repro.faults.plan.FaultPlan` exactly like
-``run_fig1(churn=...)`` does.
+a seeded :class:`~repro.faults.plan.FaultPlan` over every node of the
+point (downtime defaults to a tenth of ``sim_time``, at least 0.5 s).
 
 Determinism contract: the point list — ordering, axis coordinates, and
 every derived seed — is a pure function of the spec values.  Seeds

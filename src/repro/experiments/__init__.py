@@ -1,13 +1,9 @@
-"""Experiment harness: scenario builder and per-figure reproductions."""
+"""Experiment harness: the scenario builder and the per-table harnesses.
 
-from repro.experiments.fig1 import (
-    DEFAULT_NODE_COUNTS,
-    FIG1_SCHEMES,
-    Fig1Point,
-    format_fig1a,
-    format_fig1b,
-    run_fig1,
-)
+Fig 1 and the faults sweep are campaign specs (``examples/campaigns``,
+run and reported by :mod:`repro.campaign`), not functions here.
+"""
+
 from repro.experiments.scenario import (
     Scenario,
     ScenarioConfig,
@@ -17,12 +13,6 @@ from repro.experiments.scenario import (
 )
 
 __all__ = [
-    "DEFAULT_NODE_COUNTS",
-    "FIG1_SCHEMES",
-    "Fig1Point",
-    "format_fig1a",
-    "format_fig1b",
-    "run_fig1",
     "Scenario",
     "ScenarioConfig",
     "ScenarioResult",

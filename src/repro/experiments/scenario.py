@@ -16,6 +16,7 @@ you need to attach sniffers or poke at nodes before running.
 from __future__ import annotations
 
 import math
+import random
 import time as _wall
 from dataclasses import dataclass, field as dc_field, fields as dc_fields, is_dataclass
 from typing import Dict, List, Optional
@@ -25,7 +26,7 @@ from repro.core.aant import AantAuthenticator
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AantConfig, AgfwConfig
 from repro.crypto.certificates import CertificateAuthority
-from repro.faults.loss import make_loss_process, validate_loss_model
+from repro.faults.loss import make_loss_process
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.geo.region import Region
 from repro.geo.vec import Position
@@ -137,6 +138,9 @@ class ScenarioConfig:
         # The chained comparisons below are False for NaN, which a bare
         # ``value < 0`` test lets through.  A NaN or infinite speed makes
         # every waypoint leg zero-length and livelocks the run at t = 0.
+        for name in ("num_flows", "num_senders", "payload_bytes"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0 < self.min_speed <= self.max_speed < math.inf:
             raise ValueError("need 0 < min_speed <= max_speed < inf")
         for name in ("pause_time", "oracle_staleness"):
@@ -156,10 +160,20 @@ class ScenarioConfig:
                 raise ValueError(
                     "aant_ring_size must be <= num_nodes - 1 with real_crypto"
                 )
-        validate_loss_model(self.loss_model)
-        if self.loss_model == "none" and (self.loss_rate or self.loss_params):
-            raise ValueError(
-                "loss_rate / loss_params require a loss_model other than 'none'"
+        if self.loss_model == "none":
+            if self.loss_rate or self.loss_params:
+                raise ValueError(
+                    "loss_rate / loss_params require a loss_model other than 'none'"
+                )
+        else:
+            # Build one receiver's process on a throwaway stream: the
+            # loss model's constructor owns its model name, rate range
+            # and parameter checks, so a bad value fails here, not when
+            # the scenario builds.
+            make_loss_process(
+                self.loss_model, self.loss_rate, self.loss_params,
+                rng=random.Random(0), metrics=FaultMetrics(),
+                radio_range=self.radio_range,
             )
         if self.placement not in ("uniform", "clusters"):
             raise ValueError("placement must be 'uniform' or 'clusters'")

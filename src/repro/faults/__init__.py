@@ -19,9 +19,10 @@ Two orthogonal fault axes, both pure functions of the master seed:
   a built scenario and accounts downtime.
 
 Degradation is observed through
-:class:`repro.metrics.faults.FaultMetrics`; the sweep experiment in
-:mod:`repro.experiments.faults_sweep` turns the two axes into
-Fig-1-style delivery-vs-impairment curves.
+:class:`repro.metrics.faults.FaultMetrics`; the campaign spec
+``examples/campaigns/faults_sweep.toml`` sweeps both axes into
+Fig-1-style delivery-vs-impairment tables (``python -m repro.campaign
+report``).
 """
 
 from repro.faults.loss import (

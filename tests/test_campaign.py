@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -124,6 +125,11 @@ def test_bad_reference_fails_at_expansion():
         spec.points()
 
 
+NAN = float("nan")
+GILBERT = {"loss_model": ["gilbert"], "loss_rate": [0.2]}
+DISTANCE = {"loss_model": ["distance"], "loss_rate": [0.2]}
+
+
 @pytest.mark.parametrize(
     "axes, message",
     [
@@ -162,13 +168,21 @@ def test_bad_reference_fails_at_expansion():
         ({"rate_pps": [4.0, float("nan")]}, "rate_pps must be positive and finite"),
         ({"width": [1500.0, float("nan")]}, "width must be positive and finite"),
         ({"height": [300.0, float("nan")]}, "height must be positive and finite"),
+        ({"loss_model": ["bernoulli"], "loss_rate": [0.1, NAN]}, "bernoulli rate must be in"),
+        ({"loss_model": ["bernoulli"], "loss_rate": [0.1, 1.5]}, "bernoulli rate must be in"),
+        ({"num_flows": [3, 0]}, "num_flows must be >= 1"),
+        ({"num_senders": [3, 0]}, "num_senders must be >= 1"),
+        ({"payload_bytes": [128, 0]}, "payload_bytes must be >= 1"),
+        ({**GILBERT, "loss_params": [{"burst_length": 0.5}]}, "burst_length must be >= 1"),
+        ({**DISTANCE, "loss_params": [{"bogus": 1.0}]}, "unknown loss_params"),
     ],
 )
 def test_nan_distance_fails_at_expansion(axes, message):
     """TOML admits ``nan`` and ``inf``; they must fail while the matrix
     expands, like a bad backend value, instead of running a silently
     degenerate point (a non-finite speed used to hang the run at t = 0).
-    So must a ring size no run could sign with."""
+    So must a ring size no run could sign with, and a workload size or
+    loss setting no run could build."""
     spec = spec_from_mapping({**SMOKE, "axes": axes})
     with pytest.raises(CampaignSpecError, match=message):
         spec.points()
@@ -262,8 +276,20 @@ def test_rerun_is_pure_cache_hit(tmp_path):
     assert {d: store.path_for(d).stat().st_mtime_ns for d in store.digests()} == stamps
 
 
-def test_store_and_report_identical_across_jobs(tmp_path):
-    spec = _smoke_spec()
+#: Channel loss plus a churn sweep: pooled workers must reproduce each
+#: point's loss draws and crash schedule, not just its clean traffic.
+LOSS_CHURN = {
+    "name": "loss-churn",
+    "seed": 9,
+    "base": {"protocol": "agfw", "num_nodes": 12, "sim_time": 3.0,
+             "loss_model": "bernoulli", "loss_rate": 0.3},
+    "axes": {"churn_rate": [1.5, 3.0]},
+}
+
+
+@pytest.mark.parametrize("mapping", [SMOKE, LOSS_CHURN], ids=["smoke", "loss-churn"])
+def test_store_and_report_identical_across_jobs(tmp_path, mapping):
+    spec = spec_from_mapping(mapping)
     serial = ResultStore(tmp_path / "serial")
     pooled = ResultStore(tmp_path / "pooled")
     run_campaign(spec, serial, jobs=1)
@@ -272,6 +298,10 @@ def test_store_and_report_identical_across_jobs(tmp_path):
     for digest in serial.digests():
         assert serial.path_for(digest).read_bytes() == pooled.path_for(digest).read_bytes()
     assert campaign_report(spec, serial) == campaign_report(spec, pooled)
+    if mapping is LOSS_CHURN:
+        counters = [serial.get(d)["fault_counters"] for d in serial.digests()]
+        assert all(c["drops_injected"] > 0 for c in counters)
+        assert all(c["crashes"] > 0 for c in counters)
 
 
 def test_report_requires_complete_matrix(tmp_path):
@@ -407,6 +437,18 @@ def test_committed_campaign_files_parse_and_validate():
     for path in files:
         spec = load_spec(path)
         assert spec.points(), path.name
+
+
+def test_experiments_md_report_commands_name_committed_files():
+    """Every paper table EXPERIMENTS.md attributes to a campaign names a
+    spec that loads and a report file that is committed beside it."""
+    text = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8").replace("\\\n", " ")
+    commands = re.findall(r"python -m repro\.campaign report\s+(\S+)\s+--output\s+(\S+)", text)
+    specs = {pathlib.Path(spec).name for spec, _output in commands}
+    assert specs >= {"fig1_sweep.toml", "faults_sweep.toml"}
+    for spec, output in commands:
+        assert load_spec(REPO / spec).points(), spec
+        assert (REPO / output).is_file(), output
 
 
 def test_committed_campaign_bench_meets_cache_speedup_floor():

@@ -11,8 +11,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
@@ -53,7 +51,20 @@ def test_authenticated_neighbors():
     assert "forged hellos rejected" in out
 
 
-def test_density_sweep_quick():
-    out = _run("density_sweep.py", "--sim-time", "4", "--nodes", "20")
-    assert "Figure 1(a)" in out
-    assert "Figure 1(b)" in out
+def test_density_sweep_quick(tmp_path):
+    """The paper-scale Fig 1 spec keeps its 900 s shape, and shrunk to
+    one density at 4 s it runs and reports both Fig 1 metrics."""
+    import tomllib
+
+    from repro.campaign import ResultStore, campaign_report, run_campaign, spec_from_mapping
+
+    spec = tomllib.loads((EXAMPLES / "campaigns" / "fig1_full.toml").read_text())
+    assert spec["base"] == {"sim_time": 900.0, "traffic_start": [1.0, 30.0]}
+    assert len(spec_from_mapping(spec).points()) == 18  # 3 schemes x 6 densities
+    spec["base"]["sim_time"] = 4.0
+    spec["axes"]["num_nodes"] = [20]
+    quick, store = spec_from_mapping(spec), ResultStore(tmp_path / "quick.store")
+    assert run_campaign(quick, store).executed == 3
+    report = campaign_report(quick, store)
+    assert "delivery_fraction (num_nodes x protocol" in report
+    assert "mean_latency_ms (num_nodes x protocol" in report

@@ -90,10 +90,24 @@ def test_config_validation():
         (dict(width=nan), "width must be positive and finite"),
         (dict(height=nan), "height must be positive and finite"),
         (dict(height=inf), "height must be positive and finite"),
+        # Workload sizes and loss settings used to pass construction and
+        # fail only inside Scenario(...); the loss checks are the loss
+        # model's own constructor's.
+        (dict(num_flows=0), "num_flows must be >= 1"),
+        (dict(num_senders=0), "num_senders must be >= 1"),
+        (dict(payload_bytes=0), "payload_bytes must be >= 1"),
+        (dict(loss_model="bernoulli", loss_rate=nan), "bernoulli rate must be in"),
+        (dict(loss_model="bernoulli", loss_rate=1.5), "bernoulli rate must be in"),
+        (dict(loss_model="gilbert", loss_rate=nan), "gilbert rate must be in"),
+        (dict(loss_model="gilbert", loss_params={"burst_length": 0.5}), "burst_length must"),
+        (dict(loss_model="distance", loss_params={"bogus": 1.0}), "unknown loss_params"),
+        (dict(loss_model="rayleigh", loss_rate=0.2), "loss_model must be one of"),
     ]:
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(**kwargs)
     ScenarioConfig(pause_time=0.0, traffic_start=(0.0, 0.0), oracle_staleness=0.0)
+    ScenarioConfig(num_flows=1, num_senders=1, payload_bytes=1)
+    ScenarioConfig(loss_model="gilbert", loss_rate=0.2, loss_params={"burst_length": 1.0})
 
 
 def test_teleports_require_static():

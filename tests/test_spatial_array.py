@@ -19,7 +19,7 @@ import struct
 
 import pytest
 
-from repro.experiments.fig1 import run_fig1
+from repro.campaign import ResultStore, config_digest, run_campaign, spec_from_mapping
 from repro.experiments.scenario import ScenarioConfig
 from repro.faults import FaultPlan
 from repro.geo.spatial_array import ArraySpatialIndex, FanOut
@@ -252,21 +252,25 @@ def test_spatial_modes_trace_identically_under_faults(seed, checked_medium):
     )
 
 
-def test_jobs_pool_identical_across_spatial_modes():
+def test_jobs_pool_identical_across_spatial_modes(tmp_path):
     """--jobs workers pickle configs into subprocesses; the array index
-    must survive the trip and produce the exact same sweep points."""
-    points = {
-        reference: run_fig1(
-            node_counts=(10, 14),
-            schemes=("agfw",),
-            sim_time=4.0,
-            seed=3,
-            jobs=2,
-            base=ScenarioConfig(reference=reference),
+    must survive the trip and store the exact same campaign records as
+    the reference.  Only the digest differs: ``reference`` is part of
+    the config it hashes."""
+    records = {}
+    for reference in (True, False):
+        base = {"protocol": "agfw", "sim_time": 4.0, "reference": reference}
+        spec = spec_from_mapping(
+            {"name": "spatial-jobs", "seed": 3, "base": base, "axes": {"num_nodes": [10, 14]}}
         )
-        for reference in (True, False)
-    }
-    assert points[True] == points[False]
+        store = ResultStore(tmp_path / str(reference))
+        run_campaign(spec, store, jobs=2)
+        records[reference] = [
+            {k: v for k, v in store.get(config_digest(p.config)).items() if k != "digest"}
+            for p in spec.points()
+        ]
+    assert records[True] == records[False]
+    assert all(r["metrics"]["sent"] > 0 for r in records[False])
 
 
 # --------------------------------------------------- committed benchmark
