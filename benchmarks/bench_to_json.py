@@ -49,11 +49,10 @@ Suites:
   throughput plus end-to-end scenarios under each impairment regime;
   derived ``*_scenario_overhead`` ratios vs the unimpaired leg (the
   zero-cost-when-disabled guarantee).
-* ``analysis`` — the static-analysis engine (PR 6): full ``src/`` lint
-  in intra vs interprocedural mode and with a cold vs warm incremental
-  cache; derived ``interproc_overhead`` (price of cross-module
-  reasoning) and ``incremental_cache_speedup`` (rule dispatch skipped
-  on unchanged files).
+* ``analysis`` — the static-analysis engine (PR 6): full ``src/`` lint,
+  uncached and with a cold vs warm incremental cache; derived
+  ``incremental_cache_speedup`` (rule dispatch skipped on unchanged
+  files).
 * ``hotpath`` — the vectorized core (PR 7): neighbor-gather and batch
   mobility micro-kernels (brute scalar vs numpy-batched; acceptance
   floor 5x each) and a 150-node end-to-end scenario on the brute scan
@@ -126,10 +125,6 @@ SUITES: dict[str, dict] = {
     "analysis": {
         "file": "bench_analysis.py",
         "derived": {
-            "interproc_overhead": (
-                "test_full_src_analysis[interproc]",
-                "test_full_src_analysis[intra]",
-            ),
             "incremental_cache_speedup": (
                 "test_full_src_analysis_cached[cold]",
                 "test_full_src_analysis_cached[warm]",

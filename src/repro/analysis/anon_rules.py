@@ -7,7 +7,7 @@ the broadcast address.  Related work (ANAP's spoofing analysis) shows
 how easily an "anonymous" protocol leaks identity through an
 implementation side channel rather than the design — and those side
 channels cross function boundaries.  These rules mechanize the
-invariant with a taint analysis that is *interprocedural* by default:
+invariant with an *interprocedural* taint analysis:
 
 ==========  ===========================================================
 ANON-001    a node-identity expression (``node.identity``, ``*_identity``
@@ -18,7 +18,7 @@ ANON-002    a link-layer address (``node.address``, ``mac_for_node``,
             belong to MAC frames, and AGFW frames are broadcast-only
 ==========  ===========================================================
 
-On top of PR 1's per-function walk, the engine consults project-wide
+On top of a per-function walk, the engine consults project-wide
 facts from :mod:`repro.analysis.summaries`:
 
 * **function summaries** — a helper that returns its argument (or a
@@ -48,7 +48,7 @@ every cleartext identity field in the codebase.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import (
     Finding,
@@ -58,8 +58,6 @@ from repro.analysis.core import (
     register,
 )
 from repro.analysis.dataflow import (
-    LINKED_EXACT,
-    LINKED_SUFFIXES,
     SANITIZERS,
     SEED,
     ClassEnv,
@@ -110,94 +108,60 @@ class TaintWalker:
     (reassignment to a clean value) and never under-shoots, which is
     the right trade-off for an invariant checker.
 
-    In interprocedural mode (:meth:`enable_interproc`) the walker
-    delegates expression evaluation to the label dataflow with the
-    project's function summaries and field-taint facts attached; in
-    intra mode it reproduces PR 1's behavior bit for bit.
+    Expression evaluation is delegated to the label dataflow with the
+    project's function summaries, field-taint facts and class typing
+    for ``scope`` attached.
     """
 
     def __init__(
         self,
         module: ModuleContext,
         project: ProjectContext,
-        seed_attr_exact: Sequence[str],
-        seed_attr_suffixes: Sequence[str],
-        seed_param_names: Sequence[str],
-        seed_calls: Sequence[str] = (),
+        scope: ast.AST,
+        spec: SeedSpec,
     ) -> None:
         self.module = module
-        self.project = project
-        self.spec = SeedSpec(
-            attr_exact=frozenset(seed_attr_exact),
-            attr_suffixes=tuple(seed_attr_suffixes),
-            param_names=frozenset(seed_param_names),
-            calls=frozenset(seed_calls),
-        )
+        self.spec = spec
         self.tainted_vars: Set[str] = set()
-        self._evaluator: Optional[LabelEvaluator] = None
-        self._summaries = None
-        self._qualname: Optional[str] = None
-
-    # ----------------------------------------------------- interproc wiring
-    def enable_interproc(self, scope: ast.AST) -> None:
-        """Attach project summaries/class typing for ``scope``."""
-        summaries = self.project.summaries_for(self.spec)
-        table = self.project.symbol_table
+        summaries = project.summaries_for(spec)
+        table = project.symbol_table
         info = table.function_for_node(scope)
         enclosing_class = info.class_qualname if info is not None else None
-        self._qualname = info.qualname if info is not None else None
-        self._summaries = summaries
-        class_env = ClassEnv(
-            self.module,
+        #: Params some caller feeds a tainted value (callgraph injection)
+        #: or a wire-visible packet instance.
+        self.injected_params: FrozenSet[str] = frozenset()
+        self.packet_params: FrozenSet[str] = frozenset()
+        if info is not None:
+            self.injected_params = summaries.tainted_params.get(info.qualname, frozenset())
+            self.packet_params = summaries.packet_params.get(info.qualname, frozenset())
+        self.class_env = ClassEnv(
+            module,
             table,
             scope,
             enclosing_class=enclosing_class,
             returns_class=summaries.returns_class,
         )
         self._evaluator = LabelEvaluator(
-            self.module,
-            self.spec,
+            module,
+            spec,
             table=table,
             env={},
             summaries=summaries.return_labels,
             tainted_fields=summaries.tainted_fields,
-            class_env=class_env,
+            class_env=self.class_env,
             enclosing_class=enclosing_class,
-            packet_class_names=frozenset(self.project.packet_classes),
+            packet_class_names=frozenset(project.packet_classes),
         )
-
-    @property
-    def class_env(self) -> Optional[ClassEnv]:
-        return self._evaluator.class_env if self._evaluator is not None else None
-
-    @property
-    def injected_params(self) -> FrozenSet[str]:
-        """Params some caller feeds a tainted value (callgraph injection)."""
-        if self._summaries is None or self._qualname is None:
-            return frozenset()
-        return self._summaries.tainted_params.get(self._qualname, frozenset())
-
-    @property
-    def packet_params(self) -> FrozenSet[str]:
-        """Params some caller feeds a wire-visible packet instance."""
-        if self._summaries is None or self._qualname is None:
-            return frozenset()
-        return self._summaries.packet_params.get(self._qualname, frozenset())
 
     def add_taint(self, name: str) -> None:
         self.tainted_vars.add(name)
-        if self._evaluator is not None:
-            self._evaluator.env[name] = frozenset({SEED})
+        self._evaluator.env[name] = frozenset({SEED})
 
     # ----------------------------------------------------------- seeding
-    def _name_matches(self, name: str) -> bool:
-        return self.spec.name_matches(name)
-
     def seed_params(self, func: ast.AST) -> None:
         """Parameters tainted by *name* or by call-site injection."""
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return
-        injected = self.injected_params
         args = func.args
         for arg in (
             *args.posonlyargs, *args.args, *args.kwonlyargs,
@@ -206,8 +170,8 @@ class TaintWalker:
         ):
             if (
                 arg.arg in self.spec.param_names
-                or self._name_matches(arg.arg)
-                or arg.arg in injected
+                or self.spec.name_matches(arg.arg)
+                or arg.arg in self.injected_params
             ):
                 self.add_taint(arg.arg)
 
@@ -239,66 +203,9 @@ class TaintWalker:
         return None
 
     # ------------------------------------------------------------ queries
-    _LINKED_EXACT = LINKED_EXACT
-    _LINKED_SUFFIXES = LINKED_SUFFIXES
-
     def is_tainted(self, node: ast.AST) -> bool:
         """Does the expression (transitively) carry an identity?"""
-        if self._evaluator is not None:
-            return SEED in self._evaluator.labels(node)
-        return self._is_tainted_intra(node)
-
-    def _is_tainted_intra(self, node: ast.AST) -> bool:
-        """PR 1's per-module walk, byte-for-byte (the provable baseline)."""
-        if isinstance(node, ast.Attribute):
-            if self._name_matches(node.attr):
-                return True
-            # Attribute access on a tainted record stays tainted only for
-            # the identity-*linked* fields: a position keyed by identity
-            # is exactly the (identity, location) doublet the paper hides;
-            # a timestamp on the same record is not.
-            lowered = node.attr.lower()
-            if lowered in self._LINKED_EXACT or lowered.endswith(self._LINKED_SUFFIXES):
-                return self._is_tainted_intra(node.value)
-            return False
-        if isinstance(node, ast.Name):
-            return node.id in self.tainted_vars or self._name_matches(node.id)
-        if isinstance(node, ast.Call):
-            func_name = _terminal_name(node.func)
-            if func_name in SANITIZERS:
-                return False
-            if func_name in self.spec.calls:
-                return True
-            parts: List[ast.AST] = [*node.args, *[kw.value for kw in node.keywords]]
-            if isinstance(node.func, ast.Attribute):
-                # Method on a tainted object: ``identity.encode()``.
-                parts.append(node.func.value)
-            return any(self._is_tainted_intra(part) for part in parts)
-        if isinstance(node, ast.BoolOp):
-            return any(self._is_tainted_intra(v) for v in node.values)
-        if isinstance(node, ast.BinOp):
-            return self._is_tainted_intra(node.left) or self._is_tainted_intra(node.right)
-        if isinstance(node, ast.JoinedStr):
-            return any(
-                self._is_tainted_intra(value.value)
-                for value in node.values
-                if isinstance(value, ast.FormattedValue)
-            )
-        if isinstance(node, ast.FormattedValue):
-            return self._is_tainted_intra(node.value)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            return any(self._is_tainted_intra(elt) for elt in node.elts)
-        if isinstance(node, ast.Starred):
-            return self._is_tainted_intra(node.value)
-        if isinstance(node, ast.IfExp):
-            return self._is_tainted_intra(node.body) or self._is_tainted_intra(node.orelse)
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            return self._is_tainted_intra(node.elt) or any(
-                self._is_tainted_intra(gen.iter) for gen in node.generators
-            )
-        if isinstance(node, ast.Subscript):
-            return self._is_tainted_intra(node.value)
-        return False
+        return SEED in self._evaluator.labels(node)
 
 
 def _split_scope(scope: ast.AST) -> Tuple[List[ast.AST], List[ast.AST]]:
@@ -326,12 +233,8 @@ def _split_scope(scope: ast.AST) -> Tuple[List[ast.AST], List[ast.AST]]:
 class _PacketTaintRule(Rule):
     """Shared sink detection: taint reaching packet constructors/fields."""
 
-    #: overridden by concrete rules
-    seed_attr_exact: Tuple[str, ...] = ()
-    seed_attr_suffixes: Tuple[str, ...] = ()
-    seed_param_names: Tuple[str, ...] = ()
-    seed_calls: Tuple[str, ...] = ()
-    what: str = "identity"
+    #: the seed family; overridden by concrete rules
+    spec: SeedSpec = IDENTITY_SPEC
 
     def check(self, module: ModuleContext, project: ProjectContext) -> Iterator[Finding]:
         # Walk each scope (module, then each function) with its own taint
@@ -346,16 +249,7 @@ class _PacketTaintRule(Rule):
         scope: ast.AST,
         inherited: frozenset,
     ) -> Iterator[Finding]:
-        walker = TaintWalker(
-            module,
-            project,
-            self.seed_attr_exact,
-            self.seed_attr_suffixes,
-            self.seed_param_names,
-            self.seed_calls,
-        )
-        if project.interprocedural:
-            walker.enable_interproc(scope)
+        walker = TaintWalker(module, project, scope, self.spec)
         for name in sorted(inherited):
             walker.add_taint(name)
         walker.seed_params(scope)
@@ -380,9 +274,9 @@ class _PacketTaintRule(Rule):
     ) -> Set[str]:
         """Local names bound to packet instances (``p = AgfwData(...)``).
 
-        Interprocedural mode adds: parameters that call sites feed packet
-        instances, and names whose inferred class (constructor elsewhere,
-        annotation, summary ``returns_class``) is a packet class.
+        Also: parameters that call sites feed packet instances, and names
+        whose inferred class (constructor elsewhere, annotation, summary
+        ``returns_class``) is a packet class.
         """
         names: Set[str] = set()
         for node in nodes:
@@ -398,12 +292,11 @@ class _PacketTaintRule(Rule):
                     names.add(target.id)
         names |= walker.packet_params
         class_env = walker.class_env
-        if class_env is not None:
-            table = project.symbol_table
-            for name in sorted(class_env.vars):
-                cinfo = table.classes.get(class_env.vars[name])
-                if cinfo is not None and cinfo.name in project.packet_classes:
-                    names.add(name)
+        table = project.symbol_table
+        for name in sorted(class_env.vars):
+            cinfo = table.classes.get(class_env.vars[name])
+            if cinfo is not None and cinfo.name in project.packet_classes:
+                names.add(name)
         return names
 
     @staticmethod
@@ -421,7 +314,7 @@ class _PacketTaintRule(Rule):
         reports the interprocedural typing can justify removing.
         """
         env = walker.class_env
-        if env is None or not isinstance(node.func, ast.Attribute):
+        if not isinstance(node.func, ast.Attribute):
             return False
         cloned: Optional[ast.AST] = node.func.value
         if (
@@ -461,7 +354,7 @@ class _PacketTaintRule(Rule):
                         yield self.finding(
                             module,
                             arg,
-                            f"node {self.what} flows into wire-visible "
+                            f"node {self.spec.what} flows into wire-visible "
                             f"{sink}() positional arg {position}; use a "
                             "pseudonym or seal it in a trapdoor",
                         )
@@ -470,7 +363,7 @@ class _PacketTaintRule(Rule):
                         yield self.finding(
                             module,
                             keyword.value,
-                            f"node {self.what} flows into wire-visible "
+                            f"node {self.spec.what} flows into wire-visible "
                             f"{sink}(... {keyword.arg}=...); use a pseudonym "
                             "or seal it in a trapdoor",
                         )
@@ -486,7 +379,7 @@ class _PacketTaintRule(Rule):
                     yield self.finding(
                         module,
                         node,
-                        f"node {self.what} assigned to packet field "
+                        f"node {self.spec.what} assigned to packet field "
                         f"'{target.value.id}.{target.attr}'; wire-visible "
                         "headers must carry pseudonyms or trapdoors",
                     )
@@ -512,11 +405,7 @@ class IdentityIntoPacket(_PacketTaintRule):
         "and encrypted indexes."
     )
     exempt_paths = ("crypto/*", "core/trapdoor.py")
-
-    seed_attr_exact = tuple(sorted(IDENTITY_SPEC.attr_exact))
-    seed_attr_suffixes = IDENTITY_SPEC.attr_suffixes
-    seed_param_names = tuple(sorted(IDENTITY_SPEC.param_names))
-    what = "identity"
+    spec = IDENTITY_SPEC
 
 
 @register
@@ -537,9 +426,4 @@ class MacAddressIntoPacket(_PacketTaintRule):
         "identifier the pseudonym scheme removes."
     )
     exempt_paths = ("crypto/*", "net/mac/*", "net/addresses.py")
-
-    seed_attr_exact = tuple(sorted(MAC_SPEC.attr_exact))
-    seed_attr_suffixes = MAC_SPEC.attr_suffixes
-    seed_param_names = tuple(sorted(MAC_SPEC.param_names))
-    seed_calls = tuple(sorted(MAC_SPEC.calls))
-    what = "MAC address"
+    spec = MAC_SPEC

@@ -1,9 +1,8 @@
 """Project-wide symbol table and call graph.
 
-The PR 1 engine saw one module at a time; the interprocedural passes
-need to know, for *any* call expression, which function definitions in
-the analyzed tree it might land on.  This module builds that knowledge
-in one deterministic pre-pass:
+The interprocedural passes need to know, for *any* call expression,
+which function definitions in the analyzed tree it might land on.  This
+module builds that knowledge in one deterministic pre-pass:
 
 * :func:`module_name_of` — file path to dotted module name (``src/repro/
   routing/gpsr.py`` → ``repro.routing.gpsr``), so qualified names are

@@ -25,8 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based determinism (DET) and anonymity-invariant (ANON) "
-            "linter for the ANT/AGFW reproduction, with interprocedural "
-            "taint tracking across the whole tree. Suppress a finding with "
+            "linter for the ANT/AGFW reproduction. Taint and call-graph "
+            "facts span every analyzed file, so a leak or an unordered "
+            "iteration is followed across modules. Suppress a finding with "
             "'# repro: noqa[RULE-ID]' on its statement."
         ),
     )
@@ -53,14 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RULE",
         help="skip these rule ids or families; repeatable",
-    )
-    parser.add_argument(
-        "--intra-only",
-        action="store_true",
-        help=(
-            "disable the interprocedural passes (symbol table, summaries, "
-            "call graph); per-module behavior only — mainly for comparison"
-        ),
     )
     parser.add_argument(
         "--cache",
@@ -118,7 +111,6 @@ def main(argv: Optional[Sequence[str]] = None, stream: Optional[IO[str]] = None)
             args.paths,
             select=args.select,
             ignore=args.ignore,
-            interprocedural=not args.intra_only,
             cache_path=Path(args.cache) if args.cache else None,
             baseline=baseline,
         )

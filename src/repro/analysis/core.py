@@ -145,15 +145,8 @@ class ProjectContext:
         ("repro.location.geocast", "LocationAddressed"),
     )
 
-    def __init__(
-        self, modules: Iterable[ModuleContext], interprocedural: bool = True
-    ) -> None:
+    def __init__(self, modules: Iterable[ModuleContext]) -> None:
         self.modules: List[ModuleContext] = list(modules)
-        #: When False, rules fall back to PR 1's per-module behavior:
-        #: no symbol table, no summaries, no call-graph passes.  The
-        #: regression tests use this to prove the interprocedural engine
-        #: catches leaks the intra-function walk provably cannot.
-        self.interprocedural = interprocedural
         self.packet_classes: set[str] = {name for _, name in self.PACKET_ROOTS}
         self._symbol_table = None
         self._det_facts = None

@@ -217,8 +217,7 @@ class LabelEvaluator:
     call-site injection marked them tainted).  ``summaries`` maps
     qualnames to per-function return-label sets; ``tainted_fields`` is
     the project-wide set of ``(class_qualname, attr)`` pairs known to
-    hold seeds.  All three default to empty, which reproduces the PR 1
-    intra-function behavior exactly.
+    hold seeds.  All three default to empty.
     """
 
     def __init__(

@@ -55,8 +55,8 @@ DET-014     nondeterministic multiprocessing patterns around the
             sets that crossed a pickle boundary (worker pipes, queues)
 ==========  ===========================================================
 
-DET-009 only fires when the engine runs interprocedurally (it needs the
-call graph); the others are per-module and fire in both modes.
+DET-009 consults the project call graph and cross-module set facts; the
+others look at one module at a time.
 """
 
 from __future__ import annotations
@@ -477,8 +477,10 @@ class ModuleLevelCounter(Rule):
     the ``RadioMedium`` instance.  The exempted files hold the audited
     exceptions: packet/frame uids must be unique across *all* nodes of a
     run, and their values are proven outcome-invisible (never compared,
-    ordered on, or formatted into experiment output; the determinism
-    equivalence suite would catch a violation).
+    ordered on, or formatted into experiment output).  A violation would
+    show in ``assert_reference_matches`` (``tests/conftest.py``): its two
+    runs share one process, so the second starts mid-sequence and its
+    trace would diverge.
     """
 
     id = "DET-006"
@@ -559,7 +561,8 @@ class ModuleLevelMemoCache(Rule):
     *audited* module-level caches: every stored value is a pure function
     of its key and hits charge the same virtual-time cost as misses, so
     cross-Simulator persistence is provably outcome-invisible, and the
-    equivalence suite re-proves it each run.  The same storage pattern
+    ``checked_memo`` fixture (``tests/conftest.py``) re-proves it by
+    recomputing every hit.  The same storage pattern
     anywhere else is the DET-006 footgun with a dict instead of a
     counter: state leaking across runs in one process, invisible to the
     RngRegistry, with no proof obligation attached.  Flagged shapes:
@@ -756,8 +759,6 @@ class UnorderedIterationIntoScheduler(Rule):
     exempt_paths = ("tests/*", "test_*.py", "conftest.py", "benchmarks/*")
 
     def check(self, module: ModuleContext, project: ProjectContext) -> Iterator[Finding]:
-        if not project.interprocedural:
-            return
         facts = project.det_facts
         table = project.symbol_table
         intra = _set_typed_symbols(module.tree)
@@ -967,8 +968,8 @@ class UnsortedFilesystemEnumeration(Rule):
     """DET-012: directory listings consumed in filesystem order.
 
     ``os.listdir`` and friends return entries in on-disk order — ext4,
-    tmpfs and APFS all disagree, so scenario loaders, trace mergers and
-    the analysis engine itself would process files in machine-dependent
+    tmpfs and APFS all disagree, so scenario loaders, the campaign store
+    and the analysis engine itself would process files in machine-dependent
     order.  Every enumeration must pass through ``sorted(...)`` before
     its order can matter (the engine's own ``collect_files`` is the
     pattern).  An enumeration already wrapped in a ``sorted(...)`` call

@@ -42,7 +42,7 @@ from repro.analysis.suppress import collect_suppressions, split_suppressed
 
 # Imported for the side effect of registering the rule families.
 from repro.analysis import det_rules as _det_rules  # noqa: F401
-from repro.analysis import anon_rules as _anon_rules  # noqa: F401
+from repro.analysis.anon_rules import IDENTITY_SPEC, MAC_SPEC
 
 __all__ = [
     "AnalysisCache",
@@ -134,8 +134,8 @@ def _sha256_text(text: str) -> str:
 
 def project_facts_key(project: ProjectContext, rules: Sequence[Rule]) -> str:
     """Digest of everything a cached per-file result depends on besides
-    the file itself: engine version, rule set, and — interprocedurally —
-    every cross-module fact the rules consult.  Any edit anywhere that
+    the file itself: engine version, rule set, and every cross-module
+    fact the rules consult.  Any edit anywhere that
     shifts a summary, the packet hierarchy, or scheduler reachability
     changes this key and invalidates the whole cache, which is exactly
     the soundness condition for caching interprocedural findings.
@@ -143,15 +143,11 @@ def project_facts_key(project: ProjectContext, rules: Sequence[Rule]) -> str:
     payload: Dict[str, object] = {
         "analysis_version": ANALYSIS_VERSION,
         "rules": [rule.id for rule in rules],
-        "interprocedural": project.interprocedural,
         "packet_classes": sorted(project.packet_classes),
+        "identity": project.summaries_for(IDENTITY_SPEC).digest_payload(),
+        "mac": project.summaries_for(MAC_SPEC).digest_payload(),
+        "det": project.det_facts.digest_payload(),
     }
-    if project.interprocedural:
-        from repro.analysis.anon_rules import IDENTITY_SPEC, MAC_SPEC
-
-        payload["identity"] = project.summaries_for(IDENTITY_SPEC).digest_payload()
-        payload["mac"] = project.summaries_for(MAC_SPEC).digest_payload()
-        payload["det"] = project.det_facts.digest_payload()
     return _sha256_text(json.dumps(payload, sort_keys=True))
 
 
@@ -269,7 +265,6 @@ def analyze_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    interprocedural: bool = True,
     cache_path: Optional[Path] = None,
     baseline: Optional[Baseline] = None,
 ) -> AnalysisResult:
@@ -278,7 +273,7 @@ def analyze_paths(
     files = collect_files(paths)
     modules = _parse_modules(files, errors)
     rules = registry.select(select=select, ignore=ignore)
-    project = ProjectContext(modules, interprocedural=interprocedural)
+    project = ProjectContext(modules)
     cache: Optional[AnalysisCache] = None
     if cache_path is not None:
         cache = AnalysisCache(cache_path, project_facts_key(project, rules))

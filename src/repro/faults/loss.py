@@ -43,6 +43,7 @@ Models
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, Optional
 
@@ -137,8 +138,8 @@ class GilbertElliottLoss(LossProcess):
     ) -> None:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"gilbert rate must be in [0, 1), got {rate}")
-        if burst_length < 1.0:
-            raise ValueError(f"burst_length must be >= 1, got {burst_length}")
+        if not 1.0 <= burst_length < math.inf:
+            raise ValueError(f"burst_length must be >= 1 and finite, got {burst_length}")
         if not 0.0 <= loss_good <= 1.0 or not 0.0 <= loss_bad <= 1.0:
             raise ValueError("loss_good / loss_bad must be probabilities")
         super().__init__(rng, metrics)
@@ -187,10 +188,10 @@ class DistanceLoss(LossProcess):
     ) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"distance rate must be in [0, 1], got {rate}")
-        if radio_range <= 0:
-            raise ValueError("radio_range must be positive")
-        if exponent <= 0:
-            raise ValueError("exponent must be positive")
+        if not 0.0 < radio_range < math.inf:
+            raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
+        if not 0.0 < exponent < math.inf:
+            raise ValueError(f"exponent must be positive and finite, got {exponent}")
         super().__init__(rng, metrics)
         self.rate = rate
         self.radio_range = radio_range

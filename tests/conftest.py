@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import os
 import random
+import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import settings
 
 import repro.experiments.scenario as scenario_module
+from repro.analysis.engine import AnalysisResult, analyze_paths
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AgfwConfig
 from repro.crypto.cache import LruMemo
@@ -366,3 +369,27 @@ def assert_reference_matches(config: ScenarioConfig) -> ScenarioResult:
     assert divergence is None, divergence
     assert _outcome(fast) == _outcome(reference)
     return fast
+
+
+# ------------------------------------------------- shared src/ analysis
+@dataclass(frozen=True)
+class TimedAnalysis:
+    """One whole-tree analysis: its findings and its wall time.
+
+    It keeps no parsed modules or ASTs: holding those for the rest of
+    the session would grow the live heap every later test collects."""
+
+    result: AnalysisResult
+    elapsed_s: float
+
+
+@pytest.fixture(scope="session")
+def src_analysis() -> TimedAnalysis:
+    """``analyze_paths([src])``, run once per session and timed.
+
+    The src self-clean, noqa-catalog, determinism and wall-time floor
+    tests all read this one run instead of each analysing ``src/``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    started = time.perf_counter()
+    result = analyze_paths([str(src)])
+    return TimedAnalysis(result, time.perf_counter() - started)

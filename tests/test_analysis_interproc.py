@@ -1,12 +1,10 @@
 """Interprocedural dataflow tests: taint across modules, DET-009..012.
 
-The fixture packages mirror the leak shapes the tentpole was built for:
-identity laundered through a helper return, stored into a dataclass
-field in another module, cleansed by a sanitizer mid-chain, cycled
-through mutual recursion, and injected through call-site arguments.
-The acceptance-criteria test proves each cross-module leak is caught by
-the interprocedural engine AND missed by the old per-module walk
-(``interprocedural=False`` reproduces PR 1's behavior bit for bit).
+The fixture packages mirror the cross-module leak shapes a per-function
+walk cannot see: identity laundered through a helper return, stored into
+a dataclass field in another module, cleansed by a sanitizer mid-chain,
+cycled through mutual recursion, and injected through call-site
+arguments.  Each must be caught where the identity reaches the packet.
 """
 
 from __future__ import annotations
@@ -28,12 +26,10 @@ def pkt(body: str) -> str:
     return PACKET_PREAMBLE + textwrap.dedent(body)
 
 
-def lint_package(tmp_path, files, select=None, interprocedural=True):
+def lint_package(tmp_path, files, select=None):
     for rel, source in sorted(files.items()):
         write_fixture(tmp_path, rel, source)
-    return analyze_paths(
-        [str(tmp_path / "src")], select=select, interprocedural=interprocedural
-    )
+    return analyze_paths([str(tmp_path / "src")], select=select)
 
 
 def _module(source: str, path: str = "src/repro/x.py") -> ModuleContext:
@@ -65,18 +61,6 @@ def test_leak_through_helper_return_caught_interprocedurally(tmp_path):
     assert finding.path.endswith("sender.py")
 
 
-def test_same_leak_provably_missed_by_intra_module_walk(tmp_path):
-    """The acceptance criterion: the old per-module engine (PR 1 behavior,
-    ``interprocedural=False``) cannot see through ``node_tag`` — the call
-    is opaque and its argument carries no seed name — so the identical
-    tree lints clean.  The new engine's catch is therefore a genuine
-    capability, not a recalibrated heuristic."""
-    result = lint_package(
-        tmp_path, HELPER_LEAK, select=["ANON-001"], interprocedural=False
-    )
-    assert result.findings == []
-
-
 # ----------------------------------------------------- dataclass-field leak
 def test_leak_through_dataclass_field_across_modules(tmp_path):
     files = {
@@ -105,9 +89,6 @@ def test_leak_through_dataclass_field_across_modules(tmp_path):
     assert rule_ids(result) == ["ANON-001"]
     (finding,) = result.findings
     assert finding.path.endswith("emit.py")
-
-    intra = lint_package(tmp_path, files, select=["ANON-001"], interprocedural=False)
-    assert intra.findings == []
 
 
 def test_leak_through_constructor_keyword_field(tmp_path):
@@ -265,7 +246,7 @@ def test_det009_cross_module_set_iteration_into_scheduler(tmp_path):
     assert any("kick" in f.message for f in result.findings)
 
 
-def test_det009_sorted_wrapper_and_intra_mode_are_clean(tmp_path):
+def test_det009_sorted_wrapper_is_clean(tmp_path):
     files = dict(SCHED_FILES)
     files["src/repro/fixpkg/user.py"] = """\
         from repro.fixpkg.state import Roster, fresh_members
@@ -281,14 +262,6 @@ def test_det009_sorted_wrapper_and_intra_mode_are_clean(tmp_path):
                 notify(roster, sim)
         """
     assert lint_package(tmp_path, files, select=["DET-009"]).findings == []
-    # DET-009 needs the call graph: intra mode must not fire (DET-005
-    # keeps covering the intra-module cases).
-    assert (
-        lint_package(
-            tmp_path, SCHED_FILES, select=["DET-009"], interprocedural=False
-        ).findings
-        == []
-    )
 
 
 def test_det009_leaves_intra_module_sets_to_det005(tmp_path):

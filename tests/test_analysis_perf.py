@@ -2,20 +2,18 @@
 
 Absolute timings are hardware-dependent, so the committed
 ``benchmarks/BENCH_analysis.json`` numbers are treated as a *floor
-document*: its schema and derived ratios are asserted exactly, and the
-live run here only has to land within a generous multiple of the
-committed mean — enough slack for CI-runner variance, tight enough that
-an accidental quadratic blowup in the summary fixpoint (the classic
-failure mode of interprocedural engines) still fails loudly.
+document*: its schema and derived ratio are asserted exactly, and the
+session's shared, timed ``src/`` analysis only has to land within a
+generous multiple of the committed mean — enough slack for CI-runner
+variance, tight enough that an accidental quadratic blowup in the
+summary fixpoint (the classic failure mode of interprocedural engines)
+still fails loudly.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-
-from repro.analysis.engine import analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "benchmarks" / "BENCH_analysis.json"
@@ -34,29 +32,20 @@ def test_committed_analysis_bench_shape():
     assert doc["suite"] == "analysis"
     names = set(doc["benchmarks"])
     assert {
-        "test_full_src_analysis[intra]",
-        "test_full_src_analysis[interproc]",
+        "test_full_src_analysis",
         "test_full_src_analysis_cached[cold]",
         "test_full_src_analysis_cached[warm]",
     } <= names
     derived = doc["derived"]
     # The cache must never make a run slower than cold.
     assert derived["incremental_cache_speedup"] >= 1.0
-    # Cross-module reasoning costs more than the per-module walk, but an
-    # overhead past ~20x would mean the fixpoint stopped converging in
-    # the small number of rounds it is designed for.
-    assert 1.0 <= derived["interproc_overhead"] <= 20.0
 
 
-def test_full_repo_analysis_within_committed_floor():
-    committed_mean = _committed()["benchmarks"]["test_full_src_analysis[interproc]"][
-        "mean_s"
-    ]
-    started = time.perf_counter()
-    result = analyze_paths([str(REPO_ROOT / "src")])
-    elapsed = time.perf_counter() - started
-    assert result.errors == []
+def test_full_repo_analysis_within_committed_floor(src_analysis):
+    committed_mean = _committed()["benchmarks"]["test_full_src_analysis"]["mean_s"]
+    elapsed = src_analysis.elapsed_s
+    assert src_analysis.result.errors == []
     assert elapsed <= committed_mean * _SLACK, (
-        f"full-src interprocedural analysis took {elapsed:.2f}s, over "
+        f"full-src analysis took {elapsed:.2f}s, over "
         f"{_SLACK}x the committed mean of {committed_mean:.2f}s"
     )

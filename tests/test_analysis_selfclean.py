@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.analysis.cli import main
@@ -20,8 +23,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------- regression
-def test_src_tree_is_clean_under_full_rule_set():
-    result = analyze_paths([str(REPO_ROOT / "src")])
+def test_src_tree_is_clean_under_full_rule_set(src_analysis):
+    result = src_analysis.result
     assert result.errors == []
     assert result.findings == [], "\n".join(
         f"{f.location()}: {f.rule_id} {f.message}" for f in result.findings
@@ -36,11 +39,12 @@ def test_tests_tree_is_clean_under_full_rule_set():
     )
 
 
-def test_baseline_leaks_are_annotated_not_silent():
+def test_baseline_leaks_are_annotated_not_silent(src_analysis):
     """GPSR/DLM/ALS-fallback cleartext identities are suppressed findings,
     not invisible ones: the noqa catalog must keep firing."""
-    result = analyze_paths([str(REPO_ROOT / "src")], select=["ANON-001"])
-    suppressed_paths = sorted({f.path for f in result.suppressed})
+    suppressed_paths = sorted(
+        {f.path for f in src_analysis.result.suppressed if f.rule_id == "ANON-001"}
+    )
     assert any(p.endswith("routing/gpsr.py") for p in suppressed_paths)
     assert any(p.endswith("location/dlm.py") for p in suppressed_paths)
     assert any(p.endswith("core/als.py") for p in suppressed_paths)
@@ -65,12 +69,29 @@ def test_whole_tree_passes_the_committed_baseline_gate():
     assert code == 0, out.getvalue()
 
 
-def test_engine_is_deterministic_across_runs():
-    first = analyze_paths([str(REPO_ROOT / "src")])
-    second = analyze_paths([str(REPO_ROOT / "src")])
-    assert first.findings == second.findings
-    assert first.suppressed == second.suppressed
-    assert first.files_analyzed == second.files_analyzed
+def test_engine_is_deterministic_across_runs(src_analysis):
+    """A second run in a fresh interpreter under another hash seed must
+    report the same findings in the same order.  An in-process rerun
+    shares the hash seed, so it cannot see set-iteration order leaking
+    into the output."""
+    first = src_analysis.result
+    hash_seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    python_path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": os.pathsep.join(p for p in python_path if p),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", str(REPO_ROOT / "src"),
+         "--format", "json"],
+        capture_output=True, text=True, env=env, check=False, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    second = json.loads(proc.stdout)
+    assert second["findings"] == [f.as_dict() for f in first.findings]
+    assert second["suppressed"] == [f.as_dict() for f in first.suppressed]
+    assert second["files_analyzed"] == first.files_analyzed
 
 
 # ---------------------------------------------------- planted DET violation

@@ -175,6 +175,16 @@ DISTANCE = {"loss_model": ["distance"], "loss_rate": [0.2]}
         ({"payload_bytes": [128, 0]}, "payload_bytes must be >= 1"),
         ({**GILBERT, "loss_params": [{"burst_length": 0.5}]}, "burst_length must be >= 1"),
         ({**DISTANCE, "loss_params": [{"bogus": 1.0}]}, "unknown loss_params"),
+        ({**GILBERT, "loss_params": [{"burst_length": NAN}]}, "burst_length must be >= 1"),
+        (
+            {**GILBERT, "loss_params": [{"burst_length": float("inf")}]},
+            "burst_length must be >= 1",
+        ),
+        ({**DISTANCE, "loss_params": [{"exponent": NAN}]}, "exponent must be positive"),
+        (
+            {**DISTANCE, "loss_params": [{"exponent": float("inf")}]},
+            "exponent must be positive",
+        ),
     ],
 )
 def test_nan_distance_fails_at_expansion(axes, message):

@@ -8,6 +8,7 @@ carried once per flush window — not once per data copy.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -92,6 +93,18 @@ def test_distance_loss_monotone_in_distance():
         return sum(process.should_drop(d) for _ in range(2000))
 
     assert drops_at(60.0) < drops_at(150.0) < drops_at(250.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_loss_shape_parameters_reject_out_of_domain_values(value):
+    """A NaN bound check is always False, so each parameter is checked as
+    one chained comparison that NaN and inf both fail."""
+    with pytest.raises(ValueError, match="burst_length must be >= 1 and finite"):
+        GilbertElliottLoss(random.Random(1), _metrics(), rate=0.2, burst_length=value)
+    with pytest.raises(ValueError, match="exponent must be positive and finite"):
+        DistanceLoss(random.Random(1), _metrics(), rate=0.2, radio_range=250.0, exponent=value)
+    with pytest.raises(ValueError, match="radio_range must be positive and finite"):
+        DistanceLoss(random.Random(1), _metrics(), rate=0.2, radio_range=value)
 
 
 # ------------------------------------------------------------------ accounting

@@ -102,6 +102,24 @@ def test_config_validation():
         (dict(loss_model="gilbert", loss_params={"burst_length": 0.5}), "burst_length must"),
         (dict(loss_model="distance", loss_params={"bogus": 1.0}), "unknown loss_params"),
         (dict(loss_model="rayleigh", loss_rate=0.2), "loss_model must be one of"),
+        # ``nan < 1.0`` and ``nan <= 0`` are False: a bare bound check let
+        # a NaN shape parameter through and the run lost nothing.
+        (
+            dict(loss_model="gilbert", loss_rate=0.5, loss_params={"burst_length": nan}),
+            "burst_length must be >= 1 and finite",
+        ),
+        (
+            dict(loss_model="gilbert", loss_rate=0.5, loss_params={"burst_length": inf}),
+            "burst_length must be >= 1 and finite",
+        ),
+        (
+            dict(loss_model="distance", loss_rate=0.5, loss_params={"exponent": nan}),
+            "exponent must be positive and finite",
+        ),
+        (
+            dict(loss_model="distance", loss_rate=0.5, loss_params={"exponent": inf}),
+            "exponent must be positive and finite",
+        ),
     ]:
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(**kwargs)
