@@ -15,7 +15,7 @@ to exchange their observation data").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.geo.vec import Position

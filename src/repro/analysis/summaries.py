@@ -62,16 +62,6 @@ SCHEDULER_CALL_NAMES = frozenset({"schedule", "call_later", "emit"})
 _MAX_ROUNDS = 12
 
 
-def _parent_scope_map(table: SymbolTable, module: ModuleContext) -> List[FunctionInfo]:
-    """All analyzed functions defined in ``module``, in source order."""
-    infos = [
-        info
-        for info in table.functions.values()
-        if info.module_path == module.path
-    ]
-    return sorted(infos, key=lambda i: (i.node.lineno, i.qualname))  # type: ignore[attr-defined]
-
-
 def _annotation_class(table: SymbolTable, module: ModuleContext, ann: Optional[ast.AST]):
     if ann is None:
         return None

@@ -22,8 +22,9 @@ each carrying its own ``axes`` (and optional ``base`` overrides and
 robustness sweep are two sweeps of one campaign.
 
 Every key under ``base`` / ``axes`` must be a ``ScenarioConfig`` field
-(validated against the dataclass, then again by the config's own
-``__post_init__`` when each point is materialized) or one of the two
+(validated against the dataclass's fields, then each value against
+the field's domain in ``ScenarioConfig.DOMAINS`` and the cross-field
+``RULES`` when each point is materialized) or one of the two
 churn conveniences ``churn_rate`` / ``churn_downtime``, which expand to
 a seeded :class:`~repro.faults.plan.FaultPlan` over every node of the
 point (downtime defaults to a tenth of ``sim_time``, at least 0.5 s).
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from itertools import product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.domains import FixedTuple, TupleOf
 from repro.experiments.scenario import ScenarioConfig
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import derive_seed
@@ -73,9 +75,6 @@ METRIC_NAMES: Tuple[str, ...] = (
 #: Sweepable keys that are not ScenarioConfig fields: expanded into a
 #: seeded FaultPlan when the point is materialized.
 SPECIAL_KEYS = ("churn_rate", "churn_downtime")
-
-#: ScenarioConfig fields whose TOML/JSON list form must become a tuple.
-_TUPLE_FIELDS = frozenset({"traffic_start", "teleports"})
 
 #: Fields a spec may never set directly: the campaign owns seeding
 #: (``seed`` derives per point) and plans come from the churn keys.
@@ -211,11 +210,13 @@ class CampaignSpec:
         merged.update(dict(coords))
         churn_rate = float(merged.pop("churn_rate", 0.0) or 0.0)
         churn_downtime = merged.pop("churn_downtime", None)
-        for key in list(merged):
-            if key in _TUPLE_FIELDS and isinstance(merged[key], list):
-                merged[key] = tuple(
-                    tuple(v) if isinstance(v, list) else v for v in merged[key]
-                )
+        # TOML/JSON have lists only: a tuple-domain field's list form (and
+        # its list entries) become tuples.
+        for key, value in list(merged.items()):
+            if isinstance(ScenarioConfig.DOMAINS[key], (FixedTuple, TupleOf)) and isinstance(
+                value, list
+            ):
+                merged[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         # The point seed: master seed + sorted axis coordinates +
         # replicate.  Sweep/campaign names stay out so identical cells
         # are identical content — the cache's whole point.

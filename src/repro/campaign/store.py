@@ -46,7 +46,11 @@ class ResultStore:
         return self.path_for(digest).exists()
 
     def get(self, digest: str) -> Optional[Dict[str, object]]:
-        """The stored record, or ``None`` when the point has not run."""
+        """The stored record, or ``None`` when the point has not run.
+
+        Raises :class:`ValueError` ("corrupt record ...") for a file that
+        is not a point record: unparsable, without a ``metrics`` object,
+        or carrying a ``digest`` other than ``digest``."""
         path = self.path_for(digest)
         try:
             text = path.read_text(encoding="utf-8")
@@ -61,6 +65,13 @@ class ResultStore:
             raise ValueError(f"corrupt record {path}: {exc}") from exc
         if not isinstance(record, dict):
             raise ValueError(f"corrupt record {path}: not a JSON object")
+        if not isinstance(record.get("metrics"), dict):
+            raise ValueError(f"corrupt record {path}: no 'metrics' object")
+        if record.get("digest", digest) != digest:
+            raise ValueError(
+                f"corrupt record {path}: its digest field {record['digest']!r} "
+                "differs from the key it was read under"
+            )
         return record
 
     def put(self, digest: str, record: Dict[str, object]) -> pathlib.Path:

@@ -41,8 +41,6 @@ __all__ = [
 # request for required certificates in case the verifier does not have
 # them.  The number of explicit requests are expected to decline
 # significantly after the network boots up."
-from dataclasses import field as _dc_field
-
 from repro.net.packet import Packet as _Packet
 
 

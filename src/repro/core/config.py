@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.freshness import STRATEGIES
 from repro.crypto.timing import DEFAULT_COST_MODEL, CryptoCostModel
-from repro.routing.base import RoutingConfig
+from repro.domains import InstanceOf, Integer, Maybe, OneOf, checked, positive
+from repro.routing.base import ROUTING_DOMAINS, RoutingConfig
 
 __all__ = ["AantConfig", "AgfwConfig", "CryptoMode"]
 
@@ -36,6 +38,19 @@ class AantConfig:
     """Reject hellos whose ring signature fails to verify (spoofing defense)."""
 
 
+@checked({
+    **ROUTING_DOMAINS,
+    "enable_ack": InstanceOf(bool),
+    "ack_timeout": positive(),
+    "max_retransmissions": Integer(0),
+    "piggyback_acks": InstanceOf(bool),
+    "pseudonym_memory": Integer(1),
+    "next_hop_strategy": OneOf(tuple(STRATEGIES)),
+    "enable_perimeter": InstanceOf(bool),
+    "crypto_mode": OneOf(("modeled", "real")),
+    "cost_model": InstanceOf(CryptoCostModel),
+    "aant": Maybe(InstanceOf(AantConfig)),
+})
 @dataclass
 class AgfwConfig(RoutingConfig):
     """All knobs of the anonymous routing scheme."""
@@ -84,13 +99,3 @@ class AgfwConfig(RoutingConfig):
     aant: Optional[AantConfig] = None
     """None = first-attempt ANT (unauthenticated); set to enable ring
     signatures.  The paper's Figure 1 runs 'the first version of ANT'."""
-
-    def __post_init__(self) -> None:
-        if self.crypto_mode not in ("modeled", "real"):
-            raise ValueError(f"unknown crypto_mode {self.crypto_mode!r}")
-        if self.pseudonym_memory < 1:
-            raise ValueError("pseudonym_memory must be >= 1")
-        if self.max_retransmissions < 0:
-            raise ValueError("max_retransmissions must be >= 0")
-        if self.ack_timeout <= 0:
-            raise ValueError("ack_timeout must be positive")

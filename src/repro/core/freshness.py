@@ -18,7 +18,7 @@ quantifies the difference.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.ant import AntEntry
 from repro.geo.vec import Position

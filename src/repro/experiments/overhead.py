@@ -21,16 +21,13 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.agfw import AgfwRouter, AntHello
+from repro.core.agfw import AgfwRouter
 from repro.core.als import AlsAgent, AlsConfig
 from repro.core.config import AgfwConfig
-from repro.crypto.certificates import CertificateAuthority, KeyStore
-from repro.crypto.ring_signature import ring_sign
 from repro.crypto.timing import DEFAULT_COST_MODEL, CryptoCostModel
 from repro.experiments.parallel import parallel_map
 from repro.geo.grid import Grid
 from repro.geo.region import Region
-from repro.geo.vec import Position
 from repro.location.dlm import DlmAgent, DlmConfig
 from repro.location.service import OracleLocationService
 from repro.net.medium import RadioMedium
@@ -99,18 +96,6 @@ def format_aant_overhead(rows: Sequence[AantOverheadRow]) -> str:
             f"{row.verify_cost_ms:>10.2f}"
         )
     return "\n".join(lines)
-
-
-def measured_ring_signature_bytes(k: int, key_bits: int = 512, seed: int = 5) -> int:
-    """Cross-check: the byte size of a *real* RST ring signature at ring
-    size k+1 (glue + one domain element per member)."""
-    rng = random.Random(seed)
-    from repro.crypto.rsa import generate_keypair
-
-    keys = [generate_keypair(key_bits, rng) for _ in range(k + 1)]
-    ring = [key.public() for key in keys]
-    signature = ring_sign(b"hello", ring, 0, keys[0], rng)
-    return signature.byte_size()
 
 
 # --------------------------------------------------------------------- ALS

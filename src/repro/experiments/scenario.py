@@ -15,18 +15,34 @@ you need to attach sniffers or poke at nodes before running.
 
 from __future__ import annotations
 
-import math
 import random
 import time as _wall
 from dataclasses import dataclass, field as dc_field, fields as dc_fields, is_dataclass
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.adversary.sniffer import GlobalSniffer
 from repro.core.aant import AantAuthenticator
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AantConfig, AgfwConfig
 from repro.crypto.certificates import CertificateAuthority
-from repro.faults.loss import make_loss_process
+from repro.domains import (
+    Builds,
+    Domain,
+    FixedTuple,
+    InstanceOf,
+    Integer,
+    Maybe,
+    Number,
+    OneOf,
+    Real,
+    Rule,
+    TupleOf,
+    check_fields,
+    checked,
+    non_negative,
+    positive,
+)
+from repro.faults.loss import LOSS_MODELS, make_loss_process
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.geo.region import Region
 from repro.geo.vec import Position
@@ -49,7 +65,130 @@ __all__ = ["ScenarioConfig", "Scenario", "ScenarioResult", "build_scenario", "ru
 
 PROTOCOLS = ("gpsr", "agfw", "agfw-noack")
 
+_SPEED = positive("positive and finite, with min_speed <= max_speed")
 
+#: Each ``ScenarioConfig`` field's valid values (see :mod:`repro.domains`).
+DOMAINS = {
+    "protocol": OneOf(PROTOCOLS),
+    "num_nodes": Integer(2),
+    "width": positive(),
+    "height": positive(),
+    "radio_range": positive(),
+    "interference_range": positive(),
+    "sim_time": positive(),
+    "seed": Integer(0),
+    "reference": InstanceOf(bool),
+    "min_speed": _SPEED,
+    "max_speed": _SPEED,
+    "pause_time": non_negative(),
+    "static": InstanceOf(bool),
+    "placement": OneOf(("uniform", "clusters")),
+    "num_clusters": Integer(1),
+    "cluster_radius": positive(),
+    "num_flows": Integer(1),
+    "num_senders": Integer(1),
+    "rate_pps": positive(),
+    "payload_bytes": Integer(1),
+    "traffic_start": FixedTuple((non_negative(), non_negative())),
+    "flow_locality": Maybe(positive()),
+    "oracle_staleness": non_negative(),
+    "aant_ring_size": Maybe(Integer(0)),
+    "agfw_overrides": Builds(AgfwConfig, exclude=("radio_range",)),
+    "gpsr_overrides": Builds(GpsrConfig, exclude=("radio_range",)),
+    "real_crypto": InstanceOf(bool),
+    "loss_model": OneOf(LOSS_MODELS),
+    "loss_rate": Number(),  # its range is the loss model's (a rule below)
+    "loss_params": InstanceOf(dict),
+    "fault_plan": Maybe(InstanceOf(FaultPlan)),
+    "teleports": TupleOf(
+        FixedTuple((non_negative("finite and >= 0"), Integer(0), Real("finite"), Real("finite")))
+    ),
+    "keep_trace": InstanceOf(bool),
+    "with_sniffer": InstanceOf(bool),
+}
+
+
+def start_window(config: "ScenarioConfig") -> tuple[float, float]:
+    """The flows' start window: ``traffic_start`` clamped into the run,
+    so short horizons reuse the paper's (5, 30) default as is."""
+    cap = max(config.sim_time / 3.0, 0.1)
+    return min(config.traffic_start[0], cap), min(config.traffic_start[1], cap)
+
+
+def _loss_model_builds(config: "ScenarioConfig") -> bool:
+    """Build one receiver's process on a throwaway stream: the loss
+    model's constructor owns its rate range and parameter checks."""
+    make_loss_process(
+        config.loss_model, config.loss_rate, config.loss_params,
+        rng=random.Random(0), metrics=FaultMetrics(), radio_range=config.radio_range,
+    )
+    return True
+
+
+RULES = (
+    Rule(
+        ("min_speed", "max_speed"),
+        "need min_speed <= max_speed",
+        lambda c: c.min_speed <= c.max_speed,
+    ),
+    Rule(
+        ("radio_range", "interference_range"),
+        "need interference_range >= radio_range (interference must cover the radio range)",
+        lambda c: c.interference_range >= c.radio_range,
+    ),
+    Rule(
+        # Real rings draw their decoys from the other nodes' certificates.
+        ("aant_ring_size", "num_nodes", "real_crypto"),
+        "aant_ring_size must be <= num_nodes - 1 with real_crypto",
+        lambda c: not c.real_crypto or c.aant_ring_size is None
+        or c.aant_ring_size <= c.num_nodes - 1,
+    ),
+    Rule(
+        ("traffic_start",),
+        "need traffic_start[0] <= traffic_start[1]",
+        lambda c: c.traffic_start[0] <= c.traffic_start[1],
+    ),
+    Rule(
+        ("traffic_start", "sim_time"),
+        "the start window, clamped to max(sim_time / 3, 0.1), must end by sim_time",
+        lambda c: start_window(c)[1] <= c.sim_time,
+    ),
+    Rule(
+        ("agfw_overrides", "real_crypto"),
+        "crypto_mode='real' in agfw_overrides requires real_crypto=True "
+        "(which provisions the node keystores)",
+        lambda c: c.real_crypto or c.agfw_overrides.get("crypto_mode") != "real",
+    ),
+    Rule(
+        ("teleports", "static"),
+        "teleports require static=True (waypoint mobility owns its own trajectory)",
+        lambda c: c.static or not c.teleports,
+    ),
+    Rule(
+        ("teleports", "num_nodes"),
+        "no teleport may target an unknown node (id >= num_nodes)",
+        lambda c: all(entry[1] < c.num_nodes for entry in c.teleports),
+    ),
+    Rule(
+        ("fault_plan", "num_nodes"),
+        "no fault event may target an unknown node (id outside range(num_nodes))",
+        lambda c: c.fault_plan is None
+        or all(event.node_id in range(c.num_nodes) for event in c.fault_plan.events),
+    ),
+    Rule(
+        ("loss_model", "loss_rate", "loss_params"),
+        "loss_rate / loss_params require a loss_model other than 'none'",
+        lambda c: c.loss_model != "none" or not (c.loss_rate or c.loss_params),
+    ),
+    Rule(
+        ("loss_model", "loss_rate", "loss_params", "radio_range"),
+        "the loss model must build",
+        _loss_model_builds,
+    ),
+)
+
+
+@checked(DOMAINS, RULES)
 @dataclass
 class ScenarioConfig:
     """Everything that defines one simulation run."""
@@ -124,80 +263,9 @@ class ScenarioConfig:
     keep_trace: bool = False
     with_sniffer: bool = False
 
-    def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"protocol must be one of {PROTOCOLS}")
-        if self.num_nodes < 2:
-            raise ValueError("need at least two nodes")
-        for name in (
-            "sim_time", "width", "height", "radio_range", "interference_range", "rate_pps",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        # The chained comparisons below are False for NaN, which a bare
-        # ``value < 0`` test lets through.  A NaN or infinite speed makes
-        # every waypoint leg zero-length and livelocks the run at t = 0.
-        for name in ("num_flows", "num_senders", "payload_bytes"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0 < self.min_speed <= self.max_speed < math.inf:
-            raise ValueError("need 0 < min_speed <= max_speed < inf")
-        for name in ("pause_time", "oracle_staleness"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        if not all(0 <= t < math.inf for t in self.traffic_start):
-            raise ValueError("traffic_start must be non-negative and finite")
-        if not isinstance(self.reference, bool):
-            # A campaign axis value such as "false" is truthy.
-            raise ValueError(f"reference must be a bool, got {self.reference!r}")
-        if self.aant_ring_size is not None:
-            if self.aant_ring_size < 0:
-                raise ValueError("aant_ring_size must be >= 0")
-            if self.real_crypto and self.aant_ring_size > self.num_nodes - 1:
-                # Real rings draw their decoys from the other nodes'
-                # certificates, so a larger ring cannot be signed at all.
-                raise ValueError(
-                    "aant_ring_size must be <= num_nodes - 1 with real_crypto"
-                )
-        if self.loss_model == "none":
-            if self.loss_rate or self.loss_params:
-                raise ValueError(
-                    "loss_rate / loss_params require a loss_model other than 'none'"
-                )
-        else:
-            # Build one receiver's process on a throwaway stream: the
-            # loss model's constructor owns its model name, rate range
-            # and parameter checks, so a bad value fails here, not when
-            # the scenario builds.
-            make_loss_process(
-                self.loss_model, self.loss_rate, self.loss_params,
-                rng=random.Random(0), metrics=FaultMetrics(),
-                radio_range=self.radio_range,
-            )
-        if self.placement not in ("uniform", "clusters"):
-            raise ValueError("placement must be 'uniform' or 'clusters'")
-        if self.placement == "clusters":
-            if self.num_clusters < 1:
-                raise ValueError("num_clusters must be >= 1")
-            if not (math.isfinite(self.cluster_radius) and self.cluster_radius > 0):
-                raise ValueError("cluster_radius must be positive and finite")
-        if self.flow_locality is not None and not (
-            math.isfinite(self.flow_locality) and self.flow_locality > 0
-        ):
-            raise ValueError("flow_locality must be positive and finite")
-        if self.teleports:
-            if not self.static:
-                raise ValueError(
-                    "teleports require static=True (waypoint mobility owns "
-                    "its own trajectory)"
-                )
-            for entry in self.teleports:
-                t, node_id, _x, _y = entry
-                if t < 0:
-                    raise ValueError(f"teleport time must be >= 0: {entry}")
-                if not (0 <= node_id < self.num_nodes):
-                    raise ValueError(f"teleport targets unknown node: {entry}")
+    DOMAINS: ClassVar[Dict[str, Domain]]  # set by @checked
+    RULES: ClassVar[Tuple[Rule, ...]]
+    __post_init__ = check_fields
 
     def canonical_dict(self) -> Dict[str, object]:
         """A JSON-stable encoding of this config for content addressing.
@@ -391,16 +459,10 @@ class Scenario:
         if cfg.real_crypto and cfg.protocol != "gpsr":
             self._provision_pki()
 
+        router_cfg = self._router_config()
         for node in self.nodes:
-            node.attach_router(self._make_router(node))
+            node.attach_router(self._make_router(node, router_cfg))
 
-        # Clamp the ramp-up window into the run: short benchmark horizons
-        # reuse the paper's (5, 30) default without further ceremony.
-        window_cap = max(cfg.sim_time / 3.0, 0.1)
-        start_window = (
-            min(cfg.traffic_start[0], window_cap),
-            min(cfg.traffic_start[1], window_cap),
-        )
         flows = make_flows(
             [n.node_id for n in self.nodes],
             [n.identity for n in self.nodes],
@@ -409,7 +471,7 @@ class Scenario:
             rng=self.rngs.stream("workload"),
             rate_pps=cfg.rate_pps,
             payload_bytes=cfg.payload_bytes,
-            start_window=start_window,
+            start_window=start_window(cfg),
             stop_time=cfg.sim_time,
             positions=[(p.x, p.y) for p in starts],
             locality=cfg.flow_locality,
@@ -435,32 +497,38 @@ class Scenario:
             store.add_all(all_certs)
             node.keystore = store
 
-    def _make_router(self, node: Node):
+    def _router_config(self):
+        """The protocol config, built once: every node's router shares it
+        (no router writes to its config)."""
         cfg = self.config
         if cfg.protocol == "gpsr":
-            gpsr_cfg = GpsrConfig(radio_range=cfg.radio_range, **cfg.gpsr_overrides)
-            return GpsrRouter(node, self.oracle, gpsr_cfg, self.tracer)
+            return GpsrConfig(radio_range=cfg.radio_range, **cfg.gpsr_overrides)
         overrides = dict(cfg.agfw_overrides)
         if cfg.protocol == "agfw-noack":
             overrides["enable_ack"] = False
         if cfg.real_crypto:
             overrides.setdefault("crypto_mode", "real")
-        agfw_cfg = AgfwConfig(radio_range=cfg.radio_range, **overrides)
+        if cfg.aant_ring_size is not None:
+            overrides["aant"] = AantConfig(ring_size=cfg.aant_ring_size)
+        return AgfwConfig(radio_range=cfg.radio_range, **overrides)
+
+    def _make_router(self, node: Node, router_cfg):
+        cfg = self.config
+        if cfg.protocol == "gpsr":
+            return GpsrRouter(node, self.oracle, router_cfg, self.tracer)
         authenticator = None
         if cfg.aant_ring_size is not None:
-            aant_cfg = AantConfig(ring_size=cfg.aant_ring_size)
-            agfw_cfg.aant = aant_cfg
             authenticator = AantAuthenticator(
-                aant_cfg,
+                router_cfg.aant,
                 mode="real" if cfg.real_crypto else "modeled",
-                cost_model=agfw_cfg.cost_model,
+                cost_model=router_cfg.cost_model,
                 keystore=node.keystore,
                 ca=self.ca,
                 rng=node.rng("aant"),
                 memoize=not cfg.reference,
             )
         return AgfwRouter(
-            node, self.oracle, agfw_cfg, self.tracer,
+            node, self.oracle, router_cfg, self.tracer,
             authenticator=authenticator, memoize=not cfg.reference,
         )
 

@@ -35,6 +35,7 @@ Determinism contract
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import (
@@ -73,8 +74,8 @@ class FaultEvent:
     action: str  # "crash" | "recover"
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"fault event time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:  # a bare ``time < 0`` lets NaN through
+            raise ValueError(f"fault event time must be >= 0 and finite, got {self.time}")
         if self.action not in FAULT_ACTIONS:
             raise ValueError(
                 f"fault action must be one of {FAULT_ACTIONS}, got {self.action!r}"

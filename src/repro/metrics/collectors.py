@@ -13,7 +13,7 @@ accumulate incrementally, so long runs can disable trace retention
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.metrics.stats import Summary, summarize

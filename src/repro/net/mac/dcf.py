@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
-from repro.net.addresses import BROADCAST, MacAddress
+from repro.net.addresses import MacAddress
 from repro.net.mac.constants import DEFAULT_DOT11, Dot11Params
 from repro.net.mac.frames import FrameKind, MacFrame
 from repro.net.packet import Packet

@@ -10,9 +10,10 @@ subclasses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Optional, Tuple
 
+from repro.domains import Domain, Integer, Real, Rule, check_fields, checked, positive
 from repro.geo.vec import Position
 from repro.location.service import LocationService
 from repro.net.mac.frames import MacFrame
@@ -20,9 +21,21 @@ from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.sim.trace import Tracer
 
-__all__ = ["RouterStats", "RoutingConfig", "BaseRouter"]
+__all__ = ["RouterStats", "ROUTING_DOMAINS", "RoutingConfig", "BaseRouter"]
 
 
+#: Each routing field's valid values (see :mod:`repro.domains`); the
+#: protocol configs extend this table with their own fields.
+ROUTING_DOMAINS = {
+    "beacon_interval": positive(),
+    "beacon_jitter": Real("in [0, 1)", low=0.0, high=1.0, high_open=True),
+    "neighbor_timeout_factor": positive(),
+    "data_ttl": Integer(1),
+    "radio_range": positive(),
+}
+
+
+@checked(ROUTING_DOMAINS)
 @dataclass
 class RoutingConfig:
     """Parameters shared by all geographic routers."""
@@ -32,6 +45,10 @@ class RoutingConfig:
     neighbor_timeout_factor: float = 4.5  # GPSR's default
     data_ttl: int = 64  # max hops before a packet is discarded
     radio_range: float = 250.0  # last-hop-region test + greedy sanity
+
+    DOMAINS: ClassVar[Dict[str, Domain]]  # set by @checked
+    RULES: ClassVar[Tuple[Rule, ...]]
+    __post_init__ = check_fields
 
     @property
     def neighbor_timeout(self) -> float:

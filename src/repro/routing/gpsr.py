@@ -14,12 +14,13 @@ destination's doublet — everything the adversary needs (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
+from repro.domains import InstanceOf, Integer, checked
 from repro.geo.vec import Position
 from repro.net.mac.frames import MacFrame
 from repro.net.packet import Packet
-from repro.routing.base import BaseRouter, RoutingConfig
+from repro.routing.base import ROUTING_DOMAINS, BaseRouter, RoutingConfig
 from repro.routing.neighbor_table import NeighborTable
 from repro.routing.planar import (
     crossing_point,
@@ -86,6 +87,11 @@ class GpsrData(Packet):
         return view
 
 
+@checked({
+    **ROUTING_DOMAINS,
+    "enable_perimeter": InstanceOf(bool),
+    "mac_retry_limit": Integer(0),
+})
 @dataclass
 class GpsrConfig(RoutingConfig):
     """GPSR-specific knobs on top of the shared routing parameters."""

@@ -11,7 +11,7 @@ like perimeter forwarding could be applied ... our future work").
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from repro.geo.vec import Position, midpoint
 

@@ -15,7 +15,7 @@ from repro.adversary.anonymity import (
     locality_anonymity_sets,
     ring_anonymity,
 )
-from repro.adversary.sniffer import GlobalSniffer, Observation, Sniffer
+from repro.adversary.sniffer import GlobalSniffer, Sniffer
 from repro.adversary.tracker import DoubletTracker, RouteTracer
 from repro.core.config import AgfwConfig
 from repro.geo.vec import Position

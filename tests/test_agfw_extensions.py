@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import AgfwConfig
 from repro.geo.vec import Position
 from tests.conftest import build_static_net, line_positions

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.agfw import AgfwData, AntHello
 from repro.core.config import AantConfig, AgfwConfig
-from repro.core.pseudonym import LAST_ATTEMPT
 from repro.geo.vec import Position
 from tests.conftest import build_static_net, line_positions
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.als import AlsAgent, AlsConfig
 from repro.geo.grid import Grid
 from repro.geo.region import Region

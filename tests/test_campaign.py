@@ -185,14 +185,40 @@ DISTANCE = {"loss_model": ["distance"], "loss_rate": [0.2]}
             {**DISTANCE, "loss_params": [{"exponent": float("inf")}]},
             "exponent must be positive",
         ),
+        ({"interference_range": [550.0, 100.0]}, "need interference_range >= radio_range"),
+        ({"agfw_overrides": [{"bogus": 1}]}, "agfw_overrides must be keyword arguments"),
+        ({"gpsr_overrides": [{"radio_range": 100.0}]}, "other than radio_range"),
+        ({"agfw_overrides": [{"beacon_interval": 0}]}, "beacon_interval must be positive"),
+        ({"gpsr_overrides": [{"beacon_interval": NAN}]}, "beacon_interval must be positive"),
+        ({"agfw_overrides": [{"ack_timeout": NAN}]}, "ack_timeout must be positive"),
+        ({"agfw_overrides": [{"beacon_jitter": 1.0}]}, r"beacon_jitter must be in \[0, 1\)"),
+        ({"agfw_overrides": [{"next_hop_strategy": "closest"}]}, "next_hop_strategy must be"),
+        ({"num_nodes": [12, 6.5]}, r"num_nodes must be >= 2 \(an int\)"),
+        ({"num_flows": [3, 2.5]}, r"num_flows must be >= 1 \(an int\)"),
+        ({"num_clusters": [8, 2.5]}, r"num_clusters must be >= 1 \(an int\)"),
+        ({"aant_ring_size": [2, 2.5]}, r"aant_ring_size must be >= 0 \(an int\)"),
+        ({"payload_bytes": [128, 1.5]}, r"payload_bytes must be >= 1 \(an int\)"),
+        ({"static": [False, "false"]}, "static must be a bool"),
+        ({"real_crypto": [False, "false"]}, "real_crypto must be a bool"),
+        ({"keep_trace": [False, "false"]}, "keep_trace must be a bool"),
+        ({"with_sniffer": [False, "false"]}, "with_sniffer must be a bool"),
+        ({"sim_time": [2.0, 0.05]}, "must end by sim_time"),
+        ({"traffic_start": [[0.5, 1.0], [0.5, 1.0, 2.0]]}, "traffic_start must be a 2-tuple"),
+        ({"traffic_start": [[0.5, 1.0], [1.0, 0.5]]}, r"need traffic_start\[0\] <= "),
+        ({"static": [True], "teleports": [[[0.5, 0, 10.0]]]}, "teleports must be a 4-tuple"),
+        ({"static": [True], "teleports": [[[NAN, 0, 10.0, 10.0]]]}, "teleports must be finite"),
+        ({"static": [True], "teleports": [[[0.5, 0, NAN, 10.0]]]}, "teleports must be finite"),
+        ({"agfw_overrides": [{"crypto_mode": "real"}]}, "requires real_crypto=True"),
     ],
 )
 def test_nan_distance_fails_at_expansion(axes, message):
     """TOML admits ``nan`` and ``inf``; they must fail while the matrix
     expands, like a bad backend value, instead of running a silently
     degenerate point (a non-finite speed used to hang the run at t = 0).
-    So must a ring size no run could sign with, and a workload size or
-    loss setting no run could build."""
+    So must a ring size no run could sign with, a workload size or loss
+    setting no run could build, and any value outside its field's
+    domain or breaking a cross-field rule (``ScenarioConfig.DOMAINS``,
+    ``RULES``)."""
     spec = spec_from_mapping({**SMOKE, "axes": axes})
     with pytest.raises(CampaignSpecError, match=message):
         spec.points()
@@ -272,6 +298,25 @@ def test_store_roundtrip_sorted_enumeration_and_corruption(tmp_path):
         store.get(a)
     with pytest.raises(ValueError, match="not a content digest"):
         store.path_for("../../etc/passwd")
+    # A record that parses but is not this point's record fails loudly:
+    # one without a metrics object, and one filed under another digest.
+    store.path_for(b).write_text(json.dumps({"schema": 1}), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"corrupt record .*'metrics'"):
+        store.get(b)
+    store.put(b, {**record, "digest": a})
+    with pytest.raises(ValueError, match="corrupt record .*differs from the key"):
+        store.get(b)
+    # A worker killed between write and rename leaves its temp file
+    # behind: it is not a stored digest and does not block the next put.
+    c = "0c" + "2" * 62
+    prefix = store.path_for(c).parent
+    prefix.mkdir(parents=True, exist_ok=True)
+    for pid in (os.getpid(), 999999):
+        (prefix / f".{c}.tmp.{pid}").write_text('{"torn', encoding="utf-8")
+    assert c not in store.digests() and not store.has(c)
+    store.put(c, {**record, "digest": c})
+    assert store.get(c) == {**record, "digest": c}
+    assert store.digests() == sorted([a, b, c])
 
 
 # -------------------------------------------------------------- executor

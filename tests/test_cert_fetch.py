@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.aant import AantAuthenticator, CertReply, CertRequest
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AantConfig, AgfwConfig
 from repro.crypto.certificates import CertificateAuthority, KeyStore
-from repro.geo.vec import Position
 from tests.conftest import build_static_net, line_positions
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.geo.grid import Grid
 from repro.geo.region import Region
 from repro.geo.vec import Position

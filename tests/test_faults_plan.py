@@ -20,6 +20,10 @@ def test_fault_event_validation():
         FaultEvent(-1.0, 0, "crash")
     with pytest.raises(ValueError):
         FaultEvent(1.0, 0, "teleport")
+    # ``nan < 0`` is False: a bare sign check let a NaN time through.
+    for time in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time must be >= 0 and finite"):
+            FaultEvent(time, 0, "crash")
 
 
 def test_plan_builders_chain_and_are_immutable():

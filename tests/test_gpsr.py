@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.geo.vec import Position
-from repro.routing.gpsr import GpsrBeacon, GpsrConfig, GpsrData, GpsrRouter
+from repro.routing.gpsr import GpsrBeacon, GpsrConfig, GpsrData
 from tests.conftest import build_static_net, line_positions
 
 

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.sniffer import GlobalSniffer
 from repro.adversary.tracker import DoubletTracker
 from repro.experiments.scenario import Scenario, ScenarioConfig
 

@@ -9,7 +9,6 @@ import pytest
 from repro.geo.vec import Position
 from repro.net.addresses import BROADCAST
 from repro.net.mac.constants import DEFAULT_DOT11, Dot11Params
-from repro.net.mac.frames import FrameKind, MacFrame
 from repro.net.medium import RadioMedium
 from repro.net.mobility import StaticMobility
 from repro.net.node import Node

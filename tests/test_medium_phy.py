@@ -14,7 +14,6 @@ from repro.net.mobility import StaticMobility
 from repro.net.packet import Packet
 from repro.net.phy import CAPTURE_DISTANCE_RATIO, PhyRadio
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
 

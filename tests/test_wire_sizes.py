@@ -13,7 +13,7 @@ import pytest
 from repro.core.agfw import AgfwAck, AgfwData, AntHello
 from repro.core.aant import AantAttachment
 from repro.core.als import AlsReply, AlsRequest, AlsUpdate
-from repro.core.trapdoor import Trapdoor, TrapdoorContents, TrapdoorFactory
+from repro.core.trapdoor import TrapdoorContents, TrapdoorFactory
 from repro.geo.vec import Position
 from repro.location.dlm import DlmReply, DlmRequest, DlmUpdate
 from repro.routing.gpsr import GpsrBeacon, GpsrData
