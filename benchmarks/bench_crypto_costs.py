@@ -11,7 +11,7 @@ hello-verify workload (one ring-signed hello heard by 10 receivers) and
 the last-hop-region trapdoor-open workload (10 nodes attempting one
 trapdoor), plus the CRT precompute-vs-recompute micro-benchmark.  The
 derived ratios land in ``benchmarks/BENCH_crypto.json`` via
-``bench_to_json.py --suite crypto`` and are floor-tested in
+``bench_to_json.py`` and are floor-tested in
 ``tests/test_crypto_cache.py``.
 """
 

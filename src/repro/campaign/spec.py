@@ -208,7 +208,7 @@ class CampaignSpec:
         merged.update(dict(self.base))
         merged.update(dict(sweep.base))
         merged.update(dict(coords))
-        churn_rate = float(merged.pop("churn_rate", 0.0) or 0.0)
+        churn_rate = merged.pop("churn_rate", 0.0) or 0.0
         churn_downtime = merged.pop("churn_downtime", None)
         # TOML/JSON have lists only: a tuple-domain field's list form (and
         # its list entries) become tuples.
@@ -225,25 +225,29 @@ class CampaignSpec:
         merged["seed"] = point_seed
         try:
             config = ScenarioConfig(**merged)
+            # A rate of 0 is no churn at all (no plan, so the digest is a
+            # churn-free point's); a negative or NaN rate reaches churn()
+            # and fails there.
+            rate = float(churn_rate)
+            if rate != 0.0:
+                downtime = (
+                    float(churn_downtime)
+                    if churn_downtime is not None
+                    else max(config.sim_time / 10.0, 0.5)
+                )
+                plan = FaultPlan.churn(
+                    range(config.num_nodes),
+                    sim_time=config.sim_time,
+                    seed=derive_seed(point_seed, "campaign:churn"),
+                    rate=rate,
+                    mean_downtime=downtime,
+                )
+                config = ScenarioConfig(**{**merged, "fault_plan": plan})
         except (TypeError, ValueError) as exc:
             raise CampaignSpecError(
                 f"sweep {sweep.name!r} point ({coord_label}) does not form a "
                 f"valid ScenarioConfig: {exc}"
             ) from exc
-        if churn_rate > 0.0:
-            downtime = (
-                float(churn_downtime)
-                if churn_downtime is not None
-                else max(config.sim_time / 10.0, 0.5)
-            )
-            plan = FaultPlan.churn(
-                range(config.num_nodes),
-                sim_time=config.sim_time,
-                seed=derive_seed(point_seed, "campaign:churn"),
-                rate=churn_rate,
-                mean_downtime=downtime,
-            )
-            config = ScenarioConfig(**{**merged, "fault_plan": plan})
         return config
 
 

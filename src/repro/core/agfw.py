@@ -3,8 +3,9 @@
 The data header is ``<DATA, loc_d, n, trapdoor>``: destination *location*
 in cleartext (greedy forwarding needs it), a next-hop *pseudonym* from
 the ANT in place of any address, and a *trapdoor* in place of the
-destination identity.  Every transmission is a MAC **broadcast** so no
-real MAC address ever appears on the air.
+destination identity.  Every transmission is a MAC **broadcast** from
+the ``ANONYMOUS`` source address, so no real MAC address ever appears
+on the air.
 
 Forwarding (paper Algorithm 3.2):
 
@@ -36,7 +37,7 @@ from repro.core.pseudonym import LAST_ATTEMPT, PseudonymManager
 from repro.core.trapdoor import Trapdoor, TrapdoorContents, TrapdoorFactory
 from repro.geo.vec import Position
 from repro.location.geocast import LocationAddressed
-from repro.net.addresses import BROADCAST
+from repro.net.addresses import ANONYMOUS, BROADCAST
 from repro.net.mac.frames import MacFrame
 from repro.net.packet import Packet
 from repro.routing.base import BaseRouter
@@ -149,6 +150,9 @@ class AgfwRouter(BaseRouter):
     ) -> None:
         config = config or AgfwConfig()
         super().__init__(node, location_service, config, tracer)
+        # Nothing on an AGFW node reads ``frame.src`` (ALS and AANT ride
+        # on this router), so its frames need not name it.
+        node.mac.source = ANONYMOUS
         self.config: AgfwConfig = config
         self.ant = AnonymousNeighborTable(config.neighbor_timeout)
         self.pseudonyms = PseudonymManager(

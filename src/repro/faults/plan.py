@@ -40,6 +40,7 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    ClassVar,
     Dict,
     Iterable,
     List,
@@ -48,6 +49,17 @@ from typing import (
     Tuple,
 )
 
+from repro.domains import (
+    Domain,
+    Integer,
+    InstanceOf,
+    OneOf,
+    Real,
+    Rule,
+    TupleOf,
+    check_fields,
+    checked,
+)
 from repro.metrics.faults import FaultMetrics
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
@@ -65,6 +77,11 @@ FAULT_ACTIONS = ("crash", "recover")
 _ACTION_ORDER = {"crash": 0, "recover": 1}
 
 
+@checked({
+    "time": Real(">= 0 and finite", low=0.0),
+    "node_id": Integer(0),
+    "action": OneOf(FAULT_ACTIONS),
+})
 @dataclass(frozen=True)
 class FaultEvent:
     """One lifecycle transition: take ``node_id`` down or bring it back."""
@@ -73,15 +90,12 @@ class FaultEvent:
     node_id: int
     action: str  # "crash" | "recover"
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.time < math.inf:  # a bare ``time < 0`` lets NaN through
-            raise ValueError(f"fault event time must be >= 0 and finite, got {self.time}")
-        if self.action not in FAULT_ACTIONS:
-            raise ValueError(
-                f"fault action must be one of {FAULT_ACTIONS}, got {self.action!r}"
-            )
+    DOMAINS: ClassVar[Dict[str, Domain]]  # set by @checked
+    RULES: ClassVar[Tuple[Rule, ...]]
+    __post_init__ = check_fields
 
 
+@checked({"events": TupleOf(InstanceOf(FaultEvent))})
 @dataclass(frozen=True)
 class FaultPlan:
     """An immutable schedule of :class:`FaultEvent` transitions.
@@ -98,6 +112,10 @@ class FaultPlan:
     """
 
     events: Tuple[FaultEvent, ...] = field(default_factory=tuple)
+
+    DOMAINS: ClassVar[Dict[str, Domain]]  # set by @checked
+    RULES: ClassVar[Tuple[Rule, ...]]
+    __post_init__ = check_fields
 
     # ------------------------------------------------------------- builders
     def crash(self, node_id: int, at: float) -> "FaultPlan":
@@ -136,12 +154,13 @@ class FaultPlan:
         function of ``(seed, node_id)``: churn sets compose without
         perturbing one another.
         """
-        if sim_time <= 0:
-            raise ValueError(f"sim_time must be positive, got {sim_time}")
-        if rate < 0:
-            raise ValueError(f"churn rate must be >= 0, got {rate}")
-        if mean_downtime <= 0:
-            raise ValueError(f"mean_downtime must be positive, got {mean_downtime}")
+        # Bare sign checks would let NaN through (``nan < 0`` is False).
+        if not 0 < sim_time < math.inf:
+            raise ValueError(f"sim_time must be positive and finite, got {sim_time}")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"churn rate must be >= 0 and finite, got {rate}")
+        if not 0 < mean_downtime < math.inf:
+            raise ValueError(f"mean_downtime must be positive and finite, got {mean_downtime}")
         events: List[FaultEvent] = []
         if rate == 0:
             return cls(tuple(events))

@@ -2,9 +2,10 @@
 
 Plain 802.11 identifies stations by 6-byte MAC addresses.  AGFW never
 puts a real MAC address on the air: every frame is sent to the broadcast
-address, and the *network-layer* header names the next hop by a 6-byte
-**pseudonym** instead (paper: "the size of pseudonym is equal to that of
-a typical MAC address").
+address from the :data:`ANONYMOUS` source address, and the
+*network-layer* header names the next hop by a 6-byte **pseudonym**
+instead (paper: "the size of pseudonym is equal to that of a typical
+MAC address").
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 __all__ = [
     "MacAddress",
     "BROADCAST",
+    "ANONYMOUS",
     "mac_for_node",
     "ADDRESS_BYTES",
     "PSEUDONYM_BYTES",
@@ -56,6 +58,11 @@ class MacAddress:
 
 BROADCAST = MacAddress((1 << (8 * ADDRESS_BYTES)) - 1)
 """The predefined all-ones broadcast address AGFW frames are sent to."""
+
+ANONYMOUS = MacAddress(0)
+"""The all-zeros source address AGFW frames are sent from.
+
+:func:`mac_for_node` never returns it, so it names no station."""
 
 
 def mac_for_node(node_id: int) -> MacAddress:

@@ -106,6 +106,10 @@ class DcfMac:
         self.sim = sim
         self.node_id = node_id
         self.address = address
+        #: The source address of every frame this station sends.  AGFW
+        #: routers set it to ``ANONYMOUS`` so that no frame names the
+        #: station; ``address`` still matches frames sent to it.
+        self.source = address
         self.phy = phy
         self.rng = rng
         self.params = params
@@ -137,7 +141,7 @@ class DcfMac:
         nav: float = 0.0,
     ) -> MacFrame:
         """A fresh frame from this station; it draws the next frame uid."""
-        return MacFrame(kind, self.address, dst, packet=packet, nav=nav)
+        return MacFrame(kind, self.source, dst, packet=packet, nav=nav)
 
     # =============================================================== sending
     def send(

@@ -22,6 +22,7 @@ from repro.faults import FaultInjector, FaultPlan, make_loss_process
 from repro.geo.vec import Position
 from repro.location.service import OracleLocationService
 from repro.metrics.faults import FaultMetrics
+from repro.net.mac.frames import MacFrame
 from repro.net.medium import RadioMedium
 from repro.net.mobility import StaticMobility
 from repro.net.node import Node
@@ -312,6 +313,22 @@ def checked_medium(monkeypatch):
     """Build every scenario's medium as a :class:`CheckedMedium`."""
     monkeypatch.setattr(scenario_module, "RadioMedium", CheckedMedium)
     return CheckedMedium
+
+
+@pytest.fixture
+def frames_on_air(monkeypatch) -> List[MacFrame]:
+    """Build every scenario's medium so that it records each frame it
+    carries; returns the list the frames are appended to, in transmit
+    order, across every scenario the test builds."""
+    frames: List[MacFrame] = []
+
+    class RecordingMedium(RadioMedium):
+        def transmit(self, sender, frame, duration):
+            frames.append(frame)
+            return super().transmit(sender, frame, duration)
+
+    monkeypatch.setattr(scenario_module, "RadioMedium", RecordingMedium)
+    return frames
 
 
 @pytest.fixture

@@ -1,10 +1,8 @@
-"""Wall-clock floor for the analysis engine, gated by the committed baseline.
+"""Wall-clock floor for the analysis engine.
 
-Absolute timings are hardware-dependent, so the committed
-``benchmarks/BENCH_analysis.json`` numbers are treated as a *floor
-document*: its schema and derived ratio are asserted exactly, and the
-session's shared, timed ``src/`` analysis only has to land within a
-generous multiple of the committed mean — enough slack for CI-runner
+Absolute timings are hardware-dependent, so the floor is a generous
+multiple of one measured mean: the session's shared, timed ``src/``
+analysis only has to land within it — enough slack for CI-runner
 variance, tight enough that an accidental quadratic blowup in the
 summary fixpoint (the classic failure mode of interprocedural engines)
 still fails loudly.
@@ -12,40 +10,23 @@ still fails loudly.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+#: Mean wall time of one uncached ``analyze_paths(["src"])`` (3 rounds,
+#: stddev 0.34 s), as the committed baseline of the retired ``analysis``
+#: micro-benchmark suite recorded it; the baseline went with the suite,
+#: and the floor below keeps the bound it gave.
+MEASURED_SRC_ANALYSIS_S = 5.731725186
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = REPO_ROOT / "benchmarks" / "BENCH_analysis.json"
-
-#: CI-variance allowance over the committed mean.
+#: CI-variance allowance over the measured mean.
 _SLACK = 10.0
 
-
-def _committed():
-    return json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-
-
-def test_committed_analysis_bench_shape():
-    doc = _committed()
-    assert doc["schema_version"] == 1
-    assert doc["suite"] == "analysis"
-    names = set(doc["benchmarks"])
-    assert {
-        "test_full_src_analysis",
-        "test_full_src_analysis_cached[cold]",
-        "test_full_src_analysis_cached[warm]",
-    } <= names
-    derived = doc["derived"]
-    # The cache must never make a run slower than cold.
-    assert derived["incremental_cache_speedup"] >= 1.0
+#: 57.3 s.
+SRC_ANALYSIS_FLOOR_S = MEASURED_SRC_ANALYSIS_S * _SLACK
 
 
 def test_full_repo_analysis_within_committed_floor(src_analysis):
-    committed_mean = _committed()["benchmarks"]["test_full_src_analysis"]["mean_s"]
     elapsed = src_analysis.elapsed_s
     assert src_analysis.result.errors == []
-    assert elapsed <= committed_mean * _SLACK, (
-        f"full-src analysis took {elapsed:.2f}s, over "
-        f"{_SLACK}x the committed mean of {committed_mean:.2f}s"
+    assert elapsed <= SRC_ANALYSIS_FLOOR_S, (
+        f"full-src analysis took {elapsed:.2f}s, over the {SRC_ANALYSIS_FLOOR_S:.1f}s "
+        f"floor ({_SLACK}x the measured mean of {MEASURED_SRC_ANALYSIS_S:.2f}s)"
     )

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.experiments.scenario import ScenarioConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.geo.vec import Position
 from repro.metrics.faults import FaultMetrics
@@ -24,6 +25,22 @@ def test_fault_event_validation():
     for time in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time must be >= 0 and finite"):
             FaultEvent(time, 0, "crash")
+    # A node id is an int naming a node: not a string, a bool or negative.
+    for node_id in ("3", True, -2, 1.0):
+        with pytest.raises(ValueError, match=r"node_id must be >= 0 \(an int\)"):
+            FaultEvent(time=1.0, node_id=node_id, action="crash")
+    # A plan holds FaultEvents only, in a tuple; ScenarioConfig used to
+    # fail on a foreign member with an AttributeError from its node rule.
+    with pytest.raises(ValueError, match="events must be a FaultEvent"):
+        FaultPlan(events=("x",))
+    with pytest.raises(ValueError, match="events must be a FaultEvent"):
+        ScenarioConfig(num_nodes=4, fault_plan=FaultPlan(events=("x",)))
+    with pytest.raises(ValueError, match="events must be a tuple"):
+        FaultPlan(events=[FaultEvent(1.0, 0, "crash")])
+    # churn() checks its rates the same way: NaN passes a bare sign check.
+    for kwargs in ({"rate": float("nan")}, {"rate": float("inf")}, {"mean_downtime": float("nan")}):
+        with pytest.raises(ValueError, match="must be"):
+            FaultPlan.churn(range(3), sim_time=10.0, seed=1, **kwargs)
 
 
 def test_plan_builders_chain_and_are_immutable():

@@ -271,20 +271,3 @@ def test_jobs_pool_identical_across_spatial_modes(tmp_path):
         ]
     assert records[True] == records[False]
     assert all(r["metrics"]["sent"] > 0 for r in records[False])
-
-
-# --------------------------------------------------- committed benchmark
-def test_committed_hotpath_baseline_meets_speedup_floors():
-    """The committed benchmark snapshot must show the tentpole speedups:
-    >= 5x on the micro kernels, >= 1.3x end-to-end at 150 nodes."""
-    import json
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "BENCH_hotpath.json"
-    document = json.loads(path.read_text())
-    assert document["schema_version"] == 1
-    assert document["suite"] == "hotpath"
-    derived = document["derived"]
-    assert derived["neighbor_gather_speedup"] >= 5.0
-    assert derived["batch_mobility_speedup"] >= 5.0
-    assert derived["scenario_hotpath_speedup"] >= 1.3
