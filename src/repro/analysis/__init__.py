@@ -1,15 +1,16 @@
 """Project-specific static analysis for the ANT/AGFW reproduction.
 
-Two paper-derived rule families run over the AST of every module:
+One paper-derived rule family runs over the AST of every module:
 
 * **DET** — determinism: every run must be bit-reproducible from one
   master seed through :class:`repro.sim.rng.RngRegistry` (global
   ``random`` use, unseeded ``Random()``, wall-clock reads, float
-  sim-time equality, set-iteration ordering).
-* **ANON** — anonymity invariants: no real node identity or MAC address
-  may reach a wire-visible :class:`repro.net.packet.Packet` field
-  (Zhou & Yow Sec. 3); identities travel only as pseudonyms, trapdoors,
-  or encrypted indexes.
+  sim-time equality, set-iteration ordering, and unordered iteration
+  that reaches the event scheduler across modules).
+
+The anonymity invariant — no node identity or MAC address on the air
+(Zhou & Yow Sec. 3) — is not a lint rule: the test suite audits every
+frame its runs transmit (``on_air_audit`` in ``tests/conftest.py``).
 
 Run ``python -m repro.analysis [paths]`` (or ``repro-lint`` after an
 editable install); suppress a deliberate violation with

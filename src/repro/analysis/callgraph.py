@@ -1,8 +1,8 @@
-"""Project-wide symbol table and call graph.
+"""Project-wide symbol table, call graph and determinism facts.
 
-The interprocedural passes need to know, for *any* call expression,
-which function definitions in the analyzed tree it might land on.  This
-module builds that knowledge in one deterministic pre-pass:
+DET-009 needs to know which functions can reach the event scheduler and
+which values are sets, across module boundaries.  This module builds
+that knowledge in one deterministic pre-pass:
 
 * :func:`module_name_of` — file path to dotted module name (``src/repro/
   routing/gpsr.py`` → ``repro.routing.gpsr``), so qualified names are
@@ -11,16 +11,17 @@ module builds that knowledge in one deterministic pre-pass:
   qualified name, plus per-module binding maps that resolve local names
   through ``from x import y [as z]`` chains;
 * :class:`CallGraph` — caller → callee edges using the same resolution,
-  with a reverse-reachability helper the DET-009 pass uses to find every
-  function that can transitively reach the event scheduler.
+  with a reverse-reachability helper;
+* :class:`DeterminismFacts` — project-wide set-typed attribute names,
+  set-returning functions, and the transitive set of functions that can
+  reach the event scheduler or trace emission.
 
 Resolution is deliberately *possibilistic*: an attribute call
 ``obj.refresh()`` with an unknown receiver resolves to every analyzed
 function named ``refresh`` (capped — past the cap the call is treated as
-opaque and the taint rules fall back to their conservative
-argument-union behavior).  Over-approximation keeps the invariant
-checker sound-ish without a type checker; determinism comes from sorted
-iteration everywhere a set would otherwise leak ordering.
+opaque).  Over-approximation keeps scheduler reachability sound-ish
+without a type checker; determinism comes from sorted iteration
+everywhere a set would otherwise leak ordering.
 """
 
 from __future__ import annotations
@@ -28,18 +29,24 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.core import ModuleContext
 
 __all__ = [
     "CallGraph",
     "ClassInfo",
+    "DeterminismFacts",
     "FunctionInfo",
+    "SCHEDULER_CALL_NAMES",
     "SymbolTable",
     "module_name_of",
     "terminal_name",
 ]
+
+#: Terminal call names that put work on the event queue or the trace
+#: stream — the sinks whose input *order* is wire/trace-visible.
+SCHEDULER_CALL_NAMES = frozenset({"schedule", "call_later", "emit"})
 
 #: An attribute call whose receiver cannot be typed resolves to every
 #: same-named function — unless there are more than this many, in which
@@ -81,18 +88,8 @@ class FunctionInfo:
     qualname: str
     name: str
     module_path: str
-    module_name: str
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     class_qualname: Optional[str] = None
-
-    @property
-    def is_method(self) -> bool:
-        return self.class_qualname is not None
-
-    def params(self) -> List[str]:
-        """Positional-ish parameter names, ``self``/``cls`` included."""
-        args = self.node.args  # type: ignore[attr-defined]
-        return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
 
 
 @dataclass
@@ -100,9 +97,7 @@ class ClassInfo:
     """One analyzed ``class``: methods by name, base names as written."""
 
     qualname: str
-    name: str
     module_path: str
-    node: ast.ClassDef
     methods: Dict[str, str] = field(default_factory=dict)  # name -> func qualname
     base_names: Tuple[str, ...] = ()
 
@@ -141,7 +136,6 @@ class SymbolTable:
                         qualname=qual,
                         name=stmt.name,
                         module_path=module.path,
-                        module_name=mod_name,
                         node=stmt,
                         class_qualname=cls.qualname if cls is not None else None,
                     )
@@ -161,9 +155,7 @@ class SymbolTable:
                     )
                     cinfo = ClassInfo(
                         qualname=qual,
-                        name=stmt.name,
                         module_path=module.path,
-                        node=stmt,
                         base_names=base_names,
                     )
                     self.classes[qual] = cinfo
@@ -189,16 +181,6 @@ class SymbolTable:
 
     def resolve_local(self, module: ModuleContext, name: str) -> Optional[str]:
         return self.bindings.get(module.path, {}).get(name)
-
-    def resolve_class(self, module: ModuleContext, name: str) -> Optional[ClassInfo]:
-        """A class as referred to by ``name`` inside ``module``."""
-        qual = self.resolve_local(module, name)
-        if qual is not None:
-            return self.classes.get(qual)
-        candidates = self._classes_by_name.get(name, [])
-        if len(candidates) == 1:
-            return self.classes[candidates[0]]
-        return None
 
     def class_method(self, class_qualname: str, name: str) -> Optional[FunctionInfo]:
         """Method lookup through the (single-inheritance, analyzed) MRO."""
@@ -232,13 +214,10 @@ class SymbolTable:
         module: ModuleContext,
         call: ast.Call,
         enclosing_class: Optional[str] = None,
-        class_of: Optional[Callable[[ast.AST], Optional[str]]] = None,
     ) -> Tuple[FunctionInfo, ...]:
         """Candidate targets for ``call`` — empty tuple means *opaque*.
 
-        ``enclosing_class`` types ``self.m(...)`` receivers; ``class_of``
-        is an optional callback typing arbitrary receiver expressions
-        (the dataflow layer passes its local class environment).
+        ``enclosing_class`` types ``self.m(...)`` receivers.
         """
         func = call.func
         if isinstance(func, ast.Name):
@@ -269,12 +248,6 @@ class SymbolTable:
                     info = self.functions.get(f"{target_mod}.{func.attr}")
                     if info is not None:
                         return (info,)
-            # Receiver typed by the caller's class environment.
-            if class_of is not None:
-                cls = class_of(receiver)
-                if cls is not None:
-                    info = self.class_method(cls, func.attr)
-                    return (info,) if info is not None else ()
             # Fallback: every analyzed function with this name (capped).
             candidates = self._functions_by_name.get(func.attr, [])
             if 0 < len(candidates) <= MAX_NAME_CANDIDATES:
@@ -335,3 +308,86 @@ class CallGraph:
                     reaching.add(qual)
                     changed = True
         return frozenset(reaching)
+
+
+@dataclass
+class DeterminismFacts:
+    """Project-wide ordering facts for the DET-009 pass."""
+
+    #: Attribute names annotated or assigned as ``set``/``frozenset``
+    #: anywhere in the project (``self.members: set = set()``).
+    set_attrs: FrozenSet[str] = frozenset()
+    #: Qualnames of functions that evidently return a set.
+    set_returning: FrozenSet[str] = frozenset()
+    #: Functions that can (transitively) schedule events or emit trace.
+    schedulers: FrozenSet[str] = frozenset()
+    #: The underlying call graph (exposed for rules and tests).
+    callgraph: Optional[CallGraph] = field(default=None, repr=False)
+
+    @classmethod
+    def build(cls, modules: List[ModuleContext], table: SymbolTable) -> "DeterminismFacts":
+        set_attrs: Set[str] = set()
+        set_returning: Set[str] = set()
+
+        def is_set_annotation(ann: ast.AST) -> bool:
+            base = ann.value if isinstance(ann, ast.Subscript) else ann
+            return terminal_name(base) in {
+                "set", "Set", "frozenset", "FrozenSet", "MutableSet",
+            }
+
+        def is_set_value(value: ast.AST) -> bool:
+            if isinstance(value, (ast.Set, ast.SetComp)):
+                return True
+            if isinstance(value, ast.Call):
+                return terminal_name(value.func) in {"set", "frozenset"}
+            return False
+
+        for module in modules:
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.AnnAssign):
+                    target = node.target
+                    if isinstance(target, ast.Attribute) and is_set_annotation(
+                        node.annotation
+                    ):
+                        set_attrs.add(target.attr)
+                    # Class-body field annotations: ``members: set[str]``.
+                    if isinstance(target, ast.Name) and is_set_annotation(node.annotation):
+                        parent = module.parent_of(node)
+                        if isinstance(parent, ast.ClassDef):
+                            set_attrs.add(target.id)
+                elif isinstance(node, ast.Assign) and is_set_value(node.value):
+                    for target in node.targets:
+                        if isinstance(target, ast.Attribute):
+                            set_attrs.add(target.attr)
+
+        for qual in sorted(table.functions):
+            info = table.functions[qual]
+            node = info.node
+            returns = getattr(node, "returns", None)
+            if returns is not None and is_set_annotation(returns):
+                set_returning.add(qual)
+                continue
+            returned = [
+                sub.value
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Return) and sub.value is not None
+            ]
+            if returned and all(is_set_value(v) for v in returned):
+                set_returning.add(qual)
+
+        graph = CallGraph(table)
+        direct = graph.functions_calling(SCHEDULER_CALL_NAMES)
+        schedulers = graph.reaching(direct)
+        return cls(
+            set_attrs=frozenset(set_attrs),
+            set_returning=frozenset(set_returning),
+            schedulers=schedulers,
+            callgraph=graph,
+        )
+
+    def digest_payload(self) -> dict:
+        return {
+            "set_attrs": sorted(self.set_attrs),
+            "set_returning": sorted(self.set_returning),
+            "schedulers": sorted(self.schedulers),
+        }

@@ -2,8 +2,10 @@
 
 Exit codes: 0 = clean, 1 = findings, 2 = parse or usage errors — so the
 CI step ``python -m repro.analysis src tests --format sarif --baseline
-analysis_baseline.json`` gates merges on both rule families while known
-debt stays visible but non-fatal.
+analysis_baseline.json`` gates merges on the DET rules while known debt
+stays visible but non-fatal.  A ``--select``/``--ignore`` id that names
+no registered rule is a usage error, so a stale id cannot pass a run
+that checks nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 from typing import IO, Optional, Sequence
 
 from repro.analysis.baseline import Baseline
+from repro.analysis.core import registry
 from repro.analysis.engine import analyze_paths
 from repro.analysis.report import render_rule_catalog, write_report
 
@@ -24,11 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "AST-based determinism (DET) and anonymity-invariant (ANON) "
-            "linter for the ANT/AGFW reproduction. Taint and call-graph "
-            "facts span every analyzed file, so a leak or an unordered "
-            "iteration is followed across modules. Suppress a finding with "
-            "'# repro: noqa[RULE-ID]' on its statement."
+            "AST-based determinism (DET) linter for the ANT/AGFW "
+            "reproduction. Call-graph facts span every analyzed file, so "
+            "an unordered iteration is followed across modules. Suppress "
+            "a finding with '# repro: noqa[RULE-ID]' on its statement."
         ),
     )
     parser.add_argument(
@@ -47,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         action="append",
         metavar="RULE",
-        help="only run these rule ids or families (e.g. DET, ANON-001); repeatable",
+        help="only run these rule ids or families (e.g. DET, DET-001); repeatable",
     )
     parser.add_argument(
         "--ignore",
@@ -88,6 +90,10 @@ def main(argv: Optional[Sequence[str]] = None, stream: Optional[IO[str]] = None)
     parser = build_parser()
     args = parser.parse_args(argv)
     out = stream if stream is not None else sys.stdout
+    for flag, specs in (("--select", args.select), ("--ignore", args.ignore)):
+        unknown = [spec for spec in specs or () if not registry.select(select=[spec])]
+        if unknown:
+            parser.error(f"{flag} {', '.join(unknown)} matches no rule (see --list-rules)")
 
     if args.list_rules:
         out.write(render_rule_catalog() + "\n")

@@ -3,14 +3,15 @@
 The engine is deliberately small: a :class:`Finding` is one diagnostic at
 a ``file:line:col``, a :class:`Rule` produces findings for one parsed
 module, and the :class:`RuleRegistry` maps rule ids to rule instances.
-Project-wide knowledge (e.g. which classes are :class:`~repro.net.packet.
-Packet` subclasses across modules) lives in :class:`ProjectContext`,
-built once per run before any rule fires.
+Project-wide knowledge (the symbol table and the determinism facts the
+call-graph pass needs) lives in :class:`ProjectContext`, built lazily
+once per run.
 
 Rules are *paper-specific*: the DET family mechanizes the determinism
-contract of :mod:`repro.sim.rng` (one seed -> bit-identical run), the
-ANON family mechanizes the ANT/AGFW invariant that no real node identity
-or MAC address reaches a wire-visible packet field (Zhou & Yow, Sec. 3).
+contract of :mod:`repro.sim.rng` (one seed -> bit-identical run).  The
+anonymity invariant is checked where it holds, on the air: the test
+suite audits every frame a run transmits (``tests/conftest.py``,
+``on_air_audit``).
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ __all__ = [
     "register",
 ]
 
-#: Bumped whenever rule semantics or the dataflow machinery change, so
-#: stale incremental-cache entries can never satisfy a newer engine.
-ANALYSIS_VERSION = "3-numpy-det"
+#: Bumped whenever rule semantics or the project facts change, so stale
+#: incremental-cache entries can never satisfy a newer engine.
+ANALYSIS_VERSION = "4-det-only"
 
 
 @dataclass(frozen=True, order=True)
@@ -131,29 +132,15 @@ class ModuleContext:
 
 
 class ProjectContext:
-    """Cross-module facts gathered in a pre-pass over every analyzed file.
-
-    The main product is :attr:`packet_classes` — the transitive set of
-    class names subclassing :class:`repro.net.packet.Packet` anywhere in
-    the analyzed tree.  The ANON rules use it to recognize wire-visible
-    constructors even when the class was imported under an alias.
-    """
-
-    #: (module, class) pairs that root the packet hierarchy.
-    PACKET_ROOTS: Tuple[Tuple[str, str], ...] = (
-        ("repro.net.packet", "Packet"),
-        ("repro.location.geocast", "LocationAddressed"),
-    )
+    """Cross-module facts over every analyzed file, built on first use:
+    the project :attr:`symbol_table` and the :attr:`det_facts` the
+    DET-009 call-graph pass reads."""
 
     def __init__(self, modules: Iterable[ModuleContext]) -> None:
         self.modules: List[ModuleContext] = list(modules)
-        self.packet_classes: set[str] = {name for _, name in self.PACKET_ROOTS}
         self._symbol_table = None
         self._det_facts = None
-        self._summaries: Dict[object, object] = {}
-        self._build_packet_table()
 
-    # --------------------------------------------------- interprocedural assets
     @property
     def symbol_table(self):
         """Project-wide symbol table (lazy; see :mod:`.callgraph`)."""
@@ -167,73 +154,20 @@ class ProjectContext:
     def det_facts(self):
         """Ordering facts for the DET call-graph pass (lazy)."""
         if self._det_facts is None:
-            from repro.analysis.summaries import DeterminismFacts
+            from repro.analysis.callgraph import DeterminismFacts
 
             self._det_facts = DeterminismFacts.build(self.modules, self.symbol_table)
         return self._det_facts
-
-    def summaries_for(self, spec):
-        """Taint summaries for one :class:`~.dataflow.SeedSpec` (cached)."""
-        if spec not in self._summaries:
-            from repro.analysis.summaries import ProjectSummaries
-
-            self._summaries[spec] = ProjectSummaries(
-                self.modules,
-                self.symbol_table,
-                spec,
-                packet_classes=frozenset(self.packet_classes),
-            )
-        return self._summaries[spec]
-
-    def _build_packet_table(self) -> None:
-        # Collect (class name -> base names as locally written), resolving
-        # import aliases (``from repro.net.packet import Packet as _Packet``).
-        edges: List[Tuple[str, str]] = []  # (class, resolved base name)
-        for module in self.modules:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                for base in node.bases:
-                    base_name = _terminal_name(base)
-                    if base_name is None:
-                        continue
-                    origin = module.from_imports.get(base_name)
-                    if origin is not None:
-                        base_name = origin[1]
-                    edges.append((node.name, base_name))
-        # Fixpoint: pull every class whose (resolved) base is already known.
-        changed = True
-        while changed:
-            changed = False
-            for cls, base in edges:
-                if base in self.packet_classes and cls not in self.packet_classes:
-                    self.packet_classes.add(cls)
-                    changed = True
-
-    def is_packet_class(self, module: ModuleContext, local_name: str) -> bool:
-        """Is ``local_name`` (as used in ``module``) a known packet class?"""
-        origin = module.from_imports.get(local_name)
-        if origin is not None:
-            local_name = origin[1]
-        return local_name in self.packet_classes
-
-
-def _terminal_name(node: ast.AST) -> Optional[str]:
-    """``a.b.C`` -> ``C``; ``C`` -> ``C``; anything else -> None."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 class Rule:
     """Base class: one named, documented check over a parsed module.
 
     ``exempt_paths`` are glob patterns (posix, matched right-anchored
-    against the path's trailing components) the engine skips the rule for — the mechanism behind the paper-motivated allowlists
-    (``crypto/`` may handle identities; ``sim/rng.py`` may construct
-    ``random.Random``).  Subclasses override the class attributes.
+    against the path's trailing components) the engine skips the rule
+    for — the mechanism behind the audited allowlists (``sim/rng.py``
+    may construct ``random.Random``).  Subclasses override the class
+    attributes.
     """
 
     id: str = "XXX-000"

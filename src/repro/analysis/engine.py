@@ -7,12 +7,11 @@ before reporting, and nothing reads the wall clock.
 Two run-shaping features sit on top of plain rule dispatch:
 
 * **Incremental cache** — per-file findings keyed by the file's source
-  digest *and* a project-facts digest.  Interprocedural findings in one
-  file depend on summaries computed from every other file, so a cache
-  entry is only valid while the whole project's derived facts (packet
-  classes, taint summaries for both seed families, determinism facts,
-  rule set, :data:`~repro.analysis.core.ANALYSIS_VERSION`) hash the
-  same.  Parsing and summary construction always run — they are what
+  digest *and* a project-facts digest.  DET-009 findings in one file
+  depend on facts computed from every other file, so a cache entry is
+  only valid while the whole project's derived facts (determinism
+  facts, rule set, :data:`~repro.analysis.core.ANALYSIS_VERSION`) hash
+  the same.  Parsing and fact construction always run — they are what
   the facts digest is made of — the cache skips the per-file rule
   dispatch, which dominates wall-clock on warm runs.
 * **Baseline gate** — findings matched by a checked-in
@@ -42,7 +41,6 @@ from repro.analysis.suppress import collect_suppressions, split_suppressed
 
 # Imported for the side effect of registering the rule families.
 from repro.analysis import det_rules as _det_rules  # noqa: F401
-from repro.analysis.anon_rules import IDENTITY_SPEC, MAC_SPEC
 
 __all__ = [
     "AnalysisCache",
@@ -135,17 +133,14 @@ def _sha256_text(text: str) -> str:
 def project_facts_key(project: ProjectContext, rules: Sequence[Rule]) -> str:
     """Digest of everything a cached per-file result depends on besides
     the file itself: engine version, rule set, and every cross-module
-    fact the rules consult.  Any edit anywhere that
-    shifts a summary, the packet hierarchy, or scheduler reachability
+    fact the rules consult.  Any edit anywhere that shifts a set-typed
+    attribute, a set-returning function or scheduler reachability
     changes this key and invalidates the whole cache, which is exactly
     the soundness condition for caching interprocedural findings.
     """
     payload: Dict[str, object] = {
         "analysis_version": ANALYSIS_VERSION,
         "rules": [rule.id for rule in rules],
-        "packet_classes": sorted(project.packet_classes),
-        "identity": project.summaries_for(IDENTITY_SPEC).digest_payload(),
-        "mac": project.summaries_for(MAC_SPEC).digest_payload(),
         "det": project.det_facts.digest_payload(),
     }
     return _sha256_text(json.dumps(payload, sort_keys=True))

@@ -4,25 +4,23 @@ A finding is suppressed when the *statement* it is reported in carries a
 suppression comment naming its rule id (or a bare ``# repro: noqa``,
 which suppresses every rule).  Multiple ids are comma separated::
 
-    beacon = GpsrBeacon(
-        sender_identity=self.node.identity,  # repro: noqa[ANON-001] baseline leak
-    )
+    tmp = path.parent / f".{digest}.tmp.{os.getpid()}"  # repro: noqa[DET-014]
 
 Suppressions attach to the smallest enclosing **statement span**, not
 just the physical line the comment sits on.  A multi-line statement — a
 parenthesized call, a decorated ``def``, a constructor spread over
 several lines — is one logical violation site, and the rule may anchor
-its finding on any line of it (constructor calls report the tainted
-*argument*'s line; ``Assign`` findings report the statement head).  For
+its finding on any line of it (a call may be reported at an argument's
+line; ``Assign`` findings report the statement head).  For
 simple statements the span is ``lineno..end_lineno``; for compound
 statements (``def``/``class``/``if``/``for``...) it is the *header*
 only — decorators through the line before the body starts — so a noqa
 on a ``def`` line never blankets the whole function body.
 
 The annotation still sits next to the code it excuses, which doubles as
-documentation of *deliberate* violations (GPSR/DLM are the paper's
-non-anonymous baselines — their identity leaks are the point of the
-comparison).
+documentation of *deliberate* violations (a per-process temp-file name
+that never reaches a stored record, a float equality used as a cache
+key).
 """
 
 from __future__ import annotations

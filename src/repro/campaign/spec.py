@@ -39,6 +39,7 @@ result), with the replicate index appended.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from itertools import product
@@ -227,14 +228,18 @@ class CampaignSpec:
             config = ScenarioConfig(**merged)
             # A rate of 0 is no churn at all (no plan, so the digest is a
             # churn-free point's); a negative or NaN rate reaches churn()
-            # and fails there.
+            # and fails there.  A given downtime must be valid with or
+            # without a rate, or a bad axis expands to churn-free points.
             rate = float(churn_rate)
+            downtime = max(config.sim_time / 10.0, 0.5)
+            if churn_downtime is not None:
+                downtime = float(churn_downtime)
+                if not 0 < downtime < math.inf:
+                    raise ValueError(
+                        f"churn_downtime: mean_downtime must be positive and finite, "
+                        f"got {downtime}"
+                    )
             if rate != 0.0:
-                downtime = (
-                    float(churn_downtime)
-                    if churn_downtime is not None
-                    else max(config.sim_time / 10.0, 0.5)
-                )
                 plan = FaultPlan.churn(
                     range(config.num_nodes),
                     sim_time=config.sim_time,

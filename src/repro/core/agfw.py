@@ -275,7 +275,7 @@ class AgfwRouter(BaseRouter):
             # Ring subjects are decoy identities wire-visible *by design*:
             # the anonymous-authentication ring (paper Sec. 4) trades their
             # exposure for k-anonymity of the actual signer.
-            self.node.mac.send(CertRequest(subjects=missing), BROADCAST)  # repro: noqa[ANON-001] ring decoys
+            self.node.mac.send(CertRequest(subjects=missing), BROADCAST)
             return
         valid, delay = self.authenticator.verify_hello(
             hello.auth, hello.pseudonym, hello.position, hello.timestamp

@@ -254,7 +254,7 @@ class AlsAgent:
                     # Heterogeneous mode with privacy switched *off*: the
                     # node has opted out (paper Sec. 4.3), so it falls back
                     # to the plain DLM update and knowingly leaks.
-                    identity=self.node.identity,  # repro: noqa[ANON-001] privacy opted out
+                    identity=self.node.identity,
                     position=position,
                     timestamp=now,
                 )
@@ -327,9 +327,9 @@ class AlsAgent:
             # Heterogeneous fallback (paper Sec. 4.3): the anonymous lookup
             # timed out, so the target may have opted out of privacy — ask
             # the plain way, accepting the deliberate identity exposure.
-            requester_identity=self.node.identity,  # repro: noqa[ANON-001] plain fallback
+            requester_identity=self.node.identity,
             requester_location=self.node.position,
-            target_identity=identity,  # repro: noqa[ANON-001] plain fallback
+            target_identity=identity,
         )
         self._route(request)
         pending.timer = self.sim.schedule(
@@ -425,9 +425,9 @@ class AlsAgent:
             ttl=self.config.service_ttl,
             # Serving a *plain* request for a node that opted out of
             # privacy: the reply mirrors the DLM baseline leak.
-            requester_identity=request.requester_identity,  # repro: noqa[ANON-001] opted out
-            target_identity=entry.identity,  # repro: noqa[ANON-001] opted out
-            target_position=entry.position,  # repro: noqa[ANON-001] opted out
+            requester_identity=request.requester_identity,
+            target_identity=entry.identity,
+            target_position=entry.position,
             timestamp=entry.timestamp,
         )
         self._route(reply)

@@ -205,7 +205,7 @@ class DlmAgent:
                 # DLM is the plain baseline location service: the RLU
                 # carries the (identity, location) doublet in cleartext —
                 # exactly what ALS replaces with an encrypted index.
-                identity=self.node.identity,  # repro: noqa[ANON-001] baseline leak
+                identity=self.node.identity,
                 position=position,
                 timestamp=now,
             )
@@ -230,9 +230,9 @@ class DlmAgent:
             target_location=self.grid.center_of(cell),
             ttl=self.config.service_ttl,
             # Plain-baseline lookup: both identities are wire-visible.
-            requester_identity=self.node.identity,  # repro: noqa[ANON-001] baseline leak
+            requester_identity=self.node.identity,
             requester_location=self.node.position,
-            target_identity=identity,  # repro: noqa[ANON-001] baseline leak
+            target_identity=identity,
         )
         self._route(request)
         pending.timer = self.sim.schedule(
@@ -333,9 +333,9 @@ class DlmAgent:
             ttl=self.config.service_ttl,
             # Plain-baseline reply: echoes the requester and hands out the
             # target's identity-location doublet to any sniffer.
-            requester_identity=request.requester_identity,  # repro: noqa[ANON-001] baseline leak
-            target_identity=entry.identity,  # repro: noqa[ANON-001] baseline leak
-            target_position=entry.position,  # repro: noqa[ANON-001] baseline leak
+            requester_identity=request.requester_identity,
+            target_identity=entry.identity,
+            target_position=entry.position,
             timestamp=entry.timestamp,
         )
         self._route(reply)

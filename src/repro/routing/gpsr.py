@@ -129,7 +129,7 @@ class GpsrRouter(BaseRouter):
             # GPSR is the paper's non-anonymous baseline: the cleartext
             # (identity, location) doublet in its beacon is the leak the
             # Fig. 1 comparison measures AGFW against.
-            sender_identity=self.node.identity,  # repro: noqa[ANON-001] baseline leak
+            sender_identity=self.node.identity,
             position=self.position,
             timestamp=self.sim.now,
         )
@@ -169,8 +169,8 @@ class GpsrRouter(BaseRouter):
             payload_bytes=payload_bytes,
             # Baseline protocol: both endpoint identities ride in the
             # cleartext header (what AGFW replaces with a trapdoor).
-            src_identity=self.node.identity,  # repro: noqa[ANON-001] baseline leak
-            dest_identity=dest_identity,  # repro: noqa[ANON-001] baseline leak
+            src_identity=self.node.identity,
+            dest_identity=dest_identity,
             dest_location=dest_location,
             ttl=self.config.data_ttl,
         )

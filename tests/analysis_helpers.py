@@ -36,22 +36,3 @@ def lint_source(
 
 def rule_ids(result: AnalysisResult) -> list[str]:
     return [finding.rule_id for finding in result.findings]
-
-
-#: A minimal packet-class preamble the ANON fixtures share.  The class
-#: subclasses the real Packet root (resolved by the project pre-pass
-#: through the ``from`` import), so constructor calls are sinks.
-PACKET_PREAMBLE = """\
-from repro.net.packet import Packet
-
-
-class Probe(Packet):
-    KIND = "probe"
-    sender: str = ""
-    payload: bytes = b""
-
-    def header_bytes(self) -> int:
-        return 8
-
-
-"""

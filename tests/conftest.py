@@ -2,31 +2,38 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
+import re
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import settings
 
 import repro.experiments.scenario as scenario_module
 from repro.analysis.engine import AnalysisResult, analyze_paths
-from repro.core.agfw import AgfwRouter
+from repro.core.aant import AantAttachment, CertReply, CertRequest
+from repro.core.agfw import AgfwData, AgfwRouter, AntHello
 from repro.core.config import AgfwConfig
 from repro.crypto.cache import LruMemo
 from repro.experiments.scenario import Scenario, ScenarioConfig, ScenarioResult
 from repro.faults import FaultInjector, FaultPlan, make_loss_process
 from repro.geo.vec import Position
+from repro.location.dlm import DlmReply, DlmRequest, DlmUpdate
 from repro.location.service import OracleLocationService
 from repro.metrics.faults import FaultMetrics
+from repro.net.addresses import MacAddress
 from repro.net.mac.frames import MacFrame
 from repro.net.medium import RadioMedium
 from repro.net.mobility import StaticMobility
 from repro.net.node import Node
-from repro.routing.gpsr import GpsrConfig, GpsrRouter
+from repro.routing.gpsr import GpsrBeacon, GpsrConfig, GpsrData, GpsrRouter
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer, trace_divergence
@@ -315,20 +322,160 @@ def checked_medium(monkeypatch):
     return CheckedMedium
 
 
-@pytest.fixture
-def frames_on_air(monkeypatch) -> List[MacFrame]:
-    """Build every scenario's medium so that it records each frame it
-    carries; returns the list the frames are appended to, in transmit
-    order, across every scenario the test builds."""
-    frames: List[MacFrame] = []
+# ------------------------------------------------------------ on-air audit
+class NodeId(int):
+    """A node id the on-air audit recognises wherever it ends up.  It
+    compares, hashes, formats and serializes as the plain ``int``, so a
+    run under the audit traces like one without it."""
 
-    class RecordingMedium(RadioMedium):
-        def transmit(self, sender, frame, duration):
-            frames.append(frame)
-            return super().transmit(sender, frame, duration)
+    __slots__ = ()
 
-    monkeypatch.setattr(scenario_module, "RadioMedium", RecordingMedium)
-    return frames
+
+#: Packet fields, or ``wire_view()`` keys, that name nodes by design.  An
+#: AANT hello names its ring (paper Sec. 4: the signer hides among k+1
+#: named members), and the certificate fetch asks for and hands out the
+#: certificates of those members.
+RING_FORMS: Dict[type, frozenset] = {
+    AantAttachment: frozenset({"ring_subjects", "signature"}),
+    CertRequest: frozenset({"subjects"}),
+    CertReply: frozenset({"certificates", "subjects"}),
+}
+
+#: The cleartext baselines the paper compares against.  GPSR names nodes
+#: in beacons, headers and unicast MAC addresses.  ALS sends DLM packets
+#: only for a node that opted out of privacy, or as the plain fallback
+#: of a lookup that timed out.
+BASELINE_PACKETS = (GpsrBeacon, GpsrData, DlmUpdate, DlmRequest, DlmReply)
+
+
+def form_of(packet) -> str:
+    """A packet's kind, split where one kind has two wire forms: signed
+    and unsigned hellos, greedy and perimeter data."""
+    if isinstance(packet, AntHello):
+        return f"{packet.kind} {'unsigned' if packet.auth is None else 'signed'}"
+    if isinstance(packet, AgfwData):
+        return f"{packet.kind} {packet.mode}"
+    return packet.kind
+
+
+class OnAirAudit:
+    """What the frames on the air give away about the nodes that sent them.
+
+    For each frame it walks the packet: every public dataclass field,
+    recursively, and every ``wire_view()``.  It flags a node identity in
+    a ``str`` or ``bytes`` (on word boundaries, so ``node-1`` does not
+    match inside ``node-12``), a node's :class:`MacAddress` in a field or
+    in the frame header, and a :class:`NodeId`.  What :data:`RING_FORMS`
+    fields and :data:`BASELINE_PACKETS` carry goes to :attr:`allowed`
+    instead of :attr:`leaks`.  Control frames (RTS/CTS/ACK) only answer
+    a unicast data frame and repeat its addresses, so that frame judges
+    them.
+    """
+
+    def __init__(self) -> None:
+        self.identities: set = set()
+        self.addresses: Dict[MacAddress, int] = {}
+        self.frames = 0
+        #: Frames sent per packet form (:func:`form_of`).
+        self.sent: Counter = Counter()
+        self.leaks: List[str] = []
+        self.allowed: List[str] = []
+        self._patterns: Optional[Tuple[re.Pattern, re.Pattern]] = None
+
+    def add_node(self, node: Node) -> None:
+        self.identities.add(node.identity)
+        self.addresses[node.address] = node.node_id
+        self._patterns = None
+
+    def inspect(self, frame: MacFrame) -> None:
+        self.frames += 1
+        packet = frame.packet
+        baseline = packet is None or isinstance(packet, BASELINE_PACKETS)
+        out = self.allowed if baseline else self.leaks
+        for name in ("src", "dst"):
+            node_id = self.addresses.get(getattr(frame, name))
+            if node_id is not None:
+                out.append(f"frame.{name}: MAC address of node {node_id}")
+        if packet is not None:
+            self.sent[form_of(packet)] += 1
+            self._walk(packet, packet.kind, out)
+
+    def _identity_patterns(self) -> Tuple[re.Pattern, re.Pattern]:
+        if self._patterns is None:
+            names = "|".join(re.escape(i) for i in sorted(self.identities)) or "(?!)"
+            text = re.compile(rf"\b(?:{names})\b")
+            self._patterns = (text, re.compile(text.pattern.encode()))
+        return self._patterns
+
+    def _walk(self, value, path: str, out: List[str]) -> None:
+        if isinstance(value, NodeId):
+            out.append(f"{path}: node id {int(value)}")
+        elif isinstance(value, MacAddress):
+            if value in self.addresses:
+                out.append(f"{path}: MAC address of node {self.addresses[value]}")
+        elif isinstance(value, (str, bytes)):
+            text, raw = self._identity_patterns()
+            for match in (text if isinstance(value, str) else raw).finditer(value):
+                out.append(f"{path}: identity {match.group()!r}")
+        elif isinstance(value, (list, tuple)):
+            for index, item in enumerate(value):
+                self._walk(item, f"{path}[{index}]", out)
+        elif isinstance(value, dict):
+            self._walk_items(value, path, out, frozenset())
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            ring = RING_FORMS.get(type(value), frozenset())
+            public = {
+                spec.name: getattr(value, spec.name)
+                for spec in dataclasses.fields(value)
+                if not spec.name.startswith("_")
+            }
+            self._walk_items(public, path, out, ring, ".{}")
+            wire_view = getattr(value, "wire_view", None)
+            if wire_view is not None:
+                # An entry that is a field's own view was walked with it,
+                # under that field's class and its ring forms.
+                view = {
+                    key: item
+                    for key, item in wire_view().items()
+                    if not (
+                        hasattr(public.get(key), "wire_view")
+                        and public[key].wire_view() == item
+                    )
+                }
+                self._walk_items(view, f"{path}.wire_view()", out, ring)
+
+    def _walk_items(self, items: dict, path: str, out: List[str], ring, step="[{!r}]") -> None:
+        for key, item in items.items():
+            self._walk(key, path, out)
+            target = self.allowed if key in ring else out
+            self._walk(item, path + step.format(key), target)
+
+
+@contextmanager
+def on_air_audit() -> Iterator[OnAirAudit]:
+    """Audit every frame any medium carries while the block runs.
+
+    ``RadioMedium.transmit`` and ``Node.__init__`` are wrapped at the
+    class level, so every way of building a network is covered:
+    :class:`Scenario`, :func:`build_static_net` and the ALS harness in
+    :mod:`repro.experiments.overhead`.  Each node built in the block gets
+    a :class:`NodeId`."""
+    audit = OnAirAudit()
+    transmit, init = RadioMedium.transmit, Node.__init__
+
+    def audited_transmit(self, sender, frame, duration):
+        audit.inspect(frame)
+        return transmit(self, sender, frame, duration)
+
+    def audited_init(self, sim, node_id, *args, **kwargs) -> None:
+        init(self, sim, NodeId(node_id), *args, **kwargs)
+        audit.add_node(self)
+
+    RadioMedium.transmit, Node.__init__ = audited_transmit, audited_init
+    try:
+        yield audit
+    finally:
+        RadioMedium.transmit, Node.__init__ = transmit, init
 
 
 @pytest.fixture
@@ -404,8 +551,8 @@ class TimedAnalysis:
 def src_analysis() -> TimedAnalysis:
     """``analyze_paths([src])``, run once per session and timed.
 
-    The src self-clean, noqa-catalog, determinism and wall-time floor
-    tests all read this one run instead of each analysing ``src/``."""
+    The src self-clean, determinism and wall-time floor tests all read
+    this one run instead of each analysing ``src/``."""
     src = Path(__file__).resolve().parents[1] / "src"
     started = time.perf_counter()
     result = analyze_paths([str(src)])

@@ -8,6 +8,8 @@ yield (k+1)-anonymity.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.adversary.anonymity import (
@@ -17,11 +19,17 @@ from repro.adversary.anonymity import (
 )
 from repro.adversary.sniffer import GlobalSniffer, Sniffer
 from repro.adversary.tracker import DoubletTracker, RouteTracer
+from repro.core.aant import AantAttachment, CertRequest
+from repro.core.agfw import AgfwData, AntHello
 from repro.core.config import AgfwConfig
+from repro.core.trapdoor import Trapdoor
+from repro.experiments.overhead import _run_service_point
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.geo.vec import Position
-from repro.net.addresses import mac_for_node
-from tests.conftest import build_static_net, line_positions
+from repro.net.addresses import ANONYMOUS, BROADCAST, MacAddress, mac_for_node
+from repro.net.mac.frames import FrameKind, MacFrame
+from repro.routing.gpsr import GpsrBeacon
+from tests.conftest import build_static_net, line_positions, on_air_audit
 
 
 def _run_with_sniffer(protocol, send=True):
@@ -175,7 +183,7 @@ def test_locality_anonymity_sets():
     assert locality_anonymity_sets([Position(5000, 0)], nodes) == [1]
 
 
-# ------------------------------------------------------- MAC header on air
+# ------------------------------------------------------------ on the air
 #: Small arena with data flowing from t = 0.5 s: hellos, data and (with
 #: ACKs on) NL-ACKs are all on the air within 3 s, about 190 frames.
 _ON_AIR = dict(
@@ -185,24 +193,125 @@ _ON_AIR = dict(
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, forms",
     [
-        {"protocol": "agfw"},
-        {"protocol": "agfw-noack"},
-        {"protocol": "agfw", "aant_ring_size": 3},
-        {"protocol": "agfw", "real_crypto": True, "aant_ring_size": 2},
+        ({"protocol": "agfw"}, {"agfw.hello unsigned", "agfw.data greedy", "agfw.ack"}),
+        ({"protocol": "agfw-noack"}, {"agfw.hello unsigned", "agfw.data greedy"}),
+        ({"protocol": "agfw", "aant_ring_size": 3},
+         {"agfw.hello signed", "agfw.data greedy", "agfw.ack"}),
+        ({"protocol": "agfw", "real_crypto": True, "aant_ring_size": 2},
+         {"agfw.hello signed", "agfw.data greedy", "agfw.ack"}),
     ],
     ids=["agfw", "agfw-noack", "aant-ring", "real-crypto"],
 )
-def test_agfw_family_frames_name_no_node_mac_address(frames_on_air, overrides):
-    """The paper's 'no MAC addresses exposed': the MAC header of every
-    frame an AGFW-family node transmits names no node, as source or as
-    destination.  The sniffer reads only ``packet.wire_view()``, so this
-    is checked on the frames the medium carries."""
+def test_agfw_family_frames_name_no_node_mac_address(overrides, forms):
+    """The paper's 'no identities or MAC addresses exposed', checked on
+    the air: no frame an AGFW-family node transmits names a node, in its
+    MAC header or anywhere in its packet.  Real crypto puts the ring's
+    member names on the air, in the one form that may carry them."""
     config = ScenarioConfig(**_ON_AIR, **overrides)
-    result = Scenario(config).run()
+    with on_air_audit() as audit:
+        result = Scenario(config).run()
     assert result.delivered > 0
-    assert len(frames_on_air) == result.frames_on_air
-    addresses = {mac_for_node(node_id) for node_id in range(config.num_nodes)}
-    leaks = [f for f in frames_on_air if f.src in addresses or f.dst in addresses]
-    assert not leaks, f"{len(leaks)} of {len(frames_on_air)} frames name a node: {leaks[0]!r}"
+    assert audit.frames == result.frames_on_air
+    assert audit.leaks == [], f"{len(audit.leaks)} leaks, first {audit.leaks[0]}"
+    assert set(audit.sent) == forms
+    assert bool(audit.allowed) == ("real_crypto" in overrides)
+
+
+@pytest.mark.parametrize("include_index", [True, False], ids=["index", "no-index"])
+def test_als_service_point_sends_no_identity(include_index):
+    """ALS updates, requests and replies name no node on the air.  The
+    no-index variant answers fewer lookups, and the plain DLM fallback
+    it then sends is the sanctioned cleartext baseline."""
+    with on_air_audit() as audit:
+        report = _run_service_point(("als", 25, 19, 4, 10.0, include_index, 3))
+    assert report.lookups_answered > 0
+    assert audit.leaks == [], f"{len(audit.leaks)} leaks, first {audit.leaks[0]}"
+    assert {"als.update", "als.request", "als.reply"} <= set(audit.sent)
+    assert set(audit.sent) <= {
+        "agfw.hello unsigned", "als.update", "als.request", "als.reply", "dlm.request",
+    }
+
+
+def test_gpsr_baseline_leaks_are_allowed_not_silent():
+    """The audit is not vacuously green: on GPSR, the cleartext baseline,
+    every node's identity and MAC address is seen on the air, and only
+    the baseline allowance keeps them out of the leaks."""
+    with on_air_audit() as audit:
+        Scenario(ScenarioConfig(**_ON_AIR, protocol="gpsr")).run()
+    assert audit.leaks == []
+    named = " ".join(audit.allowed)
+    for node_id in range(_ON_AIR["num_nodes"]):
+        assert f"identity 'node-{node_id}'" in named
+        assert f"frame.src: MAC address of node {node_id}" in audit.allowed
+
+
+# ---------------------------------------------------- the audit, planted
+@dataclass
+class _TaggedData(AgfwData):
+    """An AGFW data header with one extra public field."""
+
+    origin: object = None
+
+
+class _ChattyTrapdoor(Trapdoor):
+    """A trapdoor whose wire view serializes its sealed recipient."""
+
+    def wire_view(self) -> dict:
+        return {"opaque_bytes": self.size_bytes, "for": self._sealed_for}
+
+
+def _audit(packet, src=ANONYMOUS, dst=BROADCAST):
+    """Leaks and allowances of one planted frame among 13 nodes."""
+    with on_air_audit() as audit:
+        net = build_static_net(line_positions(13), protocol="agfw", start=False)
+        origin = packet(net.nodes) if callable(packet) else packet
+        audit.inspect(MacFrame(FrameKind.DATA, src, dst, origin))
+    return audit.leaks, audit.allowed
+
+
+def test_audit_flags_identity_on_word_boundaries():
+    leaks, _ = _audit(_TaggedData(origin="from node-12, via node-1x"))
+    assert leaks == ["agfw.data.origin: identity 'node-12'"]
+    assert _audit(AntHello(pseudonym=b"node-3"))[0] == [
+        "agfw.hello.pseudonym: identity b'node-3'",
+    ]
+    assert _audit(_TaggedData(origin=("node-123", "xnode-1", "node_1")))[0] == []
+
+
+def test_audit_flags_mac_addresses_and_node_ids():
+    assert _audit(AgfwData(), src=mac_for_node(2))[0] == [
+        "frame.src: MAC address of node 2",
+    ]
+    assert _audit(_TaggedData(origin=mac_for_node(12)))[0] == [
+        "agfw.data.origin: MAC address of node 12",
+    ]
+    assert _audit(lambda nodes: _TaggedData(origin=nodes[4].node_id))[0] == [
+        "agfw.data.origin: node id 4",
+    ]
+    # Addresses and ints that name no node pass.
+    assert _audit(_TaggedData(origin=(BROADCAST, ANONYMOUS, MacAddress(99), 4)))[0] == []
+
+
+def test_audit_reads_wire_views_not_only_fields():
+    """A private field stays off the air until a wire view serializes it."""
+    sealed = dict(size_bytes=64, _sealed_for="node-5")
+    assert _audit(AgfwData(trapdoor=Trapdoor(**sealed)))[0] == []
+    assert _audit(AgfwData(trapdoor=_ChattyTrapdoor(**sealed)))[0] == [
+        "agfw.data.trapdoor.wire_view()['for']: identity 'node-5'",
+    ]
+
+
+def test_audit_allows_ring_forms_and_baselines_only():
+    ring = AantAttachment(ring_size=2, extra_bytes=0, ring_subjects=("node-1", "node-2"))
+    leaks, allowed = _audit(AntHello(auth=ring))
+    assert leaks == []
+    assert "agfw.hello.auth.ring_subjects[0]: identity 'node-1'" in allowed
+    assert _audit(CertRequest(subjects=("node-7",)))[0] == []
+    assert _audit(GpsrBeacon(sender_identity="node-7"), src=mac_for_node(7))[0] == []
+    # The same names outside those forms are leaks.
+    assert _audit(_TaggedData(origin=ring.ring_subjects))[0] == [
+        "agfw.data.origin[0]: identity 'node-1'",
+        "agfw.data.origin[1]: identity 'node-2'",
+    ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.config import AgfwConfig
 from repro.geo.vec import Position
-from tests.conftest import build_static_net, line_positions
+from tests.conftest import build_static_net, line_positions, on_air_audit
 
 # Same void as the GPSR perimeter tests: node 1 is a true local maximum.
 VOID_TOPOLOGY = [
@@ -40,20 +40,17 @@ def test_agfw_perimeter_disabled_drops():
 
 
 def test_agfw_perimeter_preserves_anonymity():
-    """Perimeter-mode packets still carry no identities on the wire."""
-    net = build_static_net(
-        VOID_TOPOLOGY, protocol="agfw",
-        agfw_config=AgfwConfig(enable_perimeter=True),
-    )
-    net.sim.schedule(3.0, lambda: net.nodes[0].router.send_data("node-6", 64))
-    net.sim.run(until=9.0)
-    for record in net.tracer.filter("phy.tx"):
-        packet = record.data.get("packet_obj")
-        if packet is None or packet.kind != "agfw.data":
-            continue
-        view = packet.wire_view()
-        assert "identity" not in view
-        assert "node-" not in str(view)
+    """Perimeter-mode packets carry no identities on the air, in their
+    wire view or in any other field."""
+    with on_air_audit() as audit:
+        net = build_static_net(
+            VOID_TOPOLOGY, protocol="agfw",
+            agfw_config=AgfwConfig(enable_perimeter=True),
+        )
+        net.sim.schedule(3.0, lambda: net.nodes[0].router.send_data("node-6", 64))
+        net.sim.run(until=9.0)
+    assert audit.sent["agfw.data perimeter"] > 0
+    assert audit.leaks == [], f"{len(audit.leaks)} leaks, first {audit.leaks[0]}"
 
 
 def test_agfw_perimeter_packets_acknowledge():

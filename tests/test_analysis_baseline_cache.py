@@ -141,10 +141,10 @@ def test_cache_invalidates_only_the_edited_file(tmp_path):
 
 
 def test_cache_discarded_when_cross_module_facts_change(tmp_path):
-    """Soundness: file A's cached findings depend on summaries from file
-    B.  Editing *B* so that its helper now returns an identity must not
-    serve A's stale 'clean' result — the facts key changes and the whole
-    cache is discarded."""
+    """Soundness: file A's cached findings depend on facts from file B.
+    Editing *B* so that its helper now returns a set must not serve A's
+    stale 'clean' result — the facts key changes and the whole cache is
+    discarded."""
     write_fixture(
         tmp_path,
         "src/repro/fixpkg/__init__.py",
@@ -153,32 +153,31 @@ def test_cache_discarded_when_cross_module_facts_change(tmp_path):
     write_fixture(
         tmp_path,
         "src/repro/fixpkg/helpers.py",
-        "def node_tag(node):\n    return 'fixed'\n",
+        "def members(roster):\n    return list(roster)\n",
     )
     write_fixture(
         tmp_path,
-        "src/repro/fixpkg/sender.py",
-        "from repro.net.packet import Packet\n"
-        "from repro.fixpkg.helpers import node_tag\n\n\n"
-        "class Probe(Packet):\n    sender: str = ''\n\n\n"
-        "def announce(node, mac):\n"
-        "    mac.send(Probe(sender=node_tag(node)))\n",
+        "src/repro/fixpkg/user.py",
+        "from repro.fixpkg.helpers import members\n\n\n"
+        "def notify(roster, sim):\n"
+        "    for member in members(roster):\n"
+        "        sim.schedule(0.1, member)\n",
     )
     cache = tmp_path / "cache.json"
     root = str(tmp_path / "src")
-    clean = analyze_paths([root], select=["ANON-001"], cache_path=cache)
+    clean = analyze_paths([root], select=["DET-009"], cache_path=cache)
     assert clean.findings == [] and clean.cache_misses == 3
 
-    # The edit is in helpers.py, but sender.py is where the (previously
+    # The edit is in helpers.py, but user.py is where the (previously
     # cached as clean) finding must now appear.
     write_fixture(
         tmp_path,
         "src/repro/fixpkg/helpers.py",
-        "def node_tag(node):\n    return node.identity\n",
+        "def members(roster):\n    return set(roster)\n",
     )
-    rerun = analyze_paths([root], select=["ANON-001"], cache_path=cache)
-    assert [f.rule_id for f in rerun.findings] == ["ANON-001"]
-    assert rerun.findings[0].path.endswith("sender.py")
+    rerun = analyze_paths([root], select=["DET-009"], cache_path=cache)
+    assert [f.rule_id for f in rerun.findings] == ["DET-009"]
+    assert rerun.findings[0].path.endswith("user.py")
     assert rerun.cache_hits == 0  # facts key changed: no stale entry served
 
 
@@ -212,7 +211,7 @@ def test_sarif_structure_and_levels(tmp_path):
     assert driver["name"] == "repro-lint"
     assert driver["version"] == ANALYSIS_VERSION
     rule_ids = {rule["id"] for rule in driver["rules"]}
-    assert {"DET-001", "DET-009", "DET-012", "ANON-001", "ANON-002"} <= rule_ids
+    assert {"DET-001", "DET-009", "DET-012", "DET-014"} <= rule_ids
 
     by_level = {}
     for row in run["results"]:

@@ -11,7 +11,6 @@ import pytest
 from repro.analysis.core import (
     Finding,
     ModuleContext,
-    ProjectContext,
     Rule,
     RuleRegistry,
     registry,
@@ -67,29 +66,6 @@ def test_parent_map():
     assert isinstance(assign, ast.Assign)
 
 
-# ------------------------------------------------------------ project context
-def test_packet_table_follows_aliased_imports():
-    direct = _module(
-        "from repro.net.packet import Packet as _Packet\n"
-        "class Hello(_Packet):\n    pass\n",
-        path="src/repro/a.py",
-    )
-    indirect = _module(
-        "from repro.a import Hello\nclass Beacon(Hello):\n    pass\n",
-        path="src/repro/b.py",
-    )
-    project = ProjectContext([direct, indirect])
-    assert "Hello" in project.packet_classes
-    assert "Beacon" in project.packet_classes
-    assert project.is_packet_class(indirect, "Hello")
-
-
-def test_unrelated_class_is_not_packet():
-    module = _module("class Metrics:\n    pass\n")
-    project = ProjectContext([module])
-    assert "Metrics" not in project.packet_classes
-
-
 # ------------------------------------------------------------------- registry
 def test_registry_rejects_duplicate_ids():
     fresh = RuleRegistry()
@@ -105,16 +81,17 @@ def test_registry_rejects_duplicate_ids():
 def test_registry_family_selection():
     det = registry.select(select=["DET"])
     assert det and all(rule.id.startswith("DET-") for rule in det)
-    only = registry.select(select=["ANON-001"])
-    assert [rule.id for rule in only] == ["ANON-001"]
-    rest = registry.select(ignore=["DET"])
-    assert rest and not any(rule.id.startswith("DET-") for rule in rest)
+    only = registry.select(select=["DET-009"])
+    assert [rule.id for rule in only] == ["DET-009"]
+    rest = registry.select(ignore=["DET-001"])
+    assert len(rest) == len(registry) - 1
+    assert "DET-001" not in {rule.id for rule in rest}
 
 
-def test_global_registry_has_both_families():
+def test_global_registry_has_the_det_family():
     ids = {rule.id for rule in registry}
-    assert {"DET-001", "DET-002", "DET-003", "DET-004", "DET-005"} <= ids
-    assert {"ANON-001", "ANON-002"} <= ids
+    assert {"DET-001", "DET-002", "DET-003", "DET-004", "DET-005", "DET-009"} <= ids
+    assert all(rule.id.startswith("DET-") for rule in registry)
 
 
 def test_rule_exempts_matches_trailing_components():
@@ -136,14 +113,14 @@ def test_bare_noqa_suppresses_everything():
     module = _module("x = 1  # repro: noqa\n")
     table = collect_suppressions(module)
     assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-001", "m"))
-    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "ANON-002", "m"))
+    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-014", "m"))
 
 
 def test_scoped_noqa_only_matches_named_rules():
-    module = _module("x = 1  # repro: noqa[DET-001, ANON-001]\n")
+    module = _module("x = 1  # repro: noqa[DET-001, DET-014]\n")
     table = collect_suppressions(module)
     assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-001", "m"))
-    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "ANON-001", "m"))
+    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-014", "m"))
     assert not table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-002", "m"))
 
 
@@ -314,11 +291,23 @@ def test_cli_ignore_flag(tmp_path):
     assert main([str(path), "--ignore", "DET"], stream=out) == 0
 
 
+@pytest.mark.parametrize("flag", ["--select", "--ignore"])
+@pytest.mark.parametrize("spec", ["ANON", "DET-099", "LINT-000"])
+def test_cli_unknown_rule_id_is_a_usage_error(tmp_path, capsys, flag, spec):
+    """An id that matches no registered rule exits 2 instead of running
+    a pass that checks nothing (or everything)."""
+    path = write_fixture(tmp_path, "src/dirty.py", "import random\nx = random.random()\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(path), flag, "DET-001", flag, spec], stream=io.StringIO())
+    assert exc.value.code == 2
+    assert f"{flag} {spec} matches no rule" in capsys.readouterr().err
+
+
 def test_cli_list_rules(tmp_path):
     out = io.StringIO()
     assert main(["--list-rules"], stream=out) == 0
     listing = out.getvalue()
-    for rule_id in ("DET-001", "DET-005", "ANON-001", "ANON-002"):
+    for rule_id in ("DET-001", "DET-005", "DET-009", "DET-014"):
         assert rule_id in listing
 
 

@@ -1,29 +1,20 @@
-"""Interprocedural dataflow tests: taint across modules, DET-009..012.
+"""Interprocedural tests: the call graph and DET-009..012.
 
-The fixture packages mirror the cross-module leak shapes a per-function
-walk cannot see: identity laundered through a helper return, stored into
-a dataclass field in another module, cleansed by a sanitizer mid-chain,
-cycled through mutual recursion, and injected through call-site
-arguments.  Each must be caught where the identity reaches the packet.
+The fixture packages mirror the cross-module shapes a per-module walk
+cannot see: a set built in one module and iterated in another inside
+code that reaches the scheduler, directly, through a helper, or
+through a mutual-recursion cycle.
 """
 
 from __future__ import annotations
 
 import ast
-import textwrap
 
 from repro.analysis.callgraph import CallGraph, SymbolTable, module_name_of
-from repro.analysis.core import ModuleContext, ProjectContext
-from repro.analysis.dataflow import SEED
+from repro.analysis.core import ModuleContext
 from repro.analysis.engine import analyze_paths
-from repro.analysis.anon_rules import IDENTITY_SPEC
 
-from tests.analysis_helpers import PACKET_PREAMBLE, lint_source, rule_ids, write_fixture
-
-
-def pkt(body: str) -> str:
-    """Prepend the shared Probe packet class to a dedented module body."""
-    return PACKET_PREAMBLE + textwrap.dedent(body)
+from tests.analysis_helpers import lint_source, rule_ids, write_fixture
 
 
 def lint_package(tmp_path, files, select=None):
@@ -34,180 +25,6 @@ def lint_package(tmp_path, files, select=None):
 
 def _module(source: str, path: str = "src/repro/x.py") -> ModuleContext:
     return ModuleContext(path, source, ast.parse(source))
-
-
-# ------------------------------------------------------- helper-return leak
-HELPER_LEAK = {
-    "src/repro/fixpkg/__init__.py": "",
-    "src/repro/fixpkg/helpers.py": """\
-        def node_tag(node):
-            return node.identity
-        """,
-    "src/repro/fixpkg/sender.py": pkt("""\
-        from repro.fixpkg.helpers import node_tag
-
-
-        def announce(node, mac):
-            probe = Probe(sender=node_tag(node))
-            mac.send(probe)
-        """),
-}
-
-
-def test_leak_through_helper_return_caught_interprocedurally(tmp_path):
-    result = lint_package(tmp_path, HELPER_LEAK, select=["ANON-001"])
-    assert rule_ids(result) == ["ANON-001"]
-    (finding,) = result.findings
-    assert finding.path.endswith("sender.py")
-
-
-# ----------------------------------------------------- dataclass-field leak
-def test_leak_through_dataclass_field_across_modules(tmp_path):
-    files = {
-        "src/repro/fixpkg/__init__.py": "",
-        "src/repro/fixpkg/headers.py": """\
-            class RouteHeader:
-                def __init__(self, origin: str = ""):
-                    self.origin = origin
-
-
-            def stamp(header: RouteHeader, node) -> None:
-                header.origin = node.identity
-            """,
-        "src/repro/fixpkg/emit.py": pkt("""\
-            from repro.fixpkg.headers import RouteHeader, stamp
-
-
-            def emit(node, mac):
-                header = RouteHeader()
-                stamp(header, node)
-                probe = Probe(sender=header.origin)
-                mac.send(probe)
-            """),
-    }
-    result = lint_package(tmp_path, files, select=["ANON-001"])
-    assert rule_ids(result) == ["ANON-001"]
-    (finding,) = result.findings
-    assert finding.path.endswith("emit.py")
-
-
-def test_leak_through_constructor_keyword_field(tmp_path):
-    """``Header(origin=node.identity)`` in one module taints the field for
-    reads in every other module."""
-    files = {
-        "src/repro/fixpkg/__init__.py": "",
-        "src/repro/fixpkg/headers.py": """\
-            class RouteHeader:
-                def __init__(self, origin: str = ""):
-                    self.origin = origin
-
-
-            def make_header(node) -> RouteHeader:
-                return RouteHeader(origin=node.identity)
-            """,
-        "src/repro/fixpkg/emit.py": pkt("""\
-            from repro.fixpkg.headers import make_header
-
-
-            def emit(node, mac):
-                header = make_header(node)
-                mac.send(Probe(sender=header.origin))
-            """),
-    }
-    result = lint_package(tmp_path, files, select=["ANON-001"])
-    assert rule_ids(result) == ["ANON-001"]
-
-
-# -------------------------------------------------------- sanitizer mid-chain
-def test_sanitizer_mid_chain_cleanses_across_modules(tmp_path):
-    files = dict(HELPER_LEAK)
-    files["src/repro/fixpkg/helpers.py"] = """\
-        from repro.crypto.hashing import sha256
-
-
-        def node_tag(node):
-            return sha256(node.identity.encode("utf-8"))
-        """
-    result = lint_package(tmp_path, files, select=["ANON-001"])
-    assert result.findings == []
-
-
-# --------------------------------------------------------- recursion cycle
-def test_recursive_call_cycle_terminates_and_propagates(tmp_path):
-    files = {
-        "src/repro/fixpkg/__init__.py": "",
-        "src/repro/fixpkg/cycle.py": """\
-            def ping(node, depth):
-                if depth == 0:
-                    return node.identity
-                return pong(node, depth - 1)
-
-
-            def pong(node, depth):
-                return ping(node, depth)
-            """,
-        "src/repro/fixpkg/sender.py": pkt("""\
-            from repro.fixpkg.cycle import ping
-
-
-            def announce(node, mac):
-                mac.send(Probe(sender=ping(node, 3)))
-            """),
-    }
-    result = lint_package(tmp_path, files, select=["ANON-001"])
-    assert rule_ids(result) == ["ANON-001"]
-
-
-# ------------------------------------------------------ call-site injection
-def test_taint_and_packet_injected_into_callee_params(tmp_path):
-    """Seed and sink live in *different* modules: the caller passes both
-    the packet and the identity into a generic helper, and the violation
-    is flagged inside the helper."""
-    files = {
-        "src/repro/fixpkg/__init__.py": "",
-        "src/repro/fixpkg/plumbing.py": """\
-            def fill(probe, tag):
-                probe.sender = tag
-            """,
-        "src/repro/fixpkg/caller.py": pkt("""\
-            from repro.fixpkg.plumbing import fill
-
-
-            def send(node, mac):
-                probe = Probe()
-                fill(probe, node.identity)
-                mac.send(probe)
-            """),
-    }
-    result = lint_package(tmp_path, files, select=["ANON-001"])
-    assert rule_ids(result) == ["ANON-001"]
-    (finding,) = result.findings
-    assert finding.path.endswith("plumbing.py")
-
-
-def test_constructed_packet_does_not_retaint_plumbing(tmp_path):
-    """A deliberately-leaky packet construction (noqa'd baseline style)
-    must not cascade taint through generic forwarding helpers: the
-    packet object is a sink, and clean fields read off it stay clean."""
-    files = {
-        "src/repro/fixpkg/__init__.py": "",
-        "src/repro/fixpkg/route.py": pkt("""\
-            def build(node):
-                return Probe(sender=node.identity)  # repro: noqa[ANON-001] baseline
-
-
-            def forward(mac, probe):
-                clone = Probe(payload=probe.payload)
-                mac.send(clone)
-
-
-            def main(node, mac):
-                forward(mac, build(node))
-            """),
-    }
-    result = lint_package(tmp_path, files, select=["ANON-001"])
-    assert result.findings == []
-    assert [f.rule_id for f in result.suppressed] == ["ANON-001"]
 
 
 # ------------------------------------------------------------------ DET-009
@@ -244,6 +61,38 @@ def test_det009_cross_module_set_iteration_into_scheduler(tmp_path):
     assert all(f.path.endswith("user.py") for f in result.findings)
     # ``kick`` only *transitively* reaches the scheduler (through notify).
     assert any("kick" in f.message for f in result.findings)
+
+
+def test_recursive_call_cycle_terminates_and_propagates(tmp_path):
+    """Scheduler reachability is a fixpoint over the call graph: a
+    mutual-recursion cycle terminates it, and a function that reaches
+    the scheduler only through the cycle is still flagged."""
+    files = {
+        "src/repro/fixpkg/__init__.py": "",
+        "src/repro/fixpkg/state.py": SCHED_FILES["src/repro/fixpkg/state.py"],
+        "src/repro/fixpkg/cycle.py": """\
+            def ping(sim, depth):
+                if depth == 0:
+                    sim.schedule(0.1, None)
+                    return
+                pong(sim, depth - 1)
+
+
+            def pong(sim, depth):
+                ping(sim, depth)
+            """,
+        "src/repro/fixpkg/user.py": """\
+            from repro.fixpkg.cycle import pong
+
+
+            def kick(roster, sim):
+                for member in roster.members:
+                    pong(sim, 3)
+            """,
+    }
+    result = lint_package(tmp_path, files, select=["DET-009"])
+    assert rule_ids(result) == ["DET-009"]
+    assert "kick" in result.findings[0].message
 
 
 def test_det009_sorted_wrapper_is_clean(tmp_path):
@@ -390,14 +239,3 @@ def test_callgraph_reaching_is_transitive():
     reaching = graph.reaching(direct)
     assert {"repro.g.leaf", "repro.g.mid", "repro.g.top"} <= reaching
     assert "repro.g.unrelated" not in reaching
-
-
-def test_summaries_param_labels_and_seed(tmp_path):
-    module = _module(
-        "def wrap(x):\n    return [x]\n\n\ndef leak(node):\n    return node.identity\n",
-        path="src/repro/s.py",
-    )
-    project = ProjectContext([module])
-    summaries = project.summaries_for(IDENTITY_SPEC)
-    assert summaries.return_labels["repro.s.wrap"] == frozenset({"param:x"})
-    assert SEED in summaries.return_labels["repro.s.leak"]

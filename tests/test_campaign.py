@@ -212,6 +212,9 @@ DISTANCE = {"loss_model": ["distance"], "loss_rate": [0.2]}
         ({"churn_rate": [1.0, -1.0]}, "churn rate must be >= 0 and finite"),
         ({"churn_rate": [1.0], "churn_downtime": [NAN]}, "mean_downtime must be positive"),
         ({"churn_rate": [1.0], "churn_downtime": [-1.0]}, "mean_downtime must be positive"),
+        ({"churn_downtime": [NAN, -5.0]}, "mean_downtime must be positive"),
+        ({"churn_downtime": [float("inf")]}, "mean_downtime must be positive"),
+        ({"churn_rate": [0.0], "churn_downtime": [0.0]}, "mean_downtime must be positive"),
     ],
 )
 def test_nan_distance_fails_at_expansion(axes, message):

@@ -14,7 +14,7 @@ from repro.core.aant import AantAuthenticator, CertReply, CertRequest
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AantConfig, AgfwConfig
 from repro.crypto.certificates import CertificateAuthority, KeyStore
-from tests.conftest import build_static_net, line_positions
+from tests.conftest import build_static_net, line_positions, on_air_audit
 
 
 def _real_aant_net(num_nodes=3, ring_size=2, cold_indexes=()):
@@ -48,28 +48,35 @@ def _real_aant_net(num_nodes=3, ring_size=2, cold_indexes=()):
 
 
 def test_cold_verifier_fetches_and_accepts():
-    net, _ca, stores = _real_aant_net(num_nodes=3, cold_indexes=(1,))
-    cold = net.nodes[1].router
-    assert len(stores[1]) == 1  # only its own certificate
-    net.sim.run(until=6.0)
+    with on_air_audit() as audit:
+        net, _ca, stores = _real_aant_net(num_nodes=3, cold_indexes=(1,))
+        cold = net.nodes[1].router
+        assert len(stores[1]) == 1  # only its own certificate
+        net.sim.run(until=6.0)
     # It asked, neighbors answered, and its ANT filled up anyway.
     assert cold.cert_requests_sent > 0
     assert len(stores[1]) > 1
     assert len(cold.ant) >= 1
     assert sum(n.router.cert_replies_sent for n in net.nodes) > 0
+    # The fetch names ring members only in the forms that may carry them.
+    assert audit.sent["aant.cert_request"] > 0
+    assert audit.sent["aant.cert_reply"] > 0
+    assert audit.leaks == [], f"{len(audit.leaks)} leaks, first {audit.leaks[0]}"
 
 
 def test_requests_decline_after_bootstrap():
     """The paper's expectation: explicit requests dry up once caches warm."""
-    net, _ca, _stores = _real_aant_net(num_nodes=3, cold_indexes=(1,))
-    cold = net.nodes[1].router
-    net.sim.run(until=8.0)
-    early_requests = cold.cert_requests_sent
-    assert early_requests > 0
-    net.sim.run(until=20.0)
+    with on_air_audit() as audit:
+        net, _ca, _stores = _real_aant_net(num_nodes=3, cold_indexes=(1,))
+        cold = net.nodes[1].router
+        net.sim.run(until=8.0)
+        early_requests = cold.cert_requests_sent
+        assert early_requests > 0
+        net.sim.run(until=20.0)
     late_requests = cold.cert_requests_sent - early_requests
     # 12 more seconds of beaconing produce (almost) no new requests.
     assert late_requests <= early_requests
+    assert audit.leaks == [], f"{len(audit.leaks)} leaks, first {audit.leaks[0]}"
 
 
 def test_warm_network_sends_no_requests():

@@ -33,7 +33,7 @@ from repro.faults.plan import FaultPlan
 from repro.routing.base import RoutingConfig
 from repro.routing.gpsr import GpsrConfig
 from repro.sim.rng import derive_seed
-from tests.conftest import assert_reference_matches
+from tests.conftest import assert_reference_matches, on_air_audit
 
 
 def _short(protocol, **kwargs):
@@ -297,16 +297,20 @@ def _scenario_configs(draw, sim_times=st.floats(0.1, 1.0), keep_one_up=False):
 def test_valid_mobile_configs_reach_sim_time(config):
     """Every config that constructs builds and reaches its horizon within
     a fixed event budget: the run makes progress instead of spinning at
-    one instant, and nothing it needs fails after construction."""
-    scenario = Scenario(config)
-    for node in scenario.nodes:
-        node.start()
-    for source in scenario.sources:
-        source.start()
-    if scenario.fault_injector is not None:
-        scenario.fault_injector.arm()
-    scenario.sim.run(until=config.sim_time, max_events=EVENT_BUDGET)
+    one instant, and nothing it needs fails after construction.  No
+    frame it puts on the air names a node outside the forms allowed to
+    (:func:`tests.conftest.on_air_audit`)."""
+    with on_air_audit() as audit:
+        scenario = Scenario(config)
+        for node in scenario.nodes:
+            node.start()
+        for source in scenario.sources:
+            source.start()
+        if scenario.fault_injector is not None:
+            scenario.fault_injector.arm()
+        scenario.sim.run(until=config.sim_time, max_events=EVENT_BUDGET)
     assert scenario.sim.now == config.sim_time
+    assert audit.leaks == [], f"{len(audit.leaks)} leaks, first {audit.leaks[0]}"
 
 
 @given(_scenario_configs(sim_times=st.just(1.0), keep_one_up=True))
