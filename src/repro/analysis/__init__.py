@@ -2,15 +2,16 @@
 
 One paper-derived rule family runs over the AST of every module:
 
-* **DET** — determinism: every run must be bit-reproducible from one
-  master seed through :class:`repro.sim.rng.RngRegistry` (global
-  ``random`` use, unseeded ``Random()``, wall-clock reads, float
-  sim-time equality, set-iteration ordering, and unordered iteration
-  that reaches the event scheduler across modules).
+* **DET** — determinism bugs that every run on one machine makes the
+  same way, so no comparison of runs can see them: wall-clock reads,
+  float sim-time equality, filesystem order and unstable numpy sorts.
 
-The anonymity invariant — no node identity or MAC address on the air
-(Zhou & Yow Sec. 3) — is not a lint rule: the test suite audits every
-frame its runs transmit (``on_air_audit`` in ``tests/conftest.py``).
+The rest of the determinism contract — a trace is a pure function of
+the config and seed — is checked at run time: the test suite compares
+full-record trace digests across hash seeds, processes and pool sizes
+(``tests/test_determinism.py``).  The anonymity invariant — no node
+identity or MAC address on the air (Zhou & Yow Sec. 3) — is checked on
+the air (``on_air_audit`` in ``tests/conftest.py``).
 
 Run ``python -m repro.analysis [paths]`` (or ``repro-lint`` after an
 editable install); suppress a deliberate violation with
@@ -21,7 +22,6 @@ itself — it is part of the default ``src`` target.
 from repro.analysis.core import (
     Finding,
     ModuleContext,
-    ProjectContext,
     Rule,
     register,
     registry,
@@ -32,7 +32,6 @@ __all__ = [
     "AnalysisResult",
     "Finding",
     "ModuleContext",
-    "ProjectContext",
     "Rule",
     "analyze_paths",
     "register",

@@ -3,15 +3,13 @@
 The engine is deliberately small: a :class:`Finding` is one diagnostic at
 a ``file:line:col``, a :class:`Rule` produces findings for one parsed
 module, and the :class:`RuleRegistry` maps rule ids to rule instances.
-Project-wide knowledge (the symbol table and the determinism facts the
-call-graph pass needs) lives in :class:`ProjectContext`, built lazily
-once per run.
 
-Rules are *paper-specific*: the DET family mechanizes the determinism
-contract of :mod:`repro.sim.rng` (one seed -> bit-identical run).  The
-anonymity invariant is checked where it holds, on the air: the test
-suite audits every frame a run transmits (``tests/conftest.py``,
-``on_air_audit``).
+Rules are *paper-specific*: the DET family flags the determinism bugs
+of :mod:`repro.sim.rng`'s contract (one seed -> bit-identical run) that
+agree from run to run on one machine.  The rest of the contract, and
+the anonymity invariant, are checked at run time by the test suite
+(``tests/test_determinism.py``; ``on_air_audit`` in
+``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -25,16 +23,15 @@ __all__ = [
     "ANALYSIS_VERSION",
     "Finding",
     "ModuleContext",
-    "ProjectContext",
     "Rule",
     "RuleRegistry",
     "registry",
     "register",
 ]
 
-#: Bumped whenever rule semantics or the project facts change, so stale
-#: incremental-cache entries can never satisfy a newer engine.
-ANALYSIS_VERSION = "4-det-only"
+#: The rule set's version, reported in JSON and SARIF output; bumped
+#: whenever rule semantics change.
+ANALYSIS_VERSION = "5-run-time-checked"
 
 
 @dataclass(frozen=True, order=True)
@@ -121,52 +118,14 @@ class ModuleContext:
         assert self._from_imports is not None
         return self._from_imports
 
-    def resolves_to_module(self, name: str, module: str) -> bool:
-        """Does local ``name`` refer to ``module`` (directly or via alias)?"""
-        return self.import_aliases.get(name) == module
-
-    def snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-
-class ProjectContext:
-    """Cross-module facts over every analyzed file, built on first use:
-    the project :attr:`symbol_table` and the :attr:`det_facts` the
-    DET-009 call-graph pass reads."""
-
-    def __init__(self, modules: Iterable[ModuleContext]) -> None:
-        self.modules: List[ModuleContext] = list(modules)
-        self._symbol_table = None
-        self._det_facts = None
-
-    @property
-    def symbol_table(self):
-        """Project-wide symbol table (lazy; see :mod:`.callgraph`)."""
-        if self._symbol_table is None:
-            from repro.analysis.callgraph import SymbolTable
-
-            self._symbol_table = SymbolTable(self.modules)
-        return self._symbol_table
-
-    @property
-    def det_facts(self):
-        """Ordering facts for the DET call-graph pass (lazy)."""
-        if self._det_facts is None:
-            from repro.analysis.callgraph import DeterminismFacts
-
-            self._det_facts = DeterminismFacts.build(self.modules, self.symbol_table)
-        return self._det_facts
-
 
 class Rule:
     """Base class: one named, documented check over a parsed module.
 
     ``exempt_paths`` are glob patterns (posix, matched right-anchored
     against the path's trailing components) the engine skips the rule
-    for — the mechanism behind the audited allowlists (``sim/rng.py``
-    may construct ``random.Random``).  Subclasses override the class
+    for — the mechanism behind the audited allowlists (test files may
+    compare clock values exactly).  Subclasses override the class
     attributes.
     """
 
@@ -175,7 +134,7 @@ class Rule:
     rationale: str = ""
     exempt_paths: Tuple[str, ...] = ()
 
-    def check(self, module: ModuleContext, project: ProjectContext) -> Iterator[Finding]:
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
 
     def exempts(self, path: str) -> bool:

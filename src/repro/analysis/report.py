@@ -1,7 +1,7 @@
 """Text, JSON and SARIF reporters for analysis results.
 
 Text output is the human/CI-log format (``path:line:col: RULE message``,
-ruff-style); JSON is the machine format the CI gate and any dashboards
+ruff-style); JSON is the machine format scripts and dashboards
 consume; SARIF 2.1.0 is the interchange format code-scanning UIs ingest
 (GitHub code scanning renders it as inline PR annotations).  All carry
 the same findings in the same (sorted) order.
@@ -17,7 +17,7 @@ from repro.analysis.engine import AnalysisResult
 
 __all__ = ["render_text", "render_json", "render_sarif", "write_report"]
 
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 SARIF_SCHEMA_URI = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -41,12 +41,8 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
         f"{total} finding{'s' if total != 1 else ''}"
         f", {len(result.suppressed)} suppressed"
     )
-    if result.baselined:
-        summary += f", {len(result.baselined)} baselined"
     if result.errors:
         summary += f", {len(result.errors)} unparseable"
-    if result.cache_hits or result.cache_misses:
-        summary += f" [cache: {result.cache_hits} hits, {result.cache_misses} misses]"
     if total:
         by_rule = ", ".join(
             f"{rule_id}×{count}" for rule_id, count in result.counts_by_rule().items()
@@ -64,10 +60,8 @@ def render_json(result: AnalysisResult) -> str:
         "files_analyzed": result.files_analyzed,
         "findings": [finding.as_dict() for finding in result.findings],
         "suppressed": [finding.as_dict() for finding in result.suppressed],
-        "baselined": [finding.as_dict() for finding in result.baselined],
         "errors": [finding.as_dict() for finding in result.errors],
         "counts": result.counts_by_rule(),
-        "cache": {"hits": result.cache_hits, "misses": result.cache_misses},
         "exit_code": result.exit_code,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -93,11 +87,11 @@ def _sarif_result(finding: Finding, level: str) -> dict:
 
 
 def render_sarif(result: AnalysisResult) -> str:
-    """SARIF 2.1.0: rules catalog + results, suppressed/baselined marked.
+    """SARIF 2.1.0: rules catalog + results, suppressed findings marked.
 
-    Baselined findings are emitted at ``note`` level (visible but not
-    gating); suppressed findings carry an ``inSource`` suppression object
-    so viewers show them struck through rather than hiding them.
+    Suppressed findings are emitted at ``note`` level with an
+    ``inSource`` suppression object, so viewers show them struck through
+    rather than hiding them.
     """
     rules = [
         {
@@ -114,8 +108,6 @@ def render_sarif(result: AnalysisResult) -> str:
         results.append(_sarif_result(finding, "error"))
     for finding in result.findings:
         results.append(_sarif_result(finding, "error"))
-    for finding in result.baselined:
-        results.append(_sarif_result(finding, "note"))
     for finding in result.suppressed:
         row = _sarif_result(finding, "note")
         row["suppressions"] = [{"kind": "inSource"}]

@@ -4,7 +4,7 @@ A finding is suppressed when the *statement* it is reported in carries a
 suppression comment naming its rule id (or a bare ``# repro: noqa``,
 which suppresses every rule).  Multiple ids are comma separated::
 
-    tmp = path.parent / f".{digest}.tmp.{os.getpid()}"  # repro: noqa[DET-014]
+    self._pos_time == now  # repro: noqa[DET-004] cache key, not a comparison
 
 Suppressions attach to the smallest enclosing **statement span**, not
 just the physical line the comment sits on.  A multi-line statement — a
@@ -18,9 +18,8 @@ only — decorators through the line before the body starts — so a noqa
 on a ``def`` line never blankets the whole function body.
 
 The annotation still sits next to the code it excuses, which doubles as
-documentation of *deliberate* violations (a per-process temp-file name
-that never reaches a stored record, a float equality used as a cache
-key).
+documentation of *deliberate* violations (a float equality used as a
+cache key).
 """
 
 from __future__ import annotations

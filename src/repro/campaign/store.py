@@ -84,7 +84,7 @@ class ResultStore:
         # getpid keeps concurrent writers of the same digest on distinct
         # temp files; it names scratch storage only and never reaches a
         # record (records are pure functions of the config).
-        tmp = path.parent / f".{digest}.tmp.{os.getpid()}"  # repro: noqa[DET-014]
+        tmp = path.parent / f".{digest}.tmp.{os.getpid()}"
         try:
             with tmp.open("w", encoding="utf-8") as fh:
                 fh.write(payload)

@@ -210,7 +210,11 @@ class AgfwRouter(BaseRouter):
         velocity = self.node.mobility.velocity_at(now)
         if self.authenticator is None:
             hello = AntHello(
-                pseudonym=pseudonym, position=position, timestamp=now, velocity=velocity
+                pseudonym=pseudonym,
+                position=position,
+                timestamp=now,
+                velocity=velocity,
+                uid=self.node.next_packet_uid(),
             )
             self.node.mac.send(hello, BROADCAST)
             return
@@ -221,6 +225,7 @@ class AgfwRouter(BaseRouter):
             timestamp=now,
             velocity=velocity,
             auth=attachment,
+            uid=self.node.next_packet_uid(),
         )
         # Ring signing is CPU work; the hello leaves after it completes.
         # A crash during the signing window discards the half-signed hello
@@ -275,7 +280,8 @@ class AgfwRouter(BaseRouter):
             # Ring subjects are decoy identities wire-visible *by design*:
             # the anonymous-authentication ring (paper Sec. 4) trades their
             # exposure for k-anonymity of the actual signer.
-            self.node.mac.send(CertRequest(subjects=missing), BROADCAST)
+            request = CertRequest(subjects=missing, uid=self.node.next_packet_uid())
+            self.node.mac.send(request, BROADCAST)
             return
         valid, delay = self.authenticator.verify_hello(
             hello.auth, hello.pseudonym, hello.position, hello.timestamp
@@ -303,7 +309,7 @@ class AgfwRouter(BaseRouter):
             return
         # Small random delay desynchronizes the (many) potential repliers.
         jitter = self._rng.uniform(0.001, 0.010)
-        reply = CertReply(certificates=tuple(certificates))
+        reply = CertReply(certificates=tuple(certificates), uid=self.node.next_packet_uid())
         self.cert_replies_sent += 1
         self.sim.schedule(
             jitter, lambda: self.node.mac.send(reply, BROADCAST), name="aant.cert_reply"
@@ -540,7 +546,8 @@ class AgfwRouter(BaseRouter):
         self.acks.queue_ack(packet.trapdoor.ref_bytes())
 
     def _send_standalone_ack(self, refs: Tuple[bytes, ...]) -> None:
-        self.node.mac.send(AgfwAck(refs=refs), BROADCAST)
+        ack = AgfwAck(refs=refs, uid=self.node.next_packet_uid())
+        self.node.mac.send(ack, BROADCAST)
 
     def _retransmit(self, packet: AgfwData) -> None:
         self._trace("agfw.retransmit", packet_uid=packet.uid)
@@ -589,6 +596,7 @@ class AgfwRouter(BaseRouter):
             dest_location=dest_location,
             trapdoor=trapdoor,
             ttl=self.config.data_ttl,
+            uid=self.node.next_packet_uid(),
         )
         self._trace_app_send(packet.uid, dest_identity, payload_bytes)
         self._handled_uids.add(packet.uid)

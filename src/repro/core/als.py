@@ -257,6 +257,7 @@ class AlsAgent:
                     identity=self.node.identity,
                     position=position,
                     timestamp=now,
+                    uid=self.node.next_packet_uid(),
                 )
                 self._route(update)
             return
@@ -271,6 +272,7 @@ class AlsAgent:
                     ttl=self.config.service_ttl,
                     index=index,
                     blob=blob,
+                    uid=self.node.next_packet_uid(),
                 )
                 self._route(update)
 
@@ -293,6 +295,7 @@ class AlsAgent:
             ttl=self.config.service_ttl,
             index=index,
             reply_location=self.node.position,
+            uid=self.node.next_packet_uid(),
         )
         self._route(request)
         pending.timer = self.sim.schedule(
@@ -330,6 +333,7 @@ class AlsAgent:
             requester_identity=self.node.identity,
             requester_location=self.node.position,
             target_identity=identity,
+            uid=self.node.next_packet_uid(),
         )
         self._route(request)
         pending.timer = self.sim.schedule(
@@ -429,6 +433,7 @@ class AlsAgent:
             target_identity=entry.identity,
             target_position=entry.position,
             timestamp=entry.timestamp,
+            uid=self.node.next_packet_uid(),
         )
         self._route(reply)
 
@@ -471,6 +476,7 @@ class AlsAgent:
             target_location=request.reply_location,
             ttl=self.config.service_ttl,
             blobs=tuple(blobs),
+            uid=self.node.next_packet_uid(),
         )
         self._route(reply)
 

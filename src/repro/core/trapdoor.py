@@ -87,8 +87,9 @@ class Trapdoor:
         Hand-built trapdoors (unit tests; every factory product carries
         ``_ref``) fall back to a hash of the stable sealed fields.  The
         historical ``id(self)`` fallback was the same bug in miniature —
-        an interpreter heap address leaking into wire-visible ACK refs —
-        and is exactly what DET-010 now rejects tree-wide.
+        an interpreter heap address leaking into wire-visible ACK refs,
+        which the run-time determinism check now catches as a trace
+        difference between processes.
         """
         if self._ref is not None:
             return self._ref

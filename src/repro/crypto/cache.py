@@ -24,16 +24,17 @@ and fills the cache, ``False`` always recomputes and never touches it.
 proves the two trace identically and recomputes every hit to compare it
 with the memoized value.
 
-Why the registry may live at module scope (audited DET-007 exception):
-the stored values are pure functions of their keys, so state persisting
-across :class:`~repro.sim.engine.Simulator` instances is *outcome
-invisible* — a warm cache returns exactly what a cold recomputation
-would, and the charged delays do not depend on hit/miss.  The
+Why the registry may live at module scope: the stored values are pure
+functions of their keys, so state persisting across
+:class:`~repro.sim.engine.Simulator` instances is *outcome invisible* —
+a warm cache returns exactly what a cold recomputation would, and the
+charged delays do not depend on hit/miss.  The
 determinism equivalence suite (``tests/test_crypto_cache.py``) runs
 memoized and reference scenarios back-to-back in one process and
-asserts byte-identical traces, which would catch any violation.  Every
-other module is barred from module-level mutable caches by lint rule
-DET-007.
+asserts byte-identical traces, which would catch any violation, and
+the run-time determinism check (``tests/test_determinism.py``) runs
+real-crypto scenarios back to back in one process against fresh
+interpreters.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class LruMemo:
         self._store.clear()
 
 
-# Audited module-level registry — see the module docstring for the
-# outcome-invisibility argument; DET-007 exempts exactly this file.
+# Module-level registry — see the module docstring for the
+# outcome-invisibility argument.
 _REGISTRY: Dict[str, LruMemo] = {}
 
 

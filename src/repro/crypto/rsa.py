@@ -45,7 +45,7 @@ def _require_rng(rng: Optional[random.Random], where: str) -> random.Random:
     Falling back to the global ``random`` stream (or an unseeded
     ``random.Random()``) made keygen and padding differ between runs with
     the same master seed — the determinism contract of
-    :mod:`repro.sim.rng` forbids exactly that (lint rules DET-001/002).
+    :mod:`repro.sim.rng` forbids exactly that.
     """
     if rng is None:
         raise ValueError(

@@ -10,10 +10,11 @@ preserves submission order exactly, the *formatted output of a sweep is
 byte-identical for any job count*, including ``jobs=1`` which never
 touches worker processes at all.
 
-Workers inherit no simulation state: the only module-level mutables in
-the tree are uid counters (allowed by DET-006 precisely because their
-values never influence control flow or formatted output), so a point
-computes the same result in a forked child, a spawned child, or inline.
+Workers inherit no simulation state: every counter and cache a run
+writes to lives on objects the run builds (the crypto memo is the one
+module-level cache, and its values are pure functions of its keys), so
+a point computes the same result in a forked child, a spawned child, or
+inline.
 
 ``fork`` is preferred when the platform offers it (cheap, inherits the
 imported tree); ``spawn`` is the fallback elsewhere.  Worker functions

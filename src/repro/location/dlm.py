@@ -208,6 +208,7 @@ class DlmAgent:
                 identity=self.node.identity,
                 position=position,
                 timestamp=now,
+                uid=self.node.next_packet_uid(),
             )
             self._route(update)
 
@@ -233,6 +234,7 @@ class DlmAgent:
             requester_identity=self.node.identity,
             requester_location=self.node.position,
             target_identity=identity,
+            uid=self.node.next_packet_uid(),
         )
         self._route(request)
         pending.timer = self.sim.schedule(
@@ -337,6 +339,7 @@ class DlmAgent:
             target_identity=entry.identity,
             target_position=entry.position,
             timestamp=entry.timestamp,
+            uid=self.node.next_packet_uid(),
         )
         self._route(reply)
 

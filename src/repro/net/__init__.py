@@ -9,7 +9,7 @@ from repro.net.mobility import (
     WaypointLeg,
 )
 from repro.net.node import Node, RouterAgent
-from repro.net.packet import Packet, next_packet_uid
+from repro.net.packet import Packet
 from repro.net.phy import PhyRadio
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "Node",
     "RouterAgent",
     "Packet",
-    "next_packet_uid",
     "PhyRadio",
 ]

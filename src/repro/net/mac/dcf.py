@@ -111,6 +111,7 @@ class DcfMac:
         #: station; ``address`` still matches frames sent to it.
         self.source = address
         self.phy = phy
+        self._frame_uids = phy.medium.frame_uids
         self.rng = rng
         self.params = params
         self.tracer = tracer
@@ -140,8 +141,10 @@ class DcfMac:
         packet: Optional[Packet] = None,
         nav: float = 0.0,
     ) -> MacFrame:
-        """A fresh frame from this station; it draws the next frame uid."""
-        return MacFrame(kind, self.source, dst, packet=packet, nav=nav)
+        """A fresh frame from this station; it draws the run's next frame uid."""
+        return MacFrame(
+            kind, self.source, dst, packet=packet, nav=nav, uid=next(self._frame_uids)
+        )
 
     # =============================================================== sending
     def send(

@@ -7,8 +7,7 @@ stations use for virtual carrier sensing.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -17,8 +16,6 @@ from repro.net.mac.constants import Dot11Params
 from repro.net.packet import Packet
 
 __all__ = ["FrameKind", "MacFrame"]
-
-_frame_uid = itertools.count(1)
 
 
 class FrameKind(Enum):
@@ -35,7 +32,8 @@ class MacFrame:
     """One frame on the air (``slots=True``: hot-path allocation).
 
     Every frame is constructed fresh and transmitted at most once; its
-    ``uid`` comes from one process-wide counter, in construction order.
+    ``uid`` comes from the sending station's medium, one counter per run
+    in construction order (0 on a frame built outside a station).
     """
 
     kind: FrameKind
@@ -43,7 +41,7 @@ class MacFrame:
     dst: MacAddress
     packet: Optional[Packet] = None
     nav: float = 0.0
-    uid: int = field(default_factory=lambda: next(_frame_uid))
+    uid: int = 0
 
     def duration(self, params: Dot11Params) -> float:
         """Airtime of this frame under ``params``."""

@@ -111,6 +111,10 @@ class RadioMedium:
         # uid 1 and trace output stays identical run-to-run (previously a
         # module-global leaked state across Simulator instances).
         self._tx_uid = itertools.count(1)
+        #: The run's packet and frame uids, shared by every node on this
+        #: medium; each starts at 1 for the same reason as ``_tx_uid``.
+        self.packet_uids = itertools.count(1)
+        self.frame_uids = itertools.count(1)
         #: The array index; ``None`` under the brute reference scan.
         self._aindex: Optional[ArraySpatialIndex] = (
             None if reference else ArraySpatialIndex(cell_size=interference_range)

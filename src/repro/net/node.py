@@ -67,6 +67,7 @@ class Node:
         self.tracer = tracer
         self.address: MacAddress = mac_for_node(node_id)
         self.rngs = rngs.fork(f"node:{node_id}")
+        self._packet_uids = medium.packet_uids
 
         self.phy = PhyRadio(sim, node_id, medium, mobility, tracer)
         self.mac = DcfMac(
@@ -143,6 +144,12 @@ class Node:
     @property
     def position(self) -> Position:
         return self.mobility.position_at(self.sim.now)
+
+    def next_packet_uid(self) -> int:
+        """The run's next packet uid: one sequence over every node on the
+        medium, so uids are unique within the run and restart at 1 in the
+        next."""
+        return next(self._packet_uids)
 
     def rng(self, purpose: str) -> random.Random:
         """Per-node, per-purpose deterministic RNG stream."""

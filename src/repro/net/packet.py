@@ -4,7 +4,9 @@ Concrete PDU types live with the protocol that owns them (GPSR beacons in
 :mod:`repro.routing.gpsr`, AGFW data/ACK in :mod:`repro.core.agfw`, ALS
 messages in :mod:`repro.core.als`).  All of them share:
 
-* a process-unique ``uid`` used by tracing and the metric collectors,
+* a run-unique ``uid`` used by tracing and the metric collectors, drawn
+  by the sending node from its medium's per-run counter
+  (:meth:`repro.net.node.Node.next_packet_uid`),
 * a byte-size contract (``header_bytes`` + ``payload_bytes``) so the MAC
   can compute airtime and the harness can account overhead,
 * a ``clone_for_forwarding`` hook: forwarding mutates per-hop fields
@@ -14,18 +16,10 @@ messages in :mod:`repro.core.als`).  All of them share:
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
-__all__ = ["Packet", "next_packet_uid"]
-
-_uid_counter = itertools.count(1)
-
-
-def next_packet_uid() -> int:
-    """A process-unique, monotonically increasing packet id."""
-    return next(_uid_counter)
+__all__ = ["Packet"]
 
 
 @dataclass
@@ -34,13 +28,14 @@ class Packet:
 
     Subclasses set ``KIND`` and implement :meth:`header_bytes`.
     ``payload_bytes`` is the application payload riding in the packet
-    (zero for control messages).
+    (zero for control messages).  ``uid`` stays 0 on a packet built
+    outside a run.
     """
 
     KIND: ClassVar[str] = "packet"
 
     payload_bytes: int = 0
-    uid: int = field(default_factory=next_packet_uid)
+    uid: int = 0
 
     def header_bytes(self) -> int:
         """Protocol header size in bytes (subclass responsibility)."""

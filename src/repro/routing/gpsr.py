@@ -132,6 +132,7 @@ class GpsrRouter(BaseRouter):
             sender_identity=self.node.identity,
             position=self.position,
             timestamp=self.sim.now,
+            uid=self.node.next_packet_uid(),
         )
         from repro.net.addresses import BROADCAST
 
@@ -173,6 +174,7 @@ class GpsrRouter(BaseRouter):
             dest_identity=dest_identity,
             dest_location=dest_location,
             ttl=self.config.data_ttl,
+            uid=self.node.next_packet_uid(),
         )
         self._trace_app_send(packet.uid, dest_identity, payload_bytes)
         if dest_identity == self.node.identity:  # loopback, degenerate

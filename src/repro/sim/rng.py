@@ -6,20 +6,24 @@ perturb each other's streams when one of them draws a different number of
 variates.  :class:`RngRegistry` derives an independent, stable
 ``random.Random`` stream per named subsystem from the master seed.
 
-The determinism contract (mechanized by ``repro.analysis``'s DET rules):
+The determinism contract — a trace is a pure function of the config
+and its master seed:
 
 1. Every stream of randomness is a ``random.Random`` obtained from a
    registry (``node.rng(name)`` / ``RngRegistry.stream``) or seeded from
    a value that is itself derived from the master seed.  This module is
-   the **only** place allowed to construct ``random.Random`` (DET-002);
-   the process-global ``random`` module is never drawn from (DET-001).
+   the **only** place that constructs ``random.Random``; the
+   process-global ``random`` module is never drawn from.
 2. Simulated time comes from ``sim.now``, never the wall clock or OS
    entropy — no ``time.time``/``datetime.now``/``uuid4``/``os.urandom``
    in simulation code (DET-003).
 3. Float sim-times are never compared with ``==``/``!=`` (DET-004), and
-   event-ordering never depends on set iteration order (DET-005).
+   event-ordering never depends on set iteration order.
 
-Run ``python -m repro.analysis src tests`` (CI does) to check the tree.
+``tests/test_determinism.py`` checks the contract at run time, by
+full-record trace digests across hash seeds, processes and pool sizes;
+``python -m repro.analysis src tests`` (CI runs it) flags the bugs that
+agree from run to run on one machine.
 """
 
 from __future__ import annotations

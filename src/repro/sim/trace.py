@@ -35,9 +35,9 @@ factor is engine-level:
 category, a long-standing asymmetry).
 
 Two runs trace *the same* when their records agree one by one on
-``(repr(time), category, node)`` — packet and frame uids are module
-counters and deliberately exempt (DET-006).  :func:`trace_divergence`
-is the one definition of that contract.
+``repr(time)``, ``category``, ``node`` and ``repr(data)`` — every field,
+packet and frame uids included (each run numbers its own).
+:func:`trace_divergence` is the one definition of that contract.
 """
 
 from __future__ import annotations
@@ -224,22 +224,24 @@ def trace_divergence(
     """Where ``got`` first departs from ``expected``, or ``None`` when the
     two traces are the same (see the module docstring).
 
-    Records are anything with ``time``, ``category`` and ``node``
-    attributes; the message names the first divergent record, or the
-    length mismatch after an identical prefix.
+    Records are anything with ``time``, ``category``, ``node`` and
+    ``data`` attributes; the message names the first divergent record,
+    or the length mismatch after an identical prefix.
     """
     limit = min(len(expected), len(got))
     for i in range(limit):
         want, have = expected[i], got[i]
-        if (repr(want.time), want.category, want.node) != (
+        if (repr(want.time), want.category, want.node, repr(want.data)) != (
             repr(have.time),
             have.category,
             have.node,
+            repr(have.data),
         ):
             return (
                 f"trace divergence at record {i}: {expected_name} "
-                f"({want.time!r}, {want.category!r}, node={want.node!r}) vs "
-                f"{got_name} ({have.time!r}, {have.category!r}, node={have.node!r})"
+                f"({want.time!r}, {want.category!r}, node={want.node!r}) {want.data!r} vs "
+                f"{got_name} ({have.time!r}, {have.category!r}, node={have.node!r}) "
+                f"{have.data!r}"
             )
     if len(expected) != len(got):
         return (

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.analysis.core import (
+    ANALYSIS_VERSION,
     Finding,
     ModuleContext,
     Rule,
@@ -17,10 +18,14 @@ from repro.analysis.core import (
 )
 from repro.analysis.engine import analyze_paths, collect_files
 from repro.analysis.cli import main
-from repro.analysis.report import render_json, render_text
+from repro.analysis.report import render_json, render_sarif, render_text
 from repro.analysis.suppress import collect_suppressions, split_suppressed
 
 from tests.analysis_helpers import lint_source, write_fixture
+
+
+#: A module with one DET-003 finding, on line 2.
+DIRTY = "import time\nx = time.time()\n"
 
 
 def _module(source: str, path: str = "src/repro/x.py") -> ModuleContext:
@@ -48,10 +53,8 @@ def test_findings_sort_by_path_then_line():
 
 # ------------------------------------------------------------- module context
 def test_import_alias_resolution():
-    module = _module("import random as rnd\nimport os\n")
-    assert module.resolves_to_module("rnd", "random")
-    assert module.resolves_to_module("os", "os")
-    assert not module.resolves_to_module("random", "random")
+    module = _module("import random as rnd\nimport os\nimport os.path\n")
+    assert module.import_aliases == {"rnd": "random", "os": "os"}
 
 
 def test_from_import_resolution():
@@ -81,17 +84,16 @@ def test_registry_rejects_duplicate_ids():
 def test_registry_family_selection():
     det = registry.select(select=["DET"])
     assert det and all(rule.id.startswith("DET-") for rule in det)
-    only = registry.select(select=["DET-009"])
-    assert [rule.id for rule in only] == ["DET-009"]
-    rest = registry.select(ignore=["DET-001"])
+    only = registry.select(select=["DET-004"])
+    assert [rule.id for rule in only] == ["DET-004"]
+    rest = registry.select(ignore=["DET-003"])
     assert len(rest) == len(registry) - 1
-    assert "DET-001" not in {rule.id for rule in rest}
+    assert "DET-003" not in {rule.id for rule in rest}
 
 
 def test_global_registry_has_the_det_family():
     ids = {rule.id for rule in registry}
-    assert {"DET-001", "DET-002", "DET-003", "DET-004", "DET-005", "DET-009"} <= ids
-    assert all(rule.id.startswith("DET-") for rule in registry)
+    assert ids == {"DET-003", "DET-004", "DET-012", "DET-013"}
 
 
 def test_rule_exempts_matches_trailing_components():
@@ -112,22 +114,22 @@ def test_rule_exempts_matches_trailing_components():
 def test_bare_noqa_suppresses_everything():
     module = _module("x = 1  # repro: noqa\n")
     table = collect_suppressions(module)
-    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-001", "m"))
-    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-014", "m"))
+    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-003", "m"))
+    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-012", "m"))
 
 
 def test_scoped_noqa_only_matches_named_rules():
-    module = _module("x = 1  # repro: noqa[DET-001, DET-014]\n")
+    module = _module("x = 1  # repro: noqa[DET-003, DET-012]\n")
     table = collect_suppressions(module)
-    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-001", "m"))
-    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-014", "m"))
-    assert not table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-002", "m"))
+    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-003", "m"))
+    assert table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-012", "m"))
+    assert not table.suppresses(Finding("src/repro/x.py", 1, 1, "DET-004", "m"))
 
 
 def test_noqa_is_line_scoped():
-    module = _module("x = 1  # repro: noqa[DET-001]\ny = 2\n")
+    module = _module("x = 1  # repro: noqa[DET-003]\ny = 2\n")
     table = collect_suppressions(module)
-    assert not table.suppresses(Finding("src/repro/x.py", 2, 1, "DET-001", "m"))
+    assert not table.suppresses(Finding("src/repro/x.py", 2, 1, "DET-003", "m"))
 
 
 def test_noqa_on_any_line_of_multiline_statement(tmp_path):
@@ -137,35 +139,36 @@ def test_noqa_on_any_line_of_multiline_statement(tmp_path):
     result = lint_source(
         tmp_path,
         """\
-        import random
+        import os
 
-        value = random.choice(
-            [1, 2, 3],
-        )  # repro: noqa[DET-001]
+        names = os.listdir(
+            ".",
+        )  # repro: noqa[DET-012]
         """,
-        select=["DET-001"],
+        select=["DET-012"],
     )
     assert result.findings == []
-    assert [f.rule_id for f in result.suppressed] == ["DET-001"]
+    assert [f.rule_id for f in result.suppressed] == ["DET-012"]
 
 
 def test_noqa_on_decorator_line_covers_the_def(tmp_path):
-    """DET-007 reports at the ``def`` line, but the offending decorator
-    (where the annotation naturally lives) may sit lines above it."""
+    """A finding in a default argument is reported at the ``def`` line,
+    but the annotation may sit on a decorator lines above it."""
     result = lint_source(
         tmp_path,
         """\
         import functools
+        import time
 
 
-        @functools.lru_cache  # repro: noqa[DET-007]
-        def lookup(key):
-            return key * 2
+        @functools.wraps(print)  # repro: noqa[DET-003]
+        def stamp(at=time.time()):
+            return at
         """,
-        select=["DET-007"],
+        select=["DET-003"],
     )
     assert result.findings == []
-    assert [f.rule_id for f in result.suppressed] == ["DET-007"]
+    assert [(f.rule_id, f.line) for f in result.suppressed] == [("DET-003", 6)]
 
 
 def test_noqa_on_def_line_does_not_blanket_the_body(tmp_path):
@@ -174,22 +177,22 @@ def test_noqa_on_def_line_does_not_blanket_the_body(tmp_path):
     result = lint_source(
         tmp_path,
         """\
-        import random
+        import time
 
 
-        def roll():  # repro: noqa[DET-001]
-            return random.random()
+        def stamp():  # repro: noqa[DET-003]
+            return time.time()
         """,
-        select=["DET-001"],
+        select=["DET-003"],
     )
-    assert [f.rule_id for f in result.findings] == ["DET-001"]
+    assert [f.rule_id for f in result.findings] == ["DET-003"]
     assert result.suppressed == []
 
 
 def test_split_suppressed_partitions():
-    module = _module("a = 1  # repro: noqa[DET-001]\n")
-    keep = Finding("src/repro/x.py", 9, 1, "DET-001", "kept")
-    drop = Finding("src/repro/x.py", 1, 1, "DET-001", "dropped")
+    module = _module("a = 1  # repro: noqa[DET-003]\n")
+    keep = Finding("src/repro/x.py", 9, 1, "DET-003", "kept")
+    drop = Finding("src/repro/x.py", 1, 1, "DET-003", "dropped")
     active, suppressed = split_suppressed([keep, drop], collect_suppressions(module))
     assert active == [keep]
     assert suppressed == [drop]
@@ -199,14 +202,14 @@ def test_suppressed_finding_is_reported_separately(tmp_path):
     result = lint_source(
         tmp_path,
         """\
-        import random
+        import time
 
-        value = random.random()  # repro: noqa[DET-001]
+        value = time.time()  # repro: noqa[DET-003]
         """,
-        select=["DET-001"],
+        select=["DET-003"],
     )
     assert result.findings == []
-    assert [f.rule_id for f in result.suppressed] == ["DET-001"]
+    assert [f.rule_id for f in result.suppressed] == ["DET-003"]
     assert result.exit_code == 0
 
 
@@ -238,31 +241,61 @@ def test_clean_module_exit_0(tmp_path):
 def test_text_report_format(tmp_path):
     result = lint_source(
         tmp_path,
-        "import random\nx = random.random()\n",
-        select=["DET-001"],
+        "import time\nx = time.time()\n",
+        select=["DET-003"],
     )
     text = render_text(result)
     line = text.splitlines()[0]
     assert line.startswith(f"{result.findings[0].path}:2:")
-    assert "DET-001" in line
+    assert "DET-003" in line
     assert "1 finding" in text.splitlines()[-1]
-    assert "DET-001×1" in text.splitlines()[-1]
+    assert "DET-003×1" in text.splitlines()[-1]
 
 
 def test_json_report_shape(tmp_path):
     result = lint_source(
         tmp_path,
-        "import random\nx = random.random()\n",
-        select=["DET-001"],
+        "import time\nx = time.time()\n",
+        select=["DET-003"],
     )
     payload = json.loads(render_json(result))
-    assert payload["version"] == 2
+    assert payload["version"] == 3
+    assert payload["analysis_version"] == ANALYSIS_VERSION
     assert payload["exit_code"] == 1
-    assert payload["counts"] == {"DET-001": 1}
+    assert payload["counts"] == {"DET-003": 1}
     (finding,) = payload["findings"]
-    assert finding["rule"] == "DET-001"
+    assert finding["rule"] == "DET-003"
     assert finding["line"] == 2
     assert finding["path"].endswith("fixture_mod.py")
+
+
+def test_sarif_structure_and_levels(tmp_path):
+    result = lint_source(
+        tmp_path,
+        "import time\n\n"
+        "a = time.time()\n"
+        "b = time.time()  # repro: noqa[DET-003]\n",
+        select=["DET-003"],
+    )
+    sarif = json.loads(render_sarif(result))
+
+    assert sarif["version"] == "2.1.0"
+    assert "sarif-schema-2.1.0" in sarif["$schema"]
+    (run,) = sarif["runs"]
+    driver = run["tool"]["driver"]
+    assert driver["name"] == "repro-lint"
+    assert driver["version"] == ANALYSIS_VERSION
+    assert {rule["id"] for rule in driver["rules"]} == {rule.id for rule in registry}
+
+    by_level = {}
+    for row in run["results"]:
+        by_level.setdefault(row["level"], []).append(row)
+    (error_row,) = by_level["error"]  # the active finding
+    (note_row,) = by_level["note"]  # the suppressed one
+    assert note_row["suppressions"] == [{"kind": "inSource"}]
+    location = error_row["locations"][0]["physicalLocation"]
+    assert location["region"]["startLine"] == 3
+    assert location["artifactLocation"]["uri"].endswith("fixture_mod.py")
 
 
 # ------------------------------------------------------------------------ cli
@@ -274,40 +307,60 @@ def test_cli_clean_run_exit_0(tmp_path):
 
 
 def test_cli_findings_exit_1_text_and_json(tmp_path):
-    path = write_fixture(tmp_path, "src/dirty.py", "import random\nx = random.random()\n")
+    path = write_fixture(tmp_path, "src/dirty.py", DIRTY)
     text_out = io.StringIO()
-    assert main([str(path), "--select", "DET-001"], stream=text_out) == 1
-    assert "DET-001" in text_out.getvalue()
+    assert main([str(path), "--select", "DET-003"], stream=text_out) == 1
+    assert "DET-003" in text_out.getvalue()
 
     json_out = io.StringIO()
-    assert main([str(path), "--select", "DET-001", "--format", "json"], stream=json_out) == 1
+    assert main([str(path), "--select", "DET-003", "--format", "json"], stream=json_out) == 1
     payload = json.loads(json_out.getvalue())
-    assert payload["findings"][0]["rule"] == "DET-001"
+    assert payload["findings"][0]["rule"] == "DET-003"
+
+
+def test_cli_sarif_output_parses(tmp_path):
+    path = write_fixture(tmp_path, "src/dirty.py", DIRTY)
+    out = io.StringIO()
+    assert main([str(path), "--select", "DET-003", "--format", "sarif"], stream=out) == 1
+    payload = json.loads(out.getvalue())
+    assert payload["version"] == "2.1.0"
+    assert payload["runs"][0]["results"]
 
 
 def test_cli_ignore_flag(tmp_path):
-    path = write_fixture(tmp_path, "src/dirty.py", "import random\nx = random.random()\n")
+    path = write_fixture(tmp_path, "src/dirty.py", DIRTY)
     out = io.StringIO()
     assert main([str(path), "--ignore", "DET"], stream=out) == 0
 
 
-@pytest.mark.parametrize("flag", ["--select", "--ignore"])
-@pytest.mark.parametrize("spec", ["ANON", "DET-099", "LINT-000"])
-def test_cli_unknown_rule_id_is_a_usage_error(tmp_path, capsys, flag, spec):
-    """An id that matches no registered rule exits 2 instead of running
-    a pass that checks nothing (or everything)."""
-    path = write_fixture(tmp_path, "src/dirty.py", "import random\nx = random.random()\n")
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(
+            [flag, "DET-003", flag, spec], f"{flag} {spec} matches no rule", id=f"{spec}-{flag}"
+        )
+        for flag in ("--select", "--ignore")
+        for spec in ("ANON", "DET-099", "LINT-000")
+    ]
+    + [pytest.param(["srcx"], "no such file or directory: srcx", id="missing-path")],
+)
+def test_cli_unknown_rule_id_is_a_usage_error(tmp_path, monkeypatch, capsys, args, message):
+    """An id that matches no registered rule, or a path that does not
+    exist, exits 2 instead of running a pass that checks nothing (or
+    everything)."""
+    path = write_fixture(tmp_path, "src/dirty.py", DIRTY)
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main([str(path), flag, "DET-001", flag, spec], stream=io.StringIO())
+        main([str(path), *args], stream=io.StringIO())
     assert exc.value.code == 2
-    assert f"{flag} {spec} matches no rule" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_list_rules(tmp_path):
     out = io.StringIO()
     assert main(["--list-rules"], stream=out) == 0
     listing = out.getvalue()
-    for rule_id in ("DET-001", "DET-005", "DET-009", "DET-014"):
+    for rule_id in ("DET-003", "DET-004", "DET-012", "DET-013"):
         assert rule_id in listing
 
 

@@ -1,8 +1,9 @@
 """The linter's contract with this repository.
 
-Two halves: the tree stays clean under the full rule set (the CI gate),
-and a planted DET violation is actually caught with the right rule id
-and location — i.e. the gate is not vacuously green.
+Two halves: the tree stays clean under the full rule set (the CI step
+fails on any finding), and a planted DET violation is actually caught
+with the right rule id and location — i.e. the step is not vacuously
+green.
 """
 
 from __future__ import annotations
@@ -39,25 +40,6 @@ def test_tests_tree_is_clean_under_full_rule_set():
     )
 
 
-def test_whole_tree_passes_the_committed_baseline_gate():
-    """The exact CI invocation: src+tests analyzed together (so
-    cross-tree summaries are in play) gated by the committed baseline.
-    The committed baseline is *empty* — the tree carries no known debt —
-    which makes this the strongest form of the self-clean contract."""
-    baseline_path = REPO_ROOT / "analysis_baseline.json"
-    payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-    assert payload["schema"] == 1
-    assert payload["entries"] == {}, "tree should carry no baselined debt"
-
-    out = io.StringIO()
-    code = main(
-        [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"),
-         "--baseline", str(baseline_path)],
-        stream=out,
-    )
-    assert code == 0, out.getvalue()
-
-
 def test_engine_is_deterministic_across_runs(src_analysis):
     """A second run in a fresh interpreter under another hash seed must
     report the same findings in the same order.  An in-process rerun
@@ -85,61 +67,26 @@ def test_engine_is_deterministic_across_runs(src_analysis):
 
 # ---------------------------------------------------- planted DET violation
 _PLANTED_DET = """\
-import random
+import time
 
 
-def pick_forwarder(neighbors):
-    rng = random.Random()
-    return rng.choice(neighbors)
+def neighbor_is_fresh(entry, timeout):
+    return time.time() - entry.timestamp <= timeout
 """
 
 
-def test_planted_unseeded_random_in_routing_is_caught(tmp_path):
+def test_planted_wall_clock_in_routing_is_caught(tmp_path):
     path = write_fixture(tmp_path, "src/repro/routing/planted.py", _PLANTED_DET)
 
     text_out = io.StringIO()
     assert main([str(path)], stream=text_out) == 1
     assert f"{path.as_posix()}:5:" in text_out.getvalue()
-    assert "DET-002" in text_out.getvalue()
+    assert "DET-003" in text_out.getvalue()
 
     json_out = io.StringIO()
     assert main([str(path), "--format", "json"], stream=json_out) == 1
     payload = json.loads(json_out.getvalue())
-    rules = {f["rule"] for f in payload["findings"]}
-    assert "DET-002" in rules
-    (det,) = [f for f in payload["findings"] if f["rule"] == "DET-002"]
+    (det,) = payload["findings"]
+    assert det["rule"] == "DET-003"
     assert det["line"] == 5
     assert det["path"] == path.as_posix()
-
-
-# -------------------------------------------------- faults subsystem (DET)
-def test_faults_subsystem_is_clean_under_det_rules():
-    """The fault-injection subsystem draws all its randomness from
-    per-purpose derived streams — the DET family must see nothing."""
-    result = analyze_paths(
-        [str(REPO_ROOT / "src" / "repro" / "faults")],
-        select=["DET-001", "DET-002", "DET-003"],
-    )
-    assert result.errors == []
-    assert result.findings == []
-    assert result.files_analyzed >= 3  # __init__, loss, plan
-
-
-_PLANTED_FAULTS_DET = """\
-import random
-
-_SHARED = random.Random()
-
-
-def drop(rate):
-    return _SHARED.random() < rate
-"""
-
-
-def test_planted_module_level_rng_in_faults_is_caught(tmp_path):
-    """The gate over the faults tree is not vacuous: an unseeded
-    module-level RNG planted there still fires DET-002."""
-    path = write_fixture(tmp_path, "src/repro/faults/planted.py", _PLANTED_FAULTS_DET)
-    result = analyze_paths([str(path)], select=["DET-002"])
-    assert [f.rule_id for f in result.findings] == ["DET-002"]
-    assert result.findings[0].line == 3

@@ -6,8 +6,14 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.geo.vec import Position
 from repro.net.addresses import ADDRESS_BYTES, BROADCAST, MacAddress, mac_for_node
-from repro.net.packet import Packet, next_packet_uid
+from repro.net.medium import RadioMedium
+from repro.net.mobility import StaticMobility
+from repro.net.node import Node
+from repro.net.packet import Packet
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 
 
 # ----------------------------------------------------------------- addresses
@@ -54,13 +60,27 @@ class _Probe(Packet):
         return 10
 
 
+def _nodes(count: int) -> list:
+    sim = Simulator()
+    medium = RadioMedium(sim)
+    rngs = RngRegistry(1)
+    return [Node(sim, i, medium, StaticMobility(Position(0, 0)), rngs) for i in range(count)]
+
+
 def test_packet_uid_unique_and_monotone():
-    a, b = _Probe(), _Probe()
-    assert b.uid > a.uid
+    """Every node on one medium draws from the run's one sequence."""
+    first, second = _nodes(2)
+    a = _Probe(uid=first.next_packet_uid())
+    b = _Probe(uid=second.next_packet_uid())
+    assert (a.uid, b.uid) == (1, 2)
 
 
 def test_next_packet_uid_increments():
-    assert next_packet_uid() < next_packet_uid()
+    """Each run numbers its packets from 1, whatever ran before it."""
+    (node,) = _nodes(1)
+    assert [node.next_packet_uid() for _ in range(3)] == [1, 2, 3]
+    (fresh,) = _nodes(1)
+    assert fresh.next_packet_uid() == 1
 
 
 def test_size_is_header_plus_payload():

@@ -190,3 +190,7 @@ def test_trace_divergence_names_first_difference():
     # Identical traces (equal records, distinct objects) do not diverge.
     copy = [TraceRecord(r.time, r.category, r.node) for r in a]
     assert trace_divergence(a, copy, "reference", "fast") is None
+    # A record that differs only in a data field diverges too.
+    uid = [TraceRecord(1.0, "phy.tx", 3, {"frame_uid": 1})]
+    message = trace_divergence(uid, [TraceRecord(1.0, "phy.tx", 3, {"frame_uid": 2})], "a", "b")
+    assert message is not None and "{'frame_uid': 2}" in message

@@ -67,7 +67,7 @@ def test_ref_bytes_deterministic_across_factories(contents):
 
 
 def test_handbuilt_fallback_ref_is_content_derived(contents):
-    """Regression (DET-010): the hand-built fallback used to hash
+    """Regression: the hand-built fallback used to hash
     ``id(self)`` — an interpreter heap address that differs between runs
     and processes.  Two hand-built trapdoors with identical fields must
     mint identical refs (the fallback is a pure function of the sealed
