@@ -63,7 +63,6 @@ class ModuleContext:
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         #: Path as given on the command line (posix separators).
         self.path = PurePosixPath(path).as_posix()
-        self.source = source
         self.tree = tree
         self.lines = source.splitlines()
         self._parents: Optional[Dict[int, ast.AST]] = None

@@ -32,7 +32,7 @@ Every rule looks at one module at a time.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.analysis.core import Finding, ModuleContext, Rule, register
 
@@ -44,46 +44,47 @@ __all__ = [
 ]
 
 
-def _resolve_call_target(
-    module: ModuleContext, func: ast.AST
-) -> Optional[Tuple[str, str]]:
-    """Resolve a call's function to ``(module, name)`` when statically known.
+def _dotted_call_target(module: ModuleContext, func: ast.AST) -> Optional[str]:
+    """Resolve a call's function to its full dotted import path.
 
-    Handles ``mod.attr(...)`` through ``import mod [as alias]`` and bare
-    ``name(...)`` through ``from mod import name [as alias]``.
+    ``np.argsort`` under ``import numpy as np`` resolves to
+    ``numpy.argsort``; ``argsort`` under ``from numpy import argsort``
+    resolves the same, and ``datetime.now`` under ``from datetime import
+    datetime`` resolves to ``datetime.datetime.now``.  ``None`` when the
+    root is not a statically known import.
     """
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        target = module.import_aliases.get(func.value.id)
-        if target is not None:
-            return target, func.attr
-        origin = module.from_imports.get(func.value.id)
-        if origin is not None:
-            # ``from datetime import datetime; datetime.now()`` resolves to
-            # ("datetime.datetime", "now").
-            return f"{origin[0]}.{origin[1]}", func.attr
+    parts: list[str] = []
+    node = func
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
         return None
-    if isinstance(func, ast.Name):
-        origin = module.from_imports.get(func.id)
-        if origin is not None:
-            return origin[0], origin[1]
-        return None
-    return None
+    root = module.import_aliases.get(node.id)
+    if root is None:
+        origin = module.from_imports.get(node.id)
+        if origin is None:
+            return None
+        root = f"{origin[0]}.{origin[1]}"
+    parts.append(root)
+    return ".".join(reversed(parts))
 
 
-#: ``(module, attr)`` call targets that read wall-clock time or OS entropy.
+#: Call targets that read wall-clock time or OS entropy (every
+#: ``secrets`` function draws OS entropy too).
 _FORBIDDEN_CALLS = {
-    ("time", "time"): "time.time() reads the wall clock",
-    ("time", "time_ns"): "time.time_ns() reads the wall clock",
-    ("time", "localtime"): "time.localtime() reads the wall clock",
-    ("time", "ctime"): "time.ctime() reads the wall clock",
-    ("datetime.datetime", "now"): "datetime.now() reads the wall clock",
-    ("datetime.datetime", "utcnow"): "datetime.utcnow() reads the wall clock",
-    ("datetime.datetime", "today"): "datetime.today() reads the wall clock",
-    ("datetime.date", "today"): "date.today() reads the wall clock",
-    ("uuid", "uuid1"): "uuid1() mixes the wall clock and the MAC address",
-    ("uuid", "uuid4"): "uuid4() draws OS entropy",
-    ("os", "urandom"): "os.urandom() draws OS entropy",
-    ("random", "SystemRandom"): "random.SystemRandom draws OS entropy",
+    "time.time": "time.time() reads the wall clock",
+    "time.time_ns": "time.time_ns() reads the wall clock",
+    "time.localtime": "time.localtime() reads the wall clock",
+    "time.ctime": "time.ctime() reads the wall clock",
+    "datetime.datetime.now": "datetime.now() reads the wall clock",
+    "datetime.datetime.utcnow": "datetime.utcnow() reads the wall clock",
+    "datetime.datetime.today": "datetime.today() reads the wall clock",
+    "datetime.date.today": "date.today() reads the wall clock",
+    "uuid.uuid1": "uuid1() mixes the wall clock and the MAC address",
+    "uuid.uuid4": "uuid4() draws OS entropy",
+    "os.urandom": "os.urandom() draws OS entropy",
+    "random.SystemRandom": "random.SystemRandom draws OS entropy",
 }
 
 
@@ -95,8 +96,8 @@ class WallClockEntropy(Rule):
     certificate windows must be driven by it.  The run-time check sees a
     clock value that reaches a trace, but not one compared against a
     timeout: an ANT purge that ages rows by ``time.time()`` expires the
-    same rows in every run that outpaces the timeout, so runs agree with
-    each other and still differ from the simulated-time contract.
+    same rows in every run (all of them, when the rows carry simulated
+    stamps), so runs agree with each other while breaking the contract.
     ``time.perf_counter`` is deliberately *not* flagged: measuring how
     long a run took is fine, and feeding the measurement back into the
     simulation shows up at run time.
@@ -113,16 +114,12 @@ class WallClockEntropy(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            target = _resolve_call_target(module, node.func)
+            target = _dotted_call_target(module, node.func)
             if target is None:
                 continue
             reason = _FORBIDDEN_CALLS.get(target)
-            if reason is None and target[0] == "secrets":
-                reason = f"secrets.{target[1]}() draws OS entropy"
-            if reason is None and target == ("datetime", "now"):
-                # ``from datetime import datetime`` then ``datetime.now()``
-                # resolves above; this covers ``import datetime`` + alias.
-                reason = "datetime.now() reads the wall clock"
+            if reason is None and target.startswith("secrets."):
+                reason = f"{target}() draws OS entropy"
             if reason is not None:
                 yield self.finding(
                     module,
@@ -210,11 +207,8 @@ class FloatTimeEquality(Rule):
                         break
 
 
-#: ``(module, name)`` call targets that enumerate a directory in
-#: filesystem order.
-_FS_ENUM_CALLS = frozenset(
-    {("os", "listdir"), ("os", "scandir"), ("glob", "glob"), ("glob", "iglob")}
-)
+#: Call targets that enumerate a directory in filesystem order.
+_FS_ENUM_CALLS = frozenset({"os.listdir", "os.scandir", "glob.glob", "glob.iglob"})
 
 #: ``pathlib.Path`` enumeration methods (matched by attribute name — a
 #: receiver type is not needed; nothing else in the tree shares them).
@@ -253,9 +247,9 @@ class UnsortedFilesystemEnumeration(Rule):
             if not isinstance(node, ast.Call):
                 continue
             label: Optional[str] = None
-            target = _resolve_call_target(module, node.func)
+            target = _dotted_call_target(module, node.func)
             if target in _FS_ENUM_CALLS:
-                label = f"{target[0]}.{target[1]}()"
+                label = f"{target}()"
             elif (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr in _PATH_ENUM_ATTRS
@@ -282,31 +276,6 @@ class UnsortedFilesystemEnumeration(Rule):
                 return True
             current = parent
         return False
-
-
-def _dotted_call_target(module: ModuleContext, func: ast.AST) -> Optional[str]:
-    """Resolve an arbitrarily dotted call to its full import path.
-
-    ``np.argsort`` under ``import numpy as np`` resolves to
-    ``numpy.argsort``; ``argsort`` under ``from numpy import argsort``
-    resolves the same.  ``None`` when
-    the root is not a statically known import.
-    """
-    parts: list[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = module.import_aliases.get(node.id)
-    if root is None:
-        origin = module.from_imports.get(node.id)
-        if origin is None:
-            return None
-        root = f"{origin[0]}.{origin[1]}"
-    parts.append(root)
-    return ".".join(reversed(parts))
 
 
 #: Sort kinds numpy documents as stable (mergesort is an alias of stable).

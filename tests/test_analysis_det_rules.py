@@ -42,12 +42,14 @@ def test_det003_uuid4_and_urandom(tmp_path):
 
 
 def test_det003_datetime_now_via_from_import(tmp_path):
+    """Both import forms resolve to ``datetime.datetime.now``."""
     result = lint_source(
         tmp_path,
-        "from datetime import datetime\n\nstamp = datetime.now()\n",
+        "import datetime\nfrom datetime import datetime as dt\n\n"
+        "stamp = dt.now()\nagain = datetime.datetime.now()\n",
         select=["DET-003"],
     )
-    assert rule_ids(result) == ["DET-003"]
+    assert [(f.rule_id, f.line) for f in result.findings] == [("DET-003", 4), ("DET-003", 5)]
 
 
 def test_det003_perf_counter_is_allowed(tmp_path):
