@@ -84,6 +84,7 @@ def main() -> None:
             position=Position(300.0, 10.0),
             timestamp=sim.now,
             auth=None,  # it cannot produce a valid ring signature
+            uid=attacker.next_packet_uid(),
         )
         attacker.mac.send(forged, BROADCAST)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.core import Finding, ModuleContext, registry
 from repro.analysis.suppress import collect_suppressions, split_suppressed
@@ -73,42 +73,32 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
     return ordered
 
 
-def _parse_modules(
-    files: Iterable[Path], errors: List[Finding]
-) -> List[ModuleContext]:
-    modules: List[ModuleContext] = []
-    for path in files:
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
-        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            line = getattr(exc, "lineno", 1) or 1
-            errors.append(
-                Finding(
-                    path=path.as_posix(),
-                    line=line,
-                    column=1,
-                    rule_id="LINT-000",
-                    message=f"file could not be parsed: {exc}",
-                )
-            )
-            continue
-        modules.append(ModuleContext(path.as_posix(), source, tree))
-    return modules
-
-
 # ---------------------------------------------------------------- running
 def analyze_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> AnalysisResult:
-    """The one-call entry point: discover, parse, lint."""
-    errors: List[Finding] = []
-    modules = _parse_modules(collect_files(paths), errors)
+    """The one-call entry point: discover, then parse and lint each file."""
     rules = registry.select(select=select, ignore=ignore)
-    result = AnalysisResult(files_analyzed=len(modules), errors=sorted(errors))
-    for module in modules:
+    result = AnalysisResult()
+    for path in collect_files(paths):
+        try:
+            source = path.read_text(encoding="utf-8")
+            tree = ast.parse(source, filename=str(path))
+        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+            result.errors.append(
+                Finding(
+                    path=path.as_posix(),
+                    line=getattr(exc, "lineno", 1) or 1,
+                    column=1,
+                    rule_id="LINT-000",
+                    message=f"file could not be parsed: {exc}",
+                )
+            )
+            continue
+        module = ModuleContext(path.as_posix(), source, tree)
+        result.files_analyzed += 1
         raw: List[Finding] = []
         for rule in rules:
             if not rule.exempts(module.path):
@@ -116,6 +106,7 @@ def analyze_paths(
         active, suppressed = split_suppressed(raw, collect_suppressions(module))
         result.findings.extend(active)
         result.suppressed.extend(suppressed)
+    result.errors.sort()
     result.findings.sort()
     result.suppressed.sort()
     return result

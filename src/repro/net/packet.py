@@ -16,7 +16,7 @@ messages in :mod:`repro.core.als`).  All of them share:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 __all__ = ["Packet"]
@@ -28,14 +28,15 @@ class Packet:
 
     Subclasses set ``KIND`` and implement :meth:`header_bytes`.
     ``payload_bytes`` is the application payload riding in the packet
-    (zero for control messages).  ``uid`` stays 0 on a packet built
-    outside a run.
+    (zero for control messages).  ``uid`` is keyword-only and has no
+    default: the routers drop a uid they have seen, so every packet must
+    be given a fresh one (:meth:`repro.net.node.Node.next_packet_uid`).
     """
 
     KIND: ClassVar[str] = "packet"
 
     payload_bytes: int = 0
-    uid: int = 0
+    uid: int = field(kw_only=True)
 
     def header_bytes(self) -> int:
         """Protocol header size in bytes (subclass responsibility)."""

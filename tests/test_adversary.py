@@ -272,46 +272,46 @@ def _audit(packet, src=ANONYMOUS, dst=BROADCAST):
 
 
 def test_audit_flags_identity_on_word_boundaries():
-    leaks, _ = _audit(_TaggedData(origin="from node-12, via node-1x"))
+    leaks, _ = _audit(_TaggedData(uid=1, origin="from node-12, via node-1x"))
     assert leaks == ["agfw.data.origin: identity 'node-12'"]
-    assert _audit(AntHello(pseudonym=b"node-3"))[0] == [
+    assert _audit(AntHello(uid=1, pseudonym=b"node-3"))[0] == [
         "agfw.hello.pseudonym: identity b'node-3'",
     ]
-    assert _audit(_TaggedData(origin=("node-123", "xnode-1", "node_1")))[0] == []
+    assert _audit(_TaggedData(uid=1, origin=("node-123", "xnode-1", "node_1")))[0] == []
 
 
 def test_audit_flags_mac_addresses_and_node_ids():
-    assert _audit(AgfwData(), src=mac_for_node(2))[0] == [
+    assert _audit(AgfwData(uid=1), src=mac_for_node(2))[0] == [
         "frame.src: MAC address of node 2",
     ]
-    assert _audit(_TaggedData(origin=mac_for_node(12)))[0] == [
+    assert _audit(_TaggedData(uid=1, origin=mac_for_node(12)))[0] == [
         "agfw.data.origin: MAC address of node 12",
     ]
-    assert _audit(lambda nodes: _TaggedData(origin=nodes[4].node_id))[0] == [
+    assert _audit(lambda nodes: _TaggedData(uid=1, origin=nodes[4].node_id))[0] == [
         "agfw.data.origin: node id 4",
     ]
     # Addresses and ints that name no node pass.
-    assert _audit(_TaggedData(origin=(BROADCAST, ANONYMOUS, MacAddress(99), 4)))[0] == []
+    assert _audit(_TaggedData(uid=1, origin=(BROADCAST, ANONYMOUS, MacAddress(99), 4)))[0] == []
 
 
 def test_audit_reads_wire_views_not_only_fields():
     """A private field stays off the air until a wire view serializes it."""
     sealed = dict(size_bytes=64, _sealed_for="node-5")
-    assert _audit(AgfwData(trapdoor=Trapdoor(**sealed)))[0] == []
-    assert _audit(AgfwData(trapdoor=_ChattyTrapdoor(**sealed)))[0] == [
+    assert _audit(AgfwData(uid=1, trapdoor=Trapdoor(**sealed)))[0] == []
+    assert _audit(AgfwData(uid=1, trapdoor=_ChattyTrapdoor(**sealed)))[0] == [
         "agfw.data.trapdoor.wire_view()['for']: identity 'node-5'",
     ]
 
 
 def test_audit_allows_ring_forms_and_baselines_only():
     ring = AantAttachment(ring_size=2, extra_bytes=0, ring_subjects=("node-1", "node-2"))
-    leaks, allowed = _audit(AntHello(auth=ring))
+    leaks, allowed = _audit(AntHello(uid=1, auth=ring))
     assert leaks == []
     assert "agfw.hello.auth.ring_subjects[0]: identity 'node-1'" in allowed
-    assert _audit(CertRequest(subjects=("node-7",)))[0] == []
-    assert _audit(GpsrBeacon(sender_identity="node-7"), src=mac_for_node(7))[0] == []
+    assert _audit(CertRequest(uid=1, subjects=("node-7",)))[0] == []
+    assert _audit(GpsrBeacon(uid=1, sender_identity="node-7"), src=mac_for_node(7))[0] == []
     # The same names outside those forms are leaks.
-    assert _audit(_TaggedData(origin=ring.ring_subjects))[0] == [
+    assert _audit(_TaggedData(uid=1, origin=ring.ring_subjects))[0] == [
         "agfw.data.origin[0]: identity 'node-1'",
         "agfw.data.origin[1]: identity 'node-2'",
     ]

@@ -71,7 +71,7 @@ def test_agfw_perimeter_header_overhead():
     trapdoor, _ = TrapdoorFactory("modeled").seal(
         "x", None, TrapdoorContents("s", Position(0, 0), 0.0)
     )
-    greedy = AgfwData(dest_location=Position(0, 0), trapdoor=trapdoor)
+    greedy = AgfwData(uid=1, dest_location=Position(0, 0), trapdoor=trapdoor)
     perimeter = greedy.clone_for_forwarding(mode="perimeter")
     assert perimeter.header_bytes() == greedy.header_bytes() + 24  # 3 locations
 

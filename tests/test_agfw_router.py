@@ -125,6 +125,7 @@ def test_non_addressed_node_discards_silently():
         "node-9", None, TrapdoorContents("node-0", Position(0, 0), 0.0)
     )
     packet = AgfwData(
+        uid=router.node.next_packet_uid(),
         payload_bytes=10,
         dest_location=Position(400, 0),
         next_pseudonym=b"\xaa" * 6,
@@ -148,6 +149,7 @@ def test_duplicate_data_reacks_but_does_not_reforward():
         "node-2", None, TrapdoorContents("node-0", Position(0, 0), 0.0)
     )
     packet = AgfwData(
+        uid=router.node.next_packet_uid(),
         payload_bytes=10,
         dest_location=Position(400, 0),
         next_pseudonym=pseudonym,
@@ -175,6 +177,7 @@ def test_retransmission_after_lost_ack():
         "node-2", None, TrapdoorContents("node-0", Position(0, 0), 0.0)
     )
     packet = AgfwData(
+        uid=source.node.next_packet_uid(),
         payload_bytes=10,
         dest_location=Position(400, 0),
         next_pseudonym=b"\xbb" * 6,
@@ -228,6 +231,7 @@ def test_aant_rejects_forged_hellos():
         )
     victim = net.nodes[1].router
     forged = AntHello(
+        uid=victim.node.next_packet_uid(),
         pseudonym=b"\xee" * 6,
         position=Position(100, 0),
         timestamp=0.0,

@@ -64,6 +64,7 @@ def test_update_packets_carry_no_cleartext_identity():
     # The update wire image must contain neither identity nor location.
     assert agents[0].messages_sent > 0
     update = AlsUpdate(
+        uid=1,
         target_location=Position(0, 0),
         index=make_index("A", "B", None),
         blob=None,
@@ -157,7 +158,7 @@ def test_no_index_request_omits_index_field():
 
 
 def test_reply_blobs_opaque_on_wire():
-    reply = AlsReply(target_location=Position(0, 0), blobs=())
+    reply = AlsReply(uid=1, target_location=Position(0, 0), blobs=())
     assert reply.wire_view() == {"blobs": []}
 
 

@@ -96,7 +96,7 @@ def test_level_follows_a_unicast_exchange():
     sim, (a, b) = _net([Position(0, 0), Position(100, 0)])
     seen = _watch(sim, [a.mac, b.mac])
     assert a.phy.carrier_listen == LISTEN_NONE
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), b.address))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), b.address))
     sim.run(until=1.0)
     states = [(state, level) for state, _nav, _difs, _slot, level in seen[a.node_id]]
     assert states == [
@@ -114,8 +114,8 @@ def test_level_follows_nav_difs_and_slot_arming():
     (idle-only), then re-arms DIFS and backs off slot by slot (all)."""
     sim, (a, b, c) = _net([Position(0, 0), Position(100, 0), Position(200, 0)])
     seen = _watch(sim, [a.mac, b.mac, c.mac])
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=512), b.address))
-    sim.schedule(0.1003, lambda: c.mac.send(_Data(payload_bytes=64), BROADCAST))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=512, uid=a.next_packet_uid()), b.address))
+    sim.schedule(0.1003, lambda: c.mac.send(_Data(payload_bytes=64, uid=c.next_packet_uid()), BROADCAST))
     sim.run(until=1.0)
     steps = seen[c.node_id]
     assert ("contend", "nav", "", "", LISTEN_IDLE) in steps
@@ -126,7 +126,7 @@ def test_level_follows_nav_difs_and_slot_arming():
 
 def test_level_drops_when_the_node_goes_down():
     sim, (a, b) = _net([Position(0, 0), Position(100, 0)])
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), b.address))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), b.address))
     sim.run(until=0.1)
     assert a.phy.carrier_listen == LISTEN_ALL
     a.fail()

@@ -91,18 +91,18 @@ def test_forged_certificates_in_reply_rejected():
     _evil_key, evil_cert = evil_ca.enroll("node-0")  # impersonation attempt
     cold = net.nodes[1].router
     before = len(stores[1])
-    cold._on_cert_reply(CertReply(certificates=(evil_cert,)))
+    cold._on_cert_reply(CertReply(uid=cold.node.next_packet_uid(), certificates=(evil_cert,)))
     assert len(stores[1]) == before  # not cached
 
 
 def test_cert_request_wire_size():
-    request = CertRequest(subjects=("node-1", "node-2"))
+    request = CertRequest(uid=1, subjects=("node-1", "node-2"))
     assert request.header_bytes() > 20
     assert request.wire_view() == {"subjects": ["node-1", "node-2"]}
 
 
 def test_cert_reply_size_scales_with_certificates(ca_with_nodes):
     _ca, stores = ca_with_nodes
-    one = CertReply(certificates=(stores[0].certificate,))
-    two = CertReply(certificates=(stores[0].certificate, stores[1].certificate))
+    one = CertReply(uid=1, certificates=(stores[0].certificate,))
+    two = CertReply(uid=1, certificates=(stores[0].certificate, stores[1].certificate))
     assert two.header_bytes() > one.header_bytes()

@@ -1,15 +1,19 @@
 """The determinism contract, checked at run time.
 
 A trace is a pure function of the config: every record's time,
-category, node and ``data`` fields.  Three comparisons check it on the
-fixed configs of :mod:`tests.trace_digest`, by full-record digest:
+category, node and ``data`` fields.  Two comparisons here check it on
+the fixed configs of :mod:`tests.trace_digest`, by full-record digest:
 
 * two fresh interpreters under two ``PYTHONHASHSEED``\\ s, the second
   running the list in reverse, so each config follows other runs there;
-* the same configs run back to back in this process, after whatever
-  the session ran before, against the fresh interpreters;
-* a campaign run with a pool of one and of two processes, record for
-  record.
+* every config run twice more in this process, back to back after
+  whatever the session ran before, against the fresh interpreters.
+
+The third, across pool sizes, is
+``tests/test_campaign.py::test_store_and_report_identical_across_jobs``:
+it runs the smoke matrix of ``examples/campaigns/smoke.toml`` with one
+and with three pool processes and compares every stored record byte
+for byte.
 
 Hash-seed-dependent iteration order, the process-global ``random`` and
 ``numpy.random`` streams, wall-clock reads, interpreter addresses,
@@ -27,10 +31,6 @@ from pathlib import Path
 from typing import Dict, List
 
 import pytest
-
-from repro.campaign.executor import run_campaign
-from repro.campaign.spec import load_spec
-from repro.campaign.store import ResultStore
 
 from tests.trace_digest import CONFIGS, digests
 
@@ -77,23 +77,8 @@ def test_trace_is_the_same_in_fresh_interpreters(fresh_digests, name):
 
 
 def test_back_to_back_runs_trace_like_fresh_ones(fresh_digests):
-    """No state outlives a run: the configs, run back to back in this
-    process after the rest of the session, in the reverse of the first
-    interpreter's order, trace as they do there."""
-    assert digests(reversed(CONFIGS)) == fresh_digests[0]
-
-
-def test_campaign_records_are_the_same_for_any_pool_size(tmp_path):
-    """One pool worker runs several points in turn; with two workers,
-    each runs a different subset.  Every stored record is byte-identical
-    either way."""
-    spec = load_spec(REPO_ROOT / "examples" / "campaigns" / "smoke.toml")
-    records = []
-    for jobs in (1, 2):
-        store = ResultStore(tmp_path / f"jobs-{jobs}")
-        summary = run_campaign(spec, store, jobs=jobs)
-        assert summary.executed == summary.total > 1
-        records.append({
-            digest: store.path_for(digest).read_bytes() for digest in store.digests()
-        })
-    assert records[0] == records[1]
+    """No state outlives a run: every config, run twice in this process
+    after the rest of the session (the list in reverse, then in order),
+    traces as it does in a fresh interpreter."""
+    for order in (list(CONFIGS)[::-1], list(CONFIGS)):
+        assert digests(order) == fresh_digests[0]

@@ -111,6 +111,7 @@ def test_stale_entries_not_served():
 def test_update_packets_leak_doublets():
     """DLM's privacy failure, asserted: updates carry cleartext doublets."""
     update = DlmUpdate(
+        uid=1,
         target_location=Position(0, 0),
         identity="node-3",
         position=Position(7, 8),
@@ -123,6 +124,7 @@ def test_update_packets_leak_doublets():
 
 def test_request_leaks_requester():
     request = DlmRequest(
+        uid=1,
         target_location=Position(0, 0),
         requester_identity="node-1",
         requester_location=Position(3, 4),

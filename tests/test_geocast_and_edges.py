@@ -14,14 +14,14 @@ from repro.sim.trace import Tracer
 
 # ------------------------------------------------------------------ geocast
 def test_location_addressed_defaults():
-    packet = LocationAddressed(target_location=Position(10, 20))
+    packet = LocationAddressed(uid=1, target_location=Position(10, 20))
     assert packet.ttl == 64
     assert packet.next_pseudonym == LAST_ATTEMPT
     assert packet.header_bytes() == 35
 
 
 def test_location_addressed_clone_keeps_uid():
-    packet = LocationAddressed(target_location=Position(1, 2), ttl=10)
+    packet = LocationAddressed(uid=1, target_location=Position(1, 2), ttl=10)
     clone = packet.clone_for_forwarding(ttl=9, next_pseudonym=b"\x01" * 6)
     assert clone.uid == packet.uid
     assert clone.ttl == 9

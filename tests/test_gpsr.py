@@ -18,7 +18,7 @@ def test_beacons_populate_neighbor_tables():
 
 def test_beacon_carries_identity_and_location():
     """The privacy leak the paper attacks, asserted explicitly."""
-    beacon = GpsrBeacon(sender_identity="node-1", position=Position(3, 4), timestamp=1.0)
+    beacon = GpsrBeacon(uid=1, sender_identity="node-1", position=Position(3, 4), timestamp=1.0)
     view = beacon.wire_view()
     assert view["identity"] == "node-1"
     assert view["location"] == (3, 4)
@@ -103,6 +103,7 @@ def test_duplicate_suppression():
     net.sim.run(until=3.0)
     router = net.nodes[2].router
     packet = GpsrData(
+        uid=router.node.next_packet_uid(),
         payload_bytes=10,
         src_identity="node-0",
         dest_identity="node-2",

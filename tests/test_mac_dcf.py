@@ -75,7 +75,7 @@ def test_unicast_delivery_and_completion():
     sim, _tracer, (a, b) = _net([Position(0, 0), Position(100, 0)])
     got, done = [], []
     b.mac.receive_callback = lambda p, f: got.append(p.uid)
-    packet = _Data(payload_bytes=64)
+    packet = _Data(payload_bytes=64, uid=a.next_packet_uid())
     sim.schedule(0.1, lambda: a.mac.send(packet, b.address, done.append))
     sim.run(until=1.0)
     assert got == [packet.uid]
@@ -84,7 +84,7 @@ def test_unicast_delivery_and_completion():
 
 def test_unicast_uses_rts_cts_data_ack():
     sim, tracer, (a, b) = _net([Position(0, 0), Position(100, 0)])
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), b.address))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), b.address))
     sim.run(until=1.0)
     kinds = [r.data["frame_kind"] for r in tracer.filter("phy.tx")]
     assert kinds == ["rts", "cts", "data", "ack"]
@@ -93,7 +93,7 @@ def test_unicast_uses_rts_cts_data_ack():
 def test_rts_threshold_disables_handshake():
     params = Dot11Params(rts_threshold_bytes=10_000)
     sim, tracer, (a, b) = _net([Position(0, 0), Position(100, 0)], params)
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), b.address))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), b.address))
     sim.run(until=1.0)
     kinds = [r.data["frame_kind"] for r in tracer.filter("phy.tx")]
     assert kinds == ["data", "ack"]
@@ -102,7 +102,7 @@ def test_rts_threshold_disables_handshake():
 def test_unicast_to_unreachable_fails_after_retries():
     sim, _tracer, (a, b) = _net([Position(0, 0), Position(1000, 0)])
     done = []
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), b.address, done.append))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), b.address, done.append))
     sim.run(until=5.0)
     assert done == [False]
     assert a.mac.stats.retry_drops == 1
@@ -113,7 +113,7 @@ def test_broadcast_no_handshake_no_retry():
     sim, tracer, (a, b) = _net([Position(0, 0), Position(100, 0)])
     got, done = [], []
     b.mac.receive_callback = lambda p, f: got.append(p.uid)
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), BROADCAST, done.append))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), BROADCAST, done.append))
     sim.run(until=1.0)
     kinds = [r.data["frame_kind"] for r in tracer.filter("phy.tx")]
     assert kinds == ["data"]
@@ -126,7 +126,7 @@ def test_broadcast_reaches_all_in_range():
     got = {i: [] for i in range(4)}
     for i, node in enumerate(nodes):
         node.mac.receive_callback = lambda p, f, i=i: got[i].append(p.uid)
-    sim.schedule(0.1, lambda: nodes[0].mac.send(_Data(payload_bytes=64), BROADCAST))
+    sim.schedule(0.1, lambda: nodes[0].mac.send(_Data(payload_bytes=64, uid=nodes[0].next_packet_uid()), BROADCAST))
     sim.run(until=1.0)
     assert len(got[1]) == 1 and len(got[2]) == 1
     assert got[3] == []  # out of range
@@ -136,7 +136,7 @@ def test_queue_fifo_order():
     sim, _tracer, (a, b) = _net([Position(0, 0), Position(100, 0)])
     got = []
     b.mac.receive_callback = lambda p, f: got.append(p.uid)
-    packets = [_Data(payload_bytes=64) for _ in range(5)]
+    packets = [_Data(payload_bytes=64, uid=a.next_packet_uid()) for _ in range(5)]
     def send_all():
         for packet in packets:
             a.mac.send(packet, b.address)
@@ -150,7 +150,7 @@ def test_queue_overflow_drops_and_reports():
     results = []
     def flood():
         for _ in range(60):  # queue_limit is 50
-            a.mac.send(_Data(payload_bytes=64), b.address, results.append)
+            a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), b.address, results.append)
     sim.schedule(0.1, flood)
     sim.run(until=0.11)
     assert a.mac.stats.queue_drops > 0
@@ -162,9 +162,9 @@ def test_nav_defers_third_party():
     sim, tracer, (a, b, c) = _net(
         [Position(0, 0), Position(100, 0), Position(200, 0)]
     )
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=512), b.address))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=512, uid=a.next_packet_uid()), b.address))
     # c queues a broadcast right after the RTS is on air.
-    sim.schedule(0.1003, lambda: c.mac.send(_Data(payload_bytes=64), BROADCAST))
+    sim.schedule(0.1003, lambda: c.mac.send(_Data(payload_bytes=64, uid=c.next_packet_uid()), BROADCAST))
     sim.run(until=1.0)
     records = [
         (r.data["frame_kind"], r.node, r.time) for r in tracer.filter("phy.tx")
@@ -178,7 +178,7 @@ def test_nav_defers_third_party():
 
 def test_contention_window_resets_after_success():
     sim, _tracer, (a, b) = _net([Position(0, 0), Position(100, 0)])
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), b.address))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), b.address))
     sim.run(until=1.0)
     assert a.mac._cw == DEFAULT_DOT11.cw_min
 
@@ -187,7 +187,7 @@ def test_completion_callback_failure_for_broadcast_never():
     """Broadcasts cannot fail at the MAC (fire-and-forget semantics)."""
     sim, _tracer, (a, _b) = _net([Position(0, 0), Position(1000, 0)])
     done = []
-    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), BROADCAST, done.append))
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), BROADCAST, done.append))
     sim.run(until=1.0)
     assert done == [True]
 
@@ -195,7 +195,7 @@ def test_completion_callback_failure_for_broadcast_never():
 def test_stats_counters_consistent():
     sim, _tracer, (a, b) = _net([Position(0, 0), Position(100, 0)])
     for offset in range(3):
-        sim.schedule(0.1 + offset * 0.05, lambda: a.mac.send(_Data(payload_bytes=64), b.address))
+        sim.schedule(0.1 + offset * 0.05, lambda: a.mac.send(_Data(payload_bytes=64, uid=a.next_packet_uid()), b.address))
     sim.run(until=2.0)
     assert a.mac.stats.data_tx == 3
     assert a.mac.stats.rts_tx >= 3

@@ -30,7 +30,9 @@ def _radio(sim, medium, node_id, x, tracer=None):
 
 
 def _frame(src_id):
-    return MacFrame(FrameKind.DATA, mac_for_node(src_id), BROADCAST, packet=_Blob(payload_bytes=100))
+    return MacFrame(
+        FrameKind.DATA, mac_for_node(src_id), BROADCAST, packet=_Blob(uid=1, payload_bytes=100)
+    )
 
 
 def _received(radio):

@@ -83,17 +83,24 @@ def test_next_packet_uid_increments():
     assert fresh.next_packet_uid() == 1
 
 
+def test_packet_uid_is_required():
+    """The routers drop a uid they have seen, so a packet built without
+    one must fail at construction, not collide with another."""
+    with pytest.raises(TypeError, match="uid"):
+        _Probe(payload_bytes=64)
+
+
 def test_size_is_header_plus_payload():
-    packet = _Probe(payload_bytes=64)
+    packet = _Probe(uid=1, payload_bytes=64)
     assert packet.size_bytes() == 74
 
 
 def test_kind_comes_from_class():
-    assert _Probe().kind == "probe"
+    assert _Probe(uid=1).kind == "probe"
 
 
 def test_clone_preserves_uid_and_changes_fields():
-    packet = _Probe(payload_bytes=64, flag=1)
+    packet = _Probe(uid=1, payload_bytes=64, flag=1)
     clone = packet.clone_for_forwarding(flag=2)
     assert clone.uid == packet.uid
     assert clone.flag == 2
@@ -103,4 +110,4 @@ def test_clone_preserves_uid_and_changes_fields():
 
 def test_base_header_bytes_abstract():
     with pytest.raises(NotImplementedError):
-        Packet().header_bytes()
+        Packet(uid=1).header_bytes()

@@ -16,6 +16,9 @@ import pytest
 
 from repro.experiments.parallel import parallel_map
 from repro.experiments.runner import main as runner_main
+from repro.experiments.scenario import ScenarioConfig
+
+from tests.trace_digest import trace_digest
 
 
 def _square(x: int) -> int:
@@ -95,18 +98,10 @@ def test_bench_compare_flags_regressions_only():
 
 
 # ------------------------------------------- crypto fast path (PR 3)
-def _real_crypto_digest(seed: int) -> tuple:
-    """Worker: run one real-crypto scenario (caches on) and digest its trace.
-
-    Module-level so it pickles into pool workers.  The digest covers
-    ``(time, category, node)`` per record — stable across processes,
-    unlike packet uids which come from per-process counters.
-    """
-    import hashlib
-
-    from repro.experiments.scenario import Scenario, ScenarioConfig
-
-    scenario = Scenario(
+def _real_crypto_digest(seed: int) -> str:
+    """Worker: the full-record trace digest of one real-crypto scenario
+    (caches on).  Module-level so it pickles into pool workers."""
+    return trace_digest(
         ScenarioConfig(
             protocol="agfw",
             num_nodes=10,
@@ -117,13 +112,8 @@ def _real_crypto_digest(seed: int) -> tuple:
             seed=seed,
             real_crypto=True,
             aant_ring_size=2,
-            keep_trace=True,
         )
     )
-    result = scenario.run()
-    records = tuple((repr(r.time), r.category, r.node) for r in scenario.tracer.records)
-    digest = hashlib.sha256(repr(records).encode("utf-8")).hexdigest()
-    return (result.sent, result.delivered, digest)
 
 
 def test_real_crypto_parallel_byte_identical_with_caches():

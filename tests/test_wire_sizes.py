@@ -26,20 +26,20 @@ def _trapdoor():
 
 
 ALL_PACKETS = [
-    GpsrBeacon(sender_identity="a", position=Position(0, 0)),
-    GpsrData(dest_identity="b", dest_location=Position(0, 0)),
-    AntHello(pseudonym=b"\x01" * 6, position=Position(0, 0)),
-    AgfwData(dest_location=Position(0, 0), trapdoor=_trapdoor()),
-    AgfwAck(refs=(b"\x00" * 8,)),
-    DlmUpdate(target_location=Position(0, 0), identity="a", position=Position(0, 0)),
-    DlmRequest(target_location=Position(0, 0), requester_identity="a",
+    GpsrBeacon(uid=1, sender_identity="a", position=Position(0, 0)),
+    GpsrData(uid=1, dest_identity="b", dest_location=Position(0, 0)),
+    AntHello(uid=1, pseudonym=b"\x01" * 6, position=Position(0, 0)),
+    AgfwData(uid=1, dest_location=Position(0, 0), trapdoor=_trapdoor()),
+    AgfwAck(uid=1, refs=(b"\x00" * 8,)),
+    DlmUpdate(uid=1, target_location=Position(0, 0), identity="a", position=Position(0, 0)),
+    DlmRequest(uid=1, target_location=Position(0, 0), requester_identity="a",
                requester_location=Position(0, 0), target_identity="b"),
-    DlmReply(target_location=Position(0, 0), requester_identity="a",
+    DlmReply(uid=1, target_location=Position(0, 0), requester_identity="a",
              target_identity="b", target_position=Position(0, 0)),
-    AlsUpdate(target_location=Position(0, 0), index=b"\x00" * 16, blob=_trapdoor()),
-    AlsRequest(target_location=Position(0, 0), index=b"\x00" * 16,
+    AlsUpdate(uid=1, target_location=Position(0, 0), index=b"\x00" * 16, blob=_trapdoor()),
+    AlsRequest(uid=1, target_location=Position(0, 0), index=b"\x00" * 16,
                reply_location=Position(0, 0)),
-    AlsReply(target_location=Position(0, 0), blobs=(_trapdoor(),)),
+    AlsReply(uid=1, target_location=Position(0, 0), blobs=(_trapdoor(),)),
 ]
 
 
@@ -59,20 +59,21 @@ def test_every_packet_has_wire_view(packet):
 
 
 def test_agfw_data_header_is_dominated_by_trapdoor():
-    data = AgfwData(dest_location=Position(0, 0), trapdoor=_trapdoor())
-    bare = AgfwData(dest_location=Position(0, 0), trapdoor=None)
+    data = AgfwData(uid=1, dest_location=Position(0, 0), trapdoor=_trapdoor())
+    bare = AgfwData(uid=1, dest_location=Position(0, 0), trapdoor=None)
     assert data.header_bytes() - bare.header_bytes() == 64
 
 
 def test_agfw_ack_grows_per_ref():
-    one = AgfwAck(refs=(b"\x00" * 8,))
-    three = AgfwAck(refs=(b"\x00" * 8,) * 3)
+    one = AgfwAck(uid=1, refs=(b"\x00" * 8,))
+    three = AgfwAck(uid=1, refs=(b"\x00" * 8,) * 3)
     assert three.header_bytes() - one.header_bytes() == 16
 
 
 def test_hello_auth_overhead_included():
-    plain = AntHello(pseudonym=b"\x01" * 6, position=Position(0, 0))
+    plain = AntHello(uid=1, pseudonym=b"\x01" * 6, position=Position(0, 0))
     signed = AntHello(
+        uid=1,
         pseudonym=b"\x01" * 6,
         position=Position(0, 0),
         auth=AantAttachment(ring_size=5, extra_bytes=1000),
@@ -81,8 +82,8 @@ def test_hello_auth_overhead_included():
 
 
 def test_als_reply_grows_per_blob():
-    one = AlsReply(target_location=Position(0, 0), blobs=(_trapdoor(),))
-    two = AlsReply(target_location=Position(0, 0), blobs=(_trapdoor(), _trapdoor()))
+    one = AlsReply(uid=1, target_location=Position(0, 0), blobs=(_trapdoor(),))
+    two = AlsReply(uid=1, target_location=Position(0, 0), blobs=(_trapdoor(), _trapdoor()))
     assert two.header_bytes() - one.header_bytes() == 64
 
 
@@ -97,6 +98,6 @@ def test_pseudonym_adds_no_size_over_mac_addressing():
 def test_gpsr_beacon_smaller_than_aant_hello():
     """Anonymity costs nothing on plain hellos; authentication is what
     costs (the paper's Sec 4 tradeoff)."""
-    beacon = GpsrBeacon(sender_identity="a", position=Position(0, 0))
-    plain_hello = AntHello(pseudonym=b"\x01" * 6, position=Position(0, 0))
+    beacon = GpsrBeacon(uid=1, sender_identity="a", position=Position(0, 0))
+    plain_hello = AntHello(uid=1, pseudonym=b"\x01" * 6, position=Position(0, 0))
     assert abs(plain_hello.header_bytes() - beacon.header_bytes()) < 16

@@ -3,7 +3,9 @@
 The determinism contract is that a trace is a pure function of the
 config: every record's time, category, node and ``data`` fields.  This
 module names the configs the run-time determinism check replays
-(``tests/test_determinism.py``) and digests their traces.  Run it as a
+(``tests/test_determinism.py``) and digests their traces: scenarios,
+which locate destinations through the oracle, and runs of the DLM and
+ALS location services from :mod:`repro.experiments.overhead`.  Run it as a
 script to print the digests of the named configs, run in the order
 given, as one JSON object::
 
@@ -16,10 +18,18 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.experiments import overhead
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.faults import FaultPlan
+from repro.sim.trace import Tracer
+
+#: One location-service run: ``(service, num_nodes, seed, num_lookups,
+#: warmup, include_index, senders_per_node)``, the task tuple
+#: :func:`repro.experiments.overhead.run_location_service_comparison`
+#: hands its workers.
+ServiceRun = Tuple[str, int, int, int, float, bool, Optional[int]]
 
 #: A 15-node arena whose nodes move from t = 0 and whose data flows from
 #: t = 0.5 s: hellos or beacons, data and, with ACKs on, NL-ACKs are all
@@ -29,8 +39,9 @@ _ARENA = ScenarioConfig(
     pause_time=0.0, traffic_start=(0.5, 1.5), num_flows=4, num_senders=4, seed=1,
 )
 
-#: One config per protocol, authenticator, channel and network shape.
-CONFIGS: Dict[str, ScenarioConfig] = {
+#: One config per protocol, authenticator, channel, network shape and
+#: location service; each service run answers some of its lookups.
+CONFIGS: Dict[str, Union[ScenarioConfig, ServiceRun]] = {
     "gpsr": replace(_ARENA, protocol="gpsr"),
     "agfw": _ARENA,
     "agfw-noack": replace(_ARENA, protocol="agfw-noack"),
@@ -46,15 +57,43 @@ CONFIGS: Dict[str, ScenarioConfig] = {
     "teleports": replace(
         _ARENA, static=True, teleports=((1.0, 0, 700.0, 150.0), (2.0, 3, 50.0, 250.0)),
     ),
+    "dlm": ("dlm", 20, 7, 6, 5.0, True, None),
+    "als": ("als", 20, 7, 6, 5.0, True, 4),
+    "als-noindex": ("als", 20, 5, 6, 5.0, False, 2),
 }
 
 
-def trace_digest(config: ScenarioConfig) -> str:
+def _service_records(task: ServiceRun) -> List[object]:
+    """The trace records of one location-service run, then its report.
+
+    The service harness builds a tracer that keeps nothing; for the
+    length of the run it is handed one that keeps every record.
+    """
+    tracers: List[Tracer] = []
+
+    def keeping_tracer(keep: bool = True) -> Tracer:
+        tracers.append(Tracer(keep=True))
+        return tracers[-1]
+
+    overhead.Tracer = keeping_tracer  # type: ignore[assignment]
+    try:
+        report = overhead._run_service_point(task)
+    finally:
+        overhead.Tracer = Tracer  # type: ignore[misc]
+    (tracer,) = tracers
+    return [*tracer.records, report]
+
+
+def trace_digest(config: Union[ScenarioConfig, ServiceRun]) -> str:
     """SHA-256 over the ``repr`` of every record ``config``'s run traces."""
-    scenario = Scenario(replace(config, keep_trace=True))
-    scenario.run()
-    records = scenario.tracer.records
-    assert records, "a traced scenario must retain records"
+    records: List[object]
+    if isinstance(config, ScenarioConfig):
+        scenario = Scenario(replace(config, keep_trace=True))
+        scenario.run()
+        records = list(scenario.tracer.records)
+    else:
+        records = _service_records(config)
+    assert records, "a traced run must retain records"
     digest = hashlib.sha256()
     for record in records:
         digest.update(repr(record).encode())
