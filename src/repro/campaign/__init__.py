@@ -15,8 +15,7 @@ crossovers vs density, robustness vs impairment dose), and ROADMAP item
 * :mod:`repro.campaign.report` — percentile tables + per-axis crossover
   detection, byte-identical for any execution history.
 
-CLI: ``python -m repro.campaign run|status|report <spec>`` (also mounted
-as the ``campaign`` subcommand of ``repro.experiments.runner``).
+CLI: ``python -m repro.campaign run|status|report <spec>``.
 """
 
 from repro.campaign.digest import RESULT_SALT, config_digest

@@ -1,9 +1,8 @@
 """``campaign run | status | report`` — the sweep-campaign CLI.
 
-Reached two ways (same argv either way)::
+Run as::
 
-    python -m repro.campaign             run  examples/campaigns/smoke.toml
-    python -m repro.experiments.runner campaign run examples/campaigns/smoke.toml
+    python -m repro.campaign run examples/campaigns/smoke.toml
 
 ``run`` is resumable and interruptible: Ctrl-C leaves every completed
 point durable in the store and a rerun executes only the missing cells

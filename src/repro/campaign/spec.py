@@ -58,6 +58,7 @@ __all__ = [
     "load_spec",
     "spec_from_mapping",
     "METRIC_NAMES",
+    "axis_label",
 ]
 
 #: Metric keys every stored point record carries (the report stage and
@@ -84,6 +85,16 @@ _FORBIDDEN_FIELDS = frozenset({"seed", "fault_plan"})
 
 class CampaignSpecError(ValueError):
     """The campaign file is malformed or names unknown config fields."""
+
+
+def axis_label(value: object) -> str:
+    """The printable label of one axis value, which seeds its points and
+    keys its report cells: a table value reads ``key=value,...`` in key
+    order, whatever order the file wrote, and anything else is its
+    ``str``."""
+    if isinstance(value, dict):
+        return ",".join(f"{k}={value[k]}" for k in sorted(value))
+    return str(value)
 
 
 def _config_field_names() -> frozenset:
@@ -131,7 +142,7 @@ class CampaignPoint:
 
     @property
     def label(self) -> str:
-        coords = " ".join(f"{k}={v}" for k, v in self.axes)
+        coords = " ".join(f"{k}={axis_label(v)}" for k, v in self.axes)
         return f"{self.sweep}: {coords} rep={self.seed_index}"
 
 
@@ -221,7 +232,7 @@ class CampaignSpec:
         # The point seed: master seed + sorted axis coordinates +
         # replicate.  Sweep/campaign names stay out so identical cells
         # are identical content — the cache's whole point.
-        coord_label = ",".join(f"{k}={v}" for k, v in sorted(coords))
+        coord_label = ",".join(f"{k}={axis_label(v)}" for k, v in sorted(coords))
         point_seed = derive_seed(self.seed, f"campaign:{coord_label}:rep{seed_index}")
         merged["seed"] = point_seed
         try:

@@ -291,7 +291,9 @@ class AgfwRouter(BaseRouter):
         def _apply() -> None:
             if self._fault_epoch != epoch:
                 return  # crashed mid-verify: pre-crash state must not leak
-            if valid:
+            # An honest hello is stamped before it is received; a row from
+            # the future would age negatively and overflow its freshness.
+            if valid and hello.timestamp <= self.sim.now:
                 self.ant.update(
                     hello.pseudonym, hello.position, hello.timestamp, hello.velocity
                 )

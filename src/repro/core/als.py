@@ -83,9 +83,6 @@ class AlsConfig(DlmConfig):
     """False = the paper's alternative: request without the index, server
     returns all stored ciphertexts (anonymity/overhead trade)."""
 
-    max_reply_blobs: int = 8
-    """Cap on ciphertexts per reply in the no-index mode."""
-
 
 @dataclass
 class AlsUpdate(LocationAddressed):
@@ -466,9 +463,7 @@ class AlsAgent:
         else:
             # Alternative scheme: hand back everything fresh we hold; the
             # requester decrypts what it can.  Overhead grows accordingly.
-            blobs = [
-                e.blob for e in self.store.values() if self._fresh(e)
-            ][: self.config.max_reply_blobs]
+            blobs = [e.blob for e in self.store.values() if self._fresh(e)]
         if not blobs:
             return
         self.requests_served += 1

@@ -11,7 +11,7 @@ the forwarding decision."  Two strategies are provided:
   "best" entry (the paper's recommendation).  When a velocity was
   advertised, the dead-reckoned position is used.
 
-The ablation benchmark (`benchmarks/bench_freshness_ablation.py`)
+The ``freshness`` sweep of ``examples/campaigns/ablations.toml``
 quantifies the difference.
 """
 

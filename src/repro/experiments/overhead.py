@@ -25,7 +25,6 @@ from repro.core.agfw import AgfwRouter
 from repro.core.als import AlsAgent, AlsConfig
 from repro.core.config import AgfwConfig
 from repro.crypto.timing import DEFAULT_COST_MODEL, CryptoCostModel
-from repro.experiments.parallel import parallel_map
 from repro.geo.grid import Grid
 from repro.geo.region import Region
 from repro.location.dlm import DlmAgent, DlmConfig
@@ -139,14 +138,17 @@ def _build_static_network(
     return sim, nodes, grid, tracer
 
 
-def _run_service_point(task: tuple) -> LocationServiceReport:
-    """Worker for one service's run of the shared lookup workload.
-
-    Top-level (picklable) and self-contained: it builds its own
-    Simulator/network from the task parameters, so DLM and ALS runs can
-    execute in separate processes with results identical to serial.
-    """
-    service_name, num_nodes, seed, num_lookups, warmup, include_index, senders_per_node = task
+def _run_service_point(
+    service_name: str,
+    num_nodes: int,
+    seed: int,
+    num_lookups: int,
+    warmup: float,
+    include_index: bool,
+    senders_per_node: Optional[int],
+) -> LocationServiceReport:
+    """One service's run of the shared lookup workload, on a
+    Simulator/network of its own built from the arguments."""
     sim, nodes, grid, _tracer = _build_static_network(
         num_nodes, seed, protocol="gpsr" if service_name == "dlm" else "agfw"
     )
@@ -223,7 +225,6 @@ def run_location_service_comparison(
     warmup: float = 15.0,
     include_index: bool = True,
     senders_per_node: Optional[int] = None,
-    jobs: int = 1,
 ) -> List[LocationServiceReport]:
     """The same lookup workload over DLM (cleartext) and ALS (anonymous).
 
@@ -231,15 +232,15 @@ def run_location_service_comparison(
     luck, dominates.  ``senders_per_node`` bounds how many potential
     requesters each ALS updater anticipates (None = everyone, the paper's
     stated worst case for update overhead).  Lookup pairs are drawn so
-    the anticipated-senders constraint is honoured.  The two service
-    runs are independent simulations; ``jobs > 1`` runs them in parallel
-    with identical results.
+    the anticipated-senders constraint is honoured.
     """
-    tasks = [
-        (service_name, num_nodes, seed, num_lookups, warmup, include_index, senders_per_node)
+    return [
+        _run_service_point(
+            service_name, num_nodes, seed, num_lookups, warmup, include_index,
+            senders_per_node,
+        )
         for service_name in ("dlm", "als")
     ]
-    return parallel_map(_run_service_point, tasks, jobs=jobs)
 
 
 def format_location_service_comparison(reports: Sequence[LocationServiceReport]) -> str:

@@ -16,10 +16,9 @@ protocols with a global sniffer coalition and measures:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.adversary.tracker import DoubletTracker, RouteTracer
-from repro.experiments.parallel import parallel_map
 from repro.experiments.scenario import ScenarioConfig, Scenario
 
 __all__ = ["ExposureReport", "run_exposure_experiment", "format_exposure"]
@@ -40,9 +39,8 @@ class ExposureReport:
     identities_from_routes: int
 
 
-def _run_exposure_point(task: Tuple[ScenarioConfig, float]) -> ExposureReport:
-    """Worker for one protocol run — top-level so it pickles for the pool."""
-    cfg, tracking_horizon = task
+def _run_exposure_point(cfg: ScenarioConfig, tracking_horizon: float) -> ExposureReport:
+    """The adversary's yield from one protocol's run."""
     scenario = Scenario(cfg)
     scenario.run()
     assert scenario.sniffer is not None
@@ -79,21 +77,18 @@ def run_exposure_experiment(
     num_nodes: int = 50,
     seed: int = 7,
     tracking_horizon: float = 5.0,
-    jobs: int = 1,
 ) -> List[ExposureReport]:
     """Run the workload under each protocol with a global sniffer.
 
-    Per-protocol runs are independent simulations, so ``jobs > 1`` fans
-    them over worker processes with output identical to the serial path
-    (both protocols use the same ``seed``, deliberately: the comparison
-    is "same workload, different protocol").
+    Every protocol uses the same ``seed``, deliberately: the comparison
+    is "same workload, different protocol".
     """
     template = base if base is not None else ScenarioConfig()
     # Flows start in [1, 10] s; horizons under 4 s shrink the window
     # into the first quarter of the run.
     start_end = min(10.0, sim_time / 4)
-    tasks = [
-        (
+    return [
+        _run_exposure_point(
             replace(
                 template,
                 protocol=protocol,
@@ -107,7 +102,6 @@ def run_exposure_experiment(
         )
         for protocol in protocols
     ]
-    return parallel_map(_run_exposure_point, tasks, jobs=jobs)
 
 
 def format_exposure(reports: List[ExposureReport]) -> str:

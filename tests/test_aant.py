@@ -7,9 +7,12 @@ import random
 import pytest
 
 from repro.core.aant import AantAttachment, AantAuthenticator, hello_signing_bytes
+from repro.core.agfw import AntHello
 from repro.core.config import AantConfig
 from repro.crypto.timing import DEFAULT_COST_MODEL
+from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.geo.vec import Position
+from repro.net.addresses import BROADCAST
 
 
 def _modeled(k=3):
@@ -202,3 +205,37 @@ def test_real_resolvable_ring_charges_full_cost(ca_with_nodes):
     # A tampered message fails *inside* ring verification: cost still paid.
     valid, delay = verifier.verify_hello(attachment, b"\x0a" * 6, Position(5, 5), 1.0)
     assert not valid and delay == pytest.approx(expected)
+
+
+def test_hello_stamped_in_the_future_never_enters_the_ant():
+    # A ring member signs a valid hello stamped far ahead of every clock.
+    # Ageing such a row overflows the freshness score, so the receiver
+    # must reject it and the run must reach its horizon.
+    config = ScenarioConfig(
+        protocol="agfw", num_nodes=15, width=800.0, height=300.0, sim_time=4.0,
+        traffic_start=(0.5, 1.5), num_flows=4, num_senders=4, aant_ring_size=2,
+        seed=1,
+    )
+    scenario = Scenario(config)
+    liar = scenario.nodes[0].router
+    stamped = []
+
+    def send_future_beacon() -> None:
+        pseudonym = liar.pseudonyms.new_pseudonym()
+        position = liar.position
+        stamp = scenario.sim.now + 1e6
+        attachment, _delay = liar.authenticator.sign_hello(pseudonym, position, stamp)
+        stamped.append(pseudonym)
+        hello = AntHello(
+            pseudonym=pseudonym, position=position, timestamp=stamp,
+            auth=attachment, uid=liar.node.next_packet_uid(),
+        )
+        liar.node.mac.send(hello, BROADCAST)
+
+    liar.send_beacon = send_future_beacon
+    scenario.run()
+    assert scenario.sim.now == config.sim_time
+    assert stamped
+    assert sum(node.router.stats.drops_auth for node in scenario.nodes[1:]) > 0
+    for node in scenario.nodes[1:]:
+        assert not any(pseudonym in node.router.ant for pseudonym in stamped)

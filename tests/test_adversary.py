@@ -225,7 +225,7 @@ def test_als_service_point_sends_no_identity(include_index):
     no-index variant answers fewer lookups, and the plain DLM fallback
     it then sends is the sanctioned cleartext baseline."""
     with on_air_audit() as audit:
-        report = _run_service_point(("als", 25, 19, 4, 10.0, include_index, 3))
+        report = _run_service_point("als", 25, 19, 4, 10.0, include_index, 3)
     assert report.lookups_answered > 0
     assert audit.leaks == [], f"{len(audit.leaks)} leaks, first {audit.leaks[0]}"
     assert {"als.update", "als.request", "als.reply"} <= set(audit.sent)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core.als import AlsAgent, AlsConfig, AlsReply, AlsRequest, AlsUpdate, make_index
+from repro.experiments.overhead import _run_service_point
 from repro.geo.grid import Grid
 from repro.geo.region import Region
 from repro.geo.vec import Position
@@ -125,10 +126,9 @@ def test_server_stores_only_ciphertext():
 
 
 def test_no_index_variant_returns_blob_sets():
-    # Without the index the server returns *everything* it holds; the cap
-    # must cover the store for the lookup to succeed (the paper's
-    # communication-overhead trade, visible here as a large reply).
-    net, grid, agents = _als_net(include_index=False, max_reply_blobs=2000)
+    # Without the index the server returns *everything* it holds (the
+    # paper's communication-overhead trade, visible here as a large reply).
+    net, grid, agents = _als_net(include_index=False)
     for agent in agents:
         agent.start()
     net.sim.run(until=12.0)
@@ -185,3 +185,13 @@ def test_invalid_mode_rejected():
     net, grid, _agents = _als_net(4)
     with pytest.raises(ValueError):
         AlsAgent(net.nodes[0], net.nodes[0].router, grid, mode="bogus", install=False)
+
+
+def test_no_index_server_replies_with_every_fresh_ciphertext():
+    # Without the index a server holds no key to pick one blob by, so a
+    # target is found only if the reply carries every fresh ciphertext.
+    with_index = _run_service_point("als", 20, 7, 6, 5.0, True, 4)
+    without_index = _run_service_point("als", 20, 7, 6, 5.0, False, 4)
+    assert with_index.lookups_answered == 4
+    assert without_index.lookups_answered == with_index.lookups_answered
+    assert without_index.bytes > with_index.bytes

@@ -33,9 +33,9 @@ from repro.campaign import (
     run_campaign,
     spec_from_mapping,
 )
+from repro.campaign.cli import main as campaign_main
 from repro.campaign.digest import RESULT_SALT, canonical_payload
 from repro.experiments.parallel import parallel_map
-from repro.experiments.runner import main as runner_main
 from repro.experiments.scenario import ScenarioConfig
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -97,6 +97,21 @@ def test_points_canonical_order_and_distinct_seeds():
     assert len(set(seeds)) == len(seeds)  # every point statistically independent
     # Points are pure functions of the spec: a rebuild is identical.
     assert points == _smoke_spec().points()
+
+
+def test_table_valued_axis_seeds_ignore_key_order():
+    def point(overrides):
+        mapping = {"name": "t", "base": {"protocol": "agfw"},
+                   "axes": {"agfw_overrides": [overrides]}}
+        return spec_from_mapping(mapping).points()[0]
+
+    a = point({"next_hop_strategy": "best_position", "enable_ack": True})
+    b = point({"enable_ack": True, "next_hop_strategy": "best_position"})
+    assert a.config.seed == b.config.seed
+    assert config_digest(a.config) == config_digest(b.config)
+    assert a.label == (
+        "axes: agfw_overrides=enable_ack=True,next_hop_strategy=best_position rep=0"
+    )
 
 
 def test_spec_validation_rejects_bad_input():
@@ -347,8 +362,23 @@ LOSS_CHURN = {
     "axes": {"churn_rate": [1.5, 3.0]},
 }
 
+#: An axis whose values are tables: its cells are keyed and labelled by
+#: ``key=value``.
+STRATEGIES = {
+    "name": "strategies",
+    "seed": 4,
+    "seeds": 2,
+    "metrics": ["delivery_fraction", "overhead_ratio"],
+    "base": {"protocol": "agfw-noack", "num_nodes": 12, "sim_time": 2.0,
+             "num_flows": 3, "num_senders": 3, "traffic_start": [0.5, 1.0]},
+    "axes": {"agfw_overrides": [{"next_hop_strategy": "best_position"},
+                                {"next_hop_strategy": "freshest_progress"}]},
+}
 
-@pytest.mark.parametrize("mapping", [SMOKE, LOSS_CHURN], ids=["smoke", "loss-churn"])
+
+@pytest.mark.parametrize(
+    "mapping", [SMOKE, LOSS_CHURN, STRATEGIES], ids=["smoke", "loss-churn", "dict-axis"]
+)
 def test_store_and_report_identical_across_jobs(tmp_path, mapping):
     spec = spec_from_mapping(mapping)
     serial = ResultStore(tmp_path / "serial")
@@ -363,6 +393,11 @@ def test_store_and_report_identical_across_jobs(tmp_path, mapping):
         counters = [serial.get(d)["fault_counters"] for d in serial.digests()]
         assert all(c["drops_injected"] > 0 for c in counters)
         assert all(c["crashes"] > 0 for c in counters)
+    if mapping is STRATEGIES:
+        report = campaign_report(spec, serial)
+        assert "next_hop_strategy=best_position" in report
+        assert "next_hop_strategy=freshest_progress" in report
+        assert "bytes_by_kind KiB (agfw_overrides x kind" in report
 
 
 def test_report_requires_complete_matrix(tmp_path):
@@ -394,7 +429,7 @@ def test_sigint_then_resume_matches_uninterrupted_sequential_run(tmp_path):
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.experiments.runner", "campaign", "run",
+            sys.executable, "-m", "repro.campaign", "run",
             str(spec_path), "--store", str(store_root), "--jobs", "2",
         ],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
@@ -428,22 +463,22 @@ def test_sigint_then_resume_matches_uninterrupted_sequential_run(tmp_path):
 
 
 # ------------------------------------------------------------------- cli
-def test_runner_campaign_subcommand_run_status_report(tmp_path, capsys):
+def test_campaign_cli_run_status_report(tmp_path, capsys):
     spec_path = tmp_path / "smoke.json"
     spec_path.write_text(json.dumps(SMOKE), encoding="utf-8")
     store = tmp_path / "store"
-    argv = ["campaign", "run", str(spec_path), "--store", str(store)]
-    assert runner_main(argv) == 0
+    argv = ["run", str(spec_path), "--store", str(store)]
+    assert campaign_main(argv) == 0
     first = capsys.readouterr().out
     assert "0 cache hits, 8 executed" in first
-    assert runner_main(argv) == 0
+    assert campaign_main(argv) == 0
     rerun = capsys.readouterr().out
     assert "8 cache hits, 0 executed" in rerun
-    assert runner_main(["campaign", "status", str(spec_path), "--store", str(store)]) == 0
+    assert campaign_main(["status", str(spec_path), "--store", str(store)]) == 0
     assert "8/8 points (complete)" in capsys.readouterr().out
     out_file = tmp_path / "report.txt"
-    assert runner_main(
-        ["campaign", "report", str(spec_path), "--store", str(store),
+    assert campaign_main(
+        ["report", str(spec_path), "--store", str(store),
          "--output", str(out_file)]
     ) == 0
     capsys.readouterr()
@@ -506,7 +541,31 @@ def test_experiments_md_report_commands_name_committed_files():
     text = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8").replace("\\\n", " ")
     commands = re.findall(r"python -m repro\.campaign report\s+(\S+)\s+--output\s+(\S+)", text)
     specs = {pathlib.Path(spec).name for spec, _output in commands}
-    assert specs >= {"fig1_sweep.toml", "faults_sweep.toml"}
+    assert specs >= {"fig1_sweep.toml", "faults_sweep.toml", "ablations.toml"}
     for spec, output in commands:
         assert load_spec(REPO / spec).points(), spec
         assert (REPO / output).is_file(), output
+
+
+def _single_column(report: str, sweep: str, metric: str) -> dict:
+    """``{row label: value}`` of one single-column table of a report."""
+    section = report.split(f"## sweep {sweep!r}\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split(f"\n{metric} (", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split() for line in table.splitlines()[2:]]
+    return {label: float(value) for label, value in rows if not label.startswith("crossover")}
+
+
+def test_committed_ablations_report_backs_the_paper_claims():
+    """The committed ablations report shows both of its claims: the
+    freshness-aware next hop clearly beats the naive one, and AGFW's byte
+    premium over GPSR stays within a small factor."""
+    report = (REPO / "benchmarks" / "results" / "ablations_campaign.txt").read_text(
+        encoding="utf-8"
+    )
+    delivery = _single_column(report, "freshness", "delivery_fraction")
+    assert (
+        delivery["next_hop_strategy=freshest_progress"]
+        > delivery["next_hop_strategy=best_position"] + 0.1
+    )
+    overhead = _single_column(report, "bytes", "overhead_ratio")
+    assert 0.8 < overhead["agfw"] / overhead["gpsr"] < 6

@@ -1,5 +1,4 @@
-"""Tests for the experiment harness: security, overhead, and the one-stop
-runner."""
+"""Tests for the experiment harness: security and overhead."""
 
 from __future__ import annotations
 
@@ -40,11 +39,3 @@ def test_location_service_comparison_small():
     assert als.crypto_ops > 0
     text = format_location_service_comparison(reports)
     assert "dlm" in text and "als" in text
-
-
-# ------------------------------------------------------------------ runner
-def test_runner_main_smoke(capsys):
-    from repro.experiments.runner import main
-
-    assert main(["--skip", "als", "exposure"]) == 0
-    assert "AANT hello overhead" in capsys.readouterr().out

@@ -1,10 +1,10 @@
 """Parallel sweep execution: order preservation and byte-identity.
 
-The contract sold by ``--jobs``: the formatted output of every
-experiment is byte-identical for any job count.  That holds because (a)
-each point is an independent simulation whose randomness is a pure
-function of its config, and (b) :func:`repro.experiments.parallel.
-parallel_map` returns results in submission order.
+The contract sold by a campaign's ``--jobs``: its records and report are
+byte-identical for any job count.  That holds because (a) each point is
+an independent simulation whose randomness is a pure function of its
+config, and (b) :func:`repro.experiments.parallel.parallel_map` returns
+results in submission order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pathlib
 import pytest
 
 from repro.experiments.parallel import parallel_map
-from repro.experiments.runner import main as runner_main
 from repro.experiments.scenario import ScenarioConfig
 
 from tests.trace_digest import trace_digest
@@ -53,17 +52,6 @@ def test_parallel_map_single_item_runs_inline():
 def test_parallel_map_propagates_worker_errors():
     with pytest.raises(RuntimeError, match="worker failure"):
         parallel_map(_boom, [1, 2], jobs=2)
-
-
-# ------------------------------------------------------------------ runner
-def test_runner_output_byte_identical_across_jobs(capsys):
-    argv = ["--sim-time", "0.3", "--skip", "aant", "als"]
-    assert runner_main(argv + ["--jobs", "1"]) == 0
-    serial_out = capsys.readouterr().out
-    assert runner_main(argv + ["--jobs", "2"]) == 0
-    pooled_out = capsys.readouterr().out
-    assert serial_out == pooled_out
-    assert "(id, loc) doublets" in serial_out
 
 
 # ------------------------------------------------------------ bench harness

@@ -26,9 +26,8 @@ from repro.faults import FaultPlan
 from repro.sim.trace import Tracer
 
 #: One location-service run: ``(service, num_nodes, seed, num_lookups,
-#: warmup, include_index, senders_per_node)``, the task tuple
-#: :func:`repro.experiments.overhead.run_location_service_comparison`
-#: hands its workers.
+#: warmup, include_index, senders_per_node)``, the arguments of
+#: :func:`repro.experiments.overhead._run_service_point`.
 ServiceRun = Tuple[str, int, int, int, float, bool, Optional[int]]
 
 #: A 15-node arena whose nodes move from t = 0 and whose data flows from
@@ -77,7 +76,7 @@ def _service_records(task: ServiceRun) -> List[object]:
 
     overhead.Tracer = keeping_tracer  # type: ignore[assignment]
     try:
-        report = overhead._run_service_point(task)
+        report = overhead._run_service_point(*task)
     finally:
         overhead.Tracer = Tracer  # type: ignore[misc]
     (tracer,) = tracers
