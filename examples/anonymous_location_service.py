@@ -83,13 +83,13 @@ def main() -> None:
     print(f"\nupdater  {updater.identity} at {updater.position}")
     print(f"server grid for {updater.identity}: cell {home} "
           f"(center {grid.center_of(home)})")
-    holders = [a for a in agents if a.store]
+    holders = [a for a in agents if a.blobs]
     print(f"nodes currently acting as location servers: "
           f"{sorted(a.node.node_id for a in holders)}")
     sample = next(a for a in holders)
     print(f"what a server stores (node {sample.node.node_id}): "
-          f"{len(sample.store)} ciphertext entries, e.g. "
-          f"{next(iter(sample.store.values())).blob.wire_view()}")
+          f"{len(sample.blobs)} ciphertext entries, e.g. "
+          f"{next(iter(sample.blobs.values())).blob.wire_view()}")
 
     print(f"\nrequester {requester.identity} resolving {updater.identity} anonymously...")
     results = []

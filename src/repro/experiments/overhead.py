@@ -212,9 +212,8 @@ def _run_service_point(
         lookups_answered=answered["n"],
         messages=sum(a.messages_sent for a in agents),
         bytes=sum(a.bytes_sent for a in agents),
-        crypto_ops=sum(getattr(a, "crypto_ops", 0) for a in agents),
-        crypto_time_ms=sum(getattr(a, "crypto_time_charged", 0.0) for a in agents)
-        * 1000,
+        crypto_ops=sum(a.crypto_ops for a in agents),
+        crypto_time_ms=sum(a.crypto_time_charged for a in agents) * 1000,
     )
 
 

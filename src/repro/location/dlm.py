@@ -13,13 +13,18 @@ Privacy-wise DLM is the *second* leak the paper attacks: the updater's
 sits in cleartext at the server; the requester also reveals itself.
 ``wire_view`` on each packet makes those leaks explicit for the
 adversary modules.
+
+:class:`DlmAgent` is also the base of ALS (:class:`repro.core.als.AlsAgent`),
+which keeps this grid, server selection, transport and timers and
+replaces only the cleartext packets; a few class constants and the
+:meth:`DlmAgent._fallback` hook are what it sets.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.addresses import LAST_ATTEMPT
 from repro.geo.grid import Cell, Grid
@@ -139,10 +144,18 @@ class _PendingLookup:
     callback: Callable[[Optional[Position]], None]
     retries_left: int
     timer: Optional[Event] = None
+    tried_plain: bool = False  # ALS: the plain fallback request went out
 
 
 class DlmAgent:
     """The location-service role of one node (updater, server, requester)."""
+
+    #: The node RNG stream the update timer draws from.
+    RNG_STREAM = "dlm"
+    #: Prefix of the agent's event names (no trace record carries them).
+    EVENT_PREFIX = "dlm"
+    #: The packet types this agent handles for its router.
+    PACKET_TYPES: Tuple[type, ...] = (DlmUpdate, DlmRequest, DlmReply)
 
     def __init__(
         self,
@@ -157,7 +170,7 @@ class DlmAgent:
         self.router = router
         self.grid = grid
         self.config = config or DlmConfig()
-        self._rng: random.Random = node.rng("dlm")
+        self._rng: random.Random = node.rng(self.RNG_STREAM)
         self.store: Dict[str, StoredLocation] = {}
         self._pending: Dict[str, _PendingLookup] = {}
         self._seen_uids: set[int] = set()
@@ -167,12 +180,15 @@ class DlmAgent:
         self.updates_stored = 0
         self.requests_served = 0
         self.lookups_failed = 0
+        # Accounting for the overhead comparison; only ALS does crypto.
+        self.crypto_ops = 0
+        self.crypto_time_charged = 0.0
         if install:
             self.install()
 
     def install(self) -> None:
         """Register packet handlers and become the router's location service."""
-        for packet_type in (DlmUpdate, DlmRequest, DlmReply):
+        for packet_type in self.PACKET_TYPES:
             self.router.register_handler(packet_type, self._on_packet)
         self.router.location_service = self
 
@@ -182,13 +198,13 @@ class DlmAgent:
             return
         self._started = True
         first = self._rng.uniform(0.0, self.config.update_interval)
-        self.sim.schedule(first, self._update_tick, name="dlm.update")
+        self.sim.schedule(first, self._update_tick, name=f"{self.EVENT_PREFIX}.update")
 
     def _update_tick(self) -> None:
         self.send_updates()
         jitter = self.config.update_jitter
         interval = self.config.update_interval * self._rng.uniform(1 - jitter, 1 + jitter)
-        self.sim.schedule(interval, self._update_tick, name="dlm.update")
+        self.sim.schedule(interval, self._update_tick, name=f"{self.EVENT_PREFIX}.update")
 
     # -------------------------------------------------------------- updates
     def home_cells(self) -> List[Cell]:
@@ -240,7 +256,7 @@ class DlmAgent:
         pending.timer = self.sim.schedule(
             self.config.request_timeout,
             lambda: self._on_lookup_timeout(identity),
-            name="dlm.req_to",
+            name=f"{self.EVENT_PREFIX}.req_to",
         )
 
     def _on_lookup_timeout(self, identity: str) -> None:
@@ -251,9 +267,16 @@ class DlmAgent:
             pending.retries_left -= 1
             self._send_request(identity, pending)
             return
+        if self._fallback(identity, pending):
+            return
         del self._pending[identity]
         self.lookups_failed += 1
         pending.callback(None)
+
+    def _fallback(self, identity: str, pending: _PendingLookup) -> bool:
+        """One last request once the retries have run out; ``True`` if it
+        was sent.  DLM has none."""
+        return False
 
     # ------------------------------------------------------------ transport
     def _route(self, packet: LocationAddressed) -> None:
@@ -307,7 +330,7 @@ class DlmAgent:
         elif isinstance(packet, DlmRequest):
             self._serve_request(packet)
         elif isinstance(packet, DlmReply):
-            self._finish_lookup(packet)
+            self._finish_lookup(packet.target_identity, packet.target_position)
 
     def _store_update(self, update: DlmUpdate) -> None:
         self.store[update.identity] = StoredLocation(
@@ -316,8 +339,14 @@ class DlmAgent:
             timestamp=update.timestamp,
             stored_at=self.sim.now,
         )
+        self._stored(update)
+
+    def _stored(self, update: LocationAddressed) -> None:
+        """Count a stored update and, unless it is itself the copy, seed
+        cell-mates with it so any current inhabitant can serve requests
+        (grid nodes collectively act as "the location server")."""
         self.updates_stored += 1
-        if self.config.replicate_in_cell and not update.final_broadcast:
+        if self.config.replicate_in_cell and not getattr(update, "final_broadcast", False):
             clone = update.clone_for_forwarding(
                 final_broadcast=True, next_pseudonym=LAST_ATTEMPT
             )
@@ -343,15 +372,16 @@ class DlmAgent:
         )
         self._route(reply)
 
-    def _finish_lookup(self, reply: DlmReply) -> None:
-        pending = self._pending.pop(reply.target_identity, None)
+    def _finish_lookup(self, identity: str, position: Position) -> None:
+        pending = self._pending.pop(identity, None)
         if pending is None:
             return  # duplicate reply
         if pending.timer is not None:
             pending.timer.cancel()
-        pending.callback(reply.target_position)
+        pending.callback(position)
 
-    def _fresh(self, entry: StoredLocation) -> bool:
+    def _fresh(self, entry) -> bool:
+        """Is a stored entry (anything with ``stored_at``) still servable?"""
         return (self.sim.now - entry.stored_at) <= self.config.entry_ttl
 
     # --------------------------------------------------------------- queries

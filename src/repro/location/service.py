@@ -8,10 +8,10 @@ messages).  Three implementations exist in this repo:
   database, the standard methodology for isolating routing performance
   (the paper's Figure 1 experiments "did not incorporate ALS so as to
   focus our evaluation on the major routing part").
-* :class:`~repro.location.dlm.DlmLocationService` — the grid-based
-  scheme of Xue et al. the paper builds on, running over the network.
-* :class:`~repro.core.als.AlsLocationService` — the paper's anonymous
-  variant.
+* :class:`~repro.location.dlm.DlmAgent` — the grid-based scheme of
+  Xue et al. the paper builds on, running over the network.
+* :class:`~repro.core.als.AlsAgent` — the paper's anonymous variant, a
+  ``DlmAgent`` that replaces the cleartext packets.
 """
 
 from __future__ import annotations

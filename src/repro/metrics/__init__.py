@@ -1,18 +1,9 @@
-"""Metrics: online collectors, summary statistics, crypto-cache,
-substrate (scheduler/tracer), and fault-injection counters."""
+"""Metrics: online collectors, summary statistics, crypto-cache and
+fault-injection counters."""
 
 from repro.metrics.collectors import DeliveryCollector, OverheadCollector
-from repro.metrics.crypto import (
-    crypto_cache_counters,
-    crypto_cache_hit_rates,
-    format_crypto_cache_report,
-)
-from repro.metrics.engine import (
-    format_engine_report,
-    scheduler_counters,
-    tracer_counters,
-)
-from repro.metrics.faults import FaultMetrics, format_faults_report
+from repro.metrics.crypto import crypto_cache_counters
+from repro.metrics.faults import FaultMetrics
 from repro.metrics.stats import Summary, mean_confidence_interval, percentile, summarize
 
 __all__ = [
@@ -20,13 +11,7 @@ __all__ = [
     "OverheadCollector",
     "Summary",
     "FaultMetrics",
-    "format_faults_report",
     "crypto_cache_counters",
-    "crypto_cache_hit_rates",
-    "format_crypto_cache_report",
-    "format_engine_report",
-    "scheduler_counters",
-    "tracer_counters",
     "mean_confidence_interval",
     "percentile",
     "summarize",

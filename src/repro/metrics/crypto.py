@@ -13,7 +13,7 @@ from typing import Dict
 
 from repro.crypto.cache import cache_counters
 
-__all__ = ["crypto_cache_counters", "crypto_cache_hit_rates", "format_crypto_cache_report"]
+__all__ = ["crypto_cache_counters"]
 
 
 def crypto_cache_counters() -> Dict[str, Dict[str, int]]:
@@ -24,25 +24,3 @@ def crypto_cache_counters() -> Dict[str, Dict[str, int]]:
     snapshot before and after a run to attribute work to it.
     """
     return cache_counters()
-
-
-def crypto_cache_hit_rates() -> Dict[str, float]:
-    """Hit fraction per cache (0.0 when a cache has seen no lookups)."""
-    rates: Dict[str, float] = {}
-    for name, counters in cache_counters().items():
-        lookups = counters["hits"] + counters["misses"]
-        rates[name] = counters["hits"] / lookups if lookups else 0.0
-    return rates
-
-
-def format_crypto_cache_report() -> str:
-    """A deterministic, human-readable table of cache counters."""
-    lines = ["crypto cache      hits    misses  evict  hit-rate"]
-    for name, counters in cache_counters().items():
-        lookups = counters["hits"] + counters["misses"]
-        rate = counters["hits"] / lookups if lookups else 0.0
-        lines.append(
-            f"{name:<15} {counters['hits']:>7} {counters['misses']:>9} "
-            f"{counters['evictions']:>6}  {rate:7.1%}"
-        )
-    return "\n".join(lines)

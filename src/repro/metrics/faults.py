@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Union
 
-__all__ = ["FaultMetrics", "format_faults_report"]
+__all__ = ["FaultMetrics"]
 
 Number = Union[int, float]
 
@@ -88,14 +88,3 @@ class FaultMetrics:
             "deliveries_during_downtime": self.deliveries_during_downtime,
         }
 
-
-def format_faults_report(metrics: FaultMetrics) -> str:
-    """A deterministic, human-readable fault-injection report."""
-    counters = metrics.counters()
-    lines = ["faults"]
-    for key, value in counters.items():
-        if isinstance(value, float):
-            lines.append(f"  {key:<26} {value:>14.6f}")
-        else:
-            lines.append(f"  {key:<26} {value:>14}")
-    return "\n".join(lines)

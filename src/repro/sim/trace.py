@@ -14,11 +14,10 @@ factor is engine-level:
   first sight, so the per-category dispatch dict below resolves by
   pointer comparison and retained records share one string object per
   category.
-* **Per-category dispatch cache.**  Subscribers are bucketed by the
-  first dotted segment of their prefix (``"mac."`` subscriptions are
-  never scanned for a ``phy.tx`` record); the matching callback tuple
-  per category — or a muted marker — is computed once and memoized, so
-  a hot ``emit`` is one dict lookup, not a prefix scan.  The cache is
+* **Per-category dispatch cache.**  The first time a category is
+  emitted, one scan of the subscribers in registration order finds its
+  callback tuple (or a muted marker), which is memoized, so a hot
+  ``emit`` is one dict lookup, not a prefix scan.  The cache is
   instance-held (it dies with the tracer) and is invalidated by
   ``subscribe``/``mute``/``unmute``.
 * **Zero-allocation drop path.**  When retention is off (``keep=False``)
@@ -84,10 +83,6 @@ class Tracer:
         self.records: List[TraceRecord] = []
         #: All subscriptions in registration order (the dispatch order).
         self._subscribers: List[_Subscriber] = []
-        #: Dotted prefixes bucketed by their first segment; prefixes that
-        #: cannot pin a first segment (no ``"."``) go to the global list.
-        self._buckets: Dict[str, List[Tuple[int, str, Callable[[TraceRecord], None]]]] = {}
-        self._unbucketed: List[Tuple[int, str, Callable[[TraceRecord], None]]] = []
         self._muted: List[str] = []
         #: interned category -> tuple of matching callbacks, or ``_MUTED``.
         self._dispatch: Dict[str, Any] = {}
@@ -100,19 +95,11 @@ class Tracer:
         if any(category.startswith(m) for m in self._muted):
             entry = _MUTED
         else:
-            head, _, _ = category.partition(".")
-            matches = [
-                (order, callback)
-                for order, prefix, callback in self._unbucketed
+            entry = tuple(
+                callback
+                for prefix, callback in self._subscribers
                 if category.startswith(prefix)
-            ]
-            matches += [
-                (order, callback)
-                for order, prefix, callback in self._buckets.get(head, ())
-                if category.startswith(prefix)
-            ]
-            matches.sort()  # registration order across both pools
-            entry = tuple(callback for _, callback in matches)
+            )
         self._dispatch[category] = entry
         return entry
 
@@ -156,16 +143,7 @@ class Tracer:
     # ------------------------------------------------------------ subscribe
     def subscribe(self, prefix: str, callback: Callable[[TraceRecord], None]) -> None:
         """Invoke ``callback`` for every future record whose category starts with ``prefix``."""
-        order = len(self._subscribers)
         self._subscribers.append((prefix, callback))
-        head, dot, _ = prefix.partition(".")
-        if dot:
-            # A dotted prefix pins the record's first segment exactly.
-            self._buckets.setdefault(head, []).append((order, prefix, callback))
-        else:
-            # ``""`` or a partial head ("ma" matches both "mac.*" and
-            # "mavericks.*"): consult for every category.
-            self._unbucketed.append((order, prefix, callback))
         self._dispatch.clear()
 
     def mute(self, prefix: str) -> None:
@@ -200,13 +178,11 @@ class Tracer:
         return hist
 
     def dispatch_stats(self) -> Dict[str, int]:
-        """Fast-path telemetry: cached categories, subscriber count,
-        bucketed vs global subscriptions, mute prefixes, retained records."""
+        """Fast-path telemetry: cached categories, subscriber count, mute
+        prefixes, retained records."""
         return {
             "cached_categories": len(self._dispatch),
             "subscribers": len(self._subscribers),
-            "bucketed": sum(len(v) for v in self._buckets.values()),
-            "unbucketed": len(self._unbucketed),
             "muted_prefixes": len(self._muted),
             "retained_records": len(self.records),
         }

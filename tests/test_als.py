@@ -117,10 +117,10 @@ def test_server_stores_only_ciphertext():
     for agent in agents:
         agent.start()
     net.sim.run(until=12.0)
-    holders = [a for a in agents if a.store]
+    holders = [a for a in agents if a.blobs]
     assert holders
     for holder in holders:
-        for blob_entry in holder.store.values():
+        for blob_entry in holder.blobs.values():
             # The server can only see size; contents are sealed for B.
             assert blob_entry.blob.wire_view() == {"opaque_bytes": 64}
 

@@ -91,12 +91,12 @@ def test_plain_store_kept_separate_from_ciphertext_store():
     for agent in agents:
         agent.start()
     net.sim.run(until=12.0)
-    holders_plain = [a for a in agents if a.plain_store]
-    holders_cipher = [a for a in agents if a.store]
+    holders_plain = [a for a in agents if a.store]
+    holders_cipher = [a for a in agents if a.blobs]
     assert holders_plain  # node-1's plain entry landed somewhere
     assert holders_cipher  # node-0's encrypted entry landed somewhere
     for holder in holders_plain:
-        assert all(e.identity == "node-1" for e in holder.plain_store.values())
+        assert all(e.identity == "node-1" for e in holder.store.values())
 
 
 def test_private_lookup_still_works_when_others_are_public():

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 
-from repro.metrics import format_engine_report, scheduler_counters, tracer_counters
 from repro.sim.trace import Tracer
 
 
@@ -102,7 +101,7 @@ def test_mass_cancel_churn_keeps_backlog_bounded(msim):
     for i, handle in enumerate(handles):
         if i % 10:
             handle.cancel()
-    stats = scheduler_counters(msim)
+    stats = msim.scheduler_stats()
     assert stats["compactions"] >= 1
     assert stats["backlog"] < 2 * msim.pending_events + 512
     assert msim.pending_events == 500
@@ -180,7 +179,5 @@ def test_engine_report_formats(msim):
     msim.run()
     tracer = Tracer()
     tracer.emit(0.0, "app.send", node=0)
-    report = format_engine_report(msim, tracer)
-    assert report.startswith("scheduler\n")
-    assert "processed" in report and "retained_records" in report
-    assert tracer_counters(tracer)["retained_records"] == 1
+    assert msim.scheduler_stats()["processed"] == 1
+    assert tracer.dispatch_stats()["retained_records"] == 1

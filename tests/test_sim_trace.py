@@ -121,15 +121,15 @@ def test_drop_path_never_allocates_a_record(monkeypatch):
         tracer.emit(0.0, "app.send", node=1)  # matched: must allocate
 
 
-def test_bucketed_and_unbucketed_subscribers_fire_in_registration_order(tracer):
+def test_subscribers_fire_in_registration_order(tracer):
     calls = []
     tracer.subscribe("", lambda r: calls.append("global"))
-    tracer.subscribe("app.", lambda r: calls.append("bucketed"))
+    tracer.subscribe("app.", lambda r: calls.append("dotted"))
     tracer.subscribe("ap", lambda r: calls.append("partial-head"))
     tracer.emit(0.0, "app.send")
-    assert calls == ["global", "bucketed", "partial-head"]
+    assert calls == ["global", "dotted", "partial-head"]
     calls.clear()
-    tracer.emit(0.0, "apple")  # no dot: only non-bucketed prefixes match
+    tracer.emit(0.0, "apple")  # no dot: the dotted prefix does not match
     assert calls == ["global", "partial-head"]
 
 
@@ -148,7 +148,6 @@ def test_dispatch_stats_surface_cache_shape(tracer):
     tracer.emit(0.0, "app.send")
     stats = tracer.dispatch_stats()
     assert stats["subscribers"] == 2
-    assert stats["bucketed"] == 1 and stats["unbucketed"] == 1
     assert stats["muted_prefixes"] == 1
     assert stats["cached_categories"] >= 1
     assert stats["retained_records"] == 1
