@@ -185,6 +185,8 @@ class AlsAgent(DlmAgent):
         #: a normal location service in order to reduce the effort needed
         #: to be accessed by potential senders."
         self.privacy_enabled: bool = True
+        #: What :meth:`_arrived` opened from the AlsReply it just accepted.
+        self._reply_match: Optional[tuple[str, Position]] = None
         super().__init__(node, router, grid, config or AlsConfig(), install)
 
     def set_privacy(self, enabled: bool) -> None:
@@ -270,7 +272,10 @@ class AlsAgent(DlmAgent):
         if isinstance(packet, AlsReply):
             # Anonymity cuts both ways: the only way to know a reply is
             # ours is holding a pending lookup whose blob we can open.
-            return bool(self._pending) and self._match_reply(packet) is not None
+            # The match is kept for the _consume that follows, so each
+            # blob is opened (and charged) once.
+            self._reply_match = self._match_reply(packet) if self._pending else None
+            return self._reply_match is not None
         return super()._arrived(packet)
 
     # ----------------------------------------------------------- server role
@@ -282,7 +287,7 @@ class AlsAgent(DlmAgent):
         elif isinstance(packet, AlsRequest):
             self._serve_blobs(packet)
         elif isinstance(packet, AlsReply):
-            match = self._match_reply(packet)
+            match, self._reply_match = self._reply_match, None
             if match is not None:
                 self._finish_lookup(*match)
         else:

@@ -12,7 +12,9 @@ classification dominate wall-clock.  This module provides numpy-backed
 * :func:`batch_position_at` — every node's position at one instant in a
   handful of ufunc calls;
 * :func:`batch_cells` / :func:`batch_cell_margins` — grid binning and
-  nearest-cell-edge margins for the spatial index's horizon sweep.
+  nearest-cell-edge margins.  Nothing in the simulator calls them since
+  the spatial index dropped its grid; they stay only while the e2e
+  benchmark's ledger wraps them by name, and go with that reference.
 
 Bit-identity contract
 ---------------------
@@ -267,9 +269,8 @@ def batch_cell_margins(
 ) -> "np.ndarray":
     """Distance from each point to the nearest edge of its own cell.
 
-    The spatial index's validity horizon is ``margin / speed_bound``:
-    a node strictly inside its cell cannot cross a boundary sooner.
-    Replicates the scalar 4-way ``min`` (min is exact — order-free).
+    A node strictly inside its cell cannot cross a boundary sooner than
+    ``margin / speed_bound``.  Replicates the scalar 4-way ``min`` (min is exact — order-free).
     """
     s = cell_size
     left = x - col * s

@@ -353,10 +353,25 @@ class DlmAgent:
             self.node.mac.send(clone, BROADCAST)
 
     def _serve_request(self, request: DlmRequest) -> None:
-        if request.requester_identity == self.node.identity:
-            return  # our own request echoed around the cell
         entry = self.store.get(request.target_identity)
-        if entry is None or not self._fresh(entry):
+        if entry is not None and not self._fresh(entry):
+            entry = None
+        if request.requester_identity == self.node.identity:
+            # We asked from inside the target's server grid, so the request
+            # arrived at once.  Answer it from our own entry if we can;
+            # otherwise one local broadcast puts it before our cell-mates,
+            # the other servers, the way _stored seeds them with updates.
+            # An echo of that broadcast is not re-sent.
+            if entry is not None:
+                self.requests_served += 1
+                self._finish_lookup(entry.identity, entry.position)
+            elif not request.final_broadcast:
+                clone = request.clone_for_forwarding(
+                    final_broadcast=True, next_pseudonym=LAST_ATTEMPT
+                )
+                self.node.mac.send(clone, BROADCAST)
+            return
+        if entry is None:
             return  # no knowledge; the requester will time out and retry
         self.requests_served += 1
         reply = DlmReply(

@@ -19,15 +19,16 @@ Fan-out cost
 ------------
 AGFW traffic is broadcast-only at the MAC (no RTS/CTS), so per-frame
 fan-out is *the* hot path of every experiment.  By default the medium
-classifies it through a :class:`~repro.geo.spatial_array.ArraySpatialIndex`
-(uniform grid, cell = interference range, mobility-aware lazy
-rebinning, numpy batch kernels): one batched sweep yields the affected
-radios in registration order, their deliverability, and each receiver's
-sender distance — **bitwise** what the scalar scan computes.
-``reference=True`` replaces it with the proof oracle: a scalar scan over
-every registered radio, each PHY recomputing its own sender distance.
-The test suite checks the index against that scan on every transmission
-and neighbor query.
+classifies it through a :class:`~repro.geo.spatial_array.ArraySpatialIndex`:
+one numpy sweep over the whole population yields the affected radios in
+registration order, their deliverability, and each receiver's sender
+distance — **bitwise** what the scalar scan computes.  There is no
+spatial cut: selecting a cell window would itself sweep every radio's
+cell, and keeping the cells current would cost a re-bin sweep per frame.
+``reference=True`` replaces the sweep with the proof oracle: a scalar
+scan over every registered radio, each PHY recomputing its own sender
+distance.  The test suite checks the sweep against that scan on every
+transmission.
 
 Fan-out memo
 ------------
@@ -116,9 +117,7 @@ class RadioMedium:
         self.packet_uids = itertools.count(1)
         self.frame_uids = itertools.count(1)
         #: The array index; ``None`` under the brute reference scan.
-        self._aindex: Optional[ArraySpatialIndex] = (
-            None if reference else ArraySpatialIndex(cell_size=interference_range)
-        )
+        self._aindex: Optional[ArraySpatialIndex] = None if reference else ArraySpatialIndex()
         #: Fan-out memo (see the module docstring): sender node id ->
         #: (stationary stamp, sender position, affected radios in
         #: registration order, deliverable ids, per-receiver distances).
@@ -141,14 +140,6 @@ class RadioMedium:
         paths); callers must not mutate it.
         """
         return self._radios
-
-    # ------------------------------------------------------------ candidates
-    def _candidates(self, center: Position, rng: float) -> Sequence["PhyRadio"]:
-        """Radios that may lie within ``rng`` of ``center`` (superset,
-        registration order): the index's gather, or every radio."""
-        if self._aindex is None:
-            return self._radios
-        return self._aindex.candidates_within(center, rng, self.sim.now)
 
     # ------------------------------------------------------------- transmit
     def transmit(self, sender: "PhyRadio", frame: MacFrame, duration: float) -> Transmission:
@@ -179,11 +170,7 @@ class RadioMedium:
                 # sender's own position comes from the same kernel (bitwise
                 # equal to the scalar interpolation, see repro.geo.vecops).
                 fan = aindex.classify_fanout(
-                    sender.node_id,
-                    now,
-                    self.interference_range,
-                    self._radio_range2,
-                    self._interference_range2,
+                    sender.node_id, now, self._radio_range2, self._interference_range2
                 )
                 sender_pos = Position(fan.sx, fan.sy)
             else:
@@ -288,25 +275,15 @@ class RadioMedium:
         Geometry is untouched — a down node still occupies space and
         blocks/interferes as energy — but any cached fan-out the caller
         may layer on liveness must rebuild, so the fan-out memo is
-        dropped and the spatial index version is bumped (which also
-        drops its gather cache).  Never called on the no-faults path, so
-        the seed behaviour is byte-identical.
+        dropped and the index's stationary window is closed.  Never
+        called on the no-faults path, so the seed behaviour is
+        byte-identical.
         """
         self._fanout_memo.clear()
         if self._aindex is not None:
             self._aindex.invalidate_all()
 
     # -------------------------------------------------------------- queries
-    def neighbors_within(self, radio: "PhyRadio", rng: float) -> List["PhyRadio"]:
-        """Radios within ``rng`` metres of ``radio`` (excluding itself)."""
-        center = radio.position
-        limit = rng * rng
-        return [
-            other
-            for other in self._candidates(center, rng)
-            if other is not radio and other.position.distance2_to(center) <= limit
-        ]
-
     def index_stats(self) -> Optional[dict]:
         """Spatial-index telemetry (``None`` under the reference scan)."""
         return self._aindex.stats() if self._aindex is not None else None

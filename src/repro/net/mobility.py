@@ -27,7 +27,7 @@ class MobilityModel(Protocol):
     """Anything that can report a node position at a simulated time.
 
     ``subscribe`` is part of the protocol (not duck-typed): consumers
-    that cache positions — the spatial index backends — register a
+    that cache positions — the medium's array index — register a
     callback and are notified on every *discontinuity* (teleport).
     Models whose trajectories are continuous between queries
     (:class:`RandomWaypointMobility`) simply never call back; their
@@ -65,7 +65,7 @@ class StaticMobility:
     """
 
     #: Speed bound between notifications: a static node never drifts, so
-    #: index consumers may bin it once and rely on :meth:`subscribe` for
+    #: index consumers may read it once and rely on :meth:`subscribe` for
     #: the (discontinuous) teleports.
     max_speed: float = 0.0
 

@@ -96,6 +96,35 @@ def test_full_anonymous_lookup_roundtrip():
     assert results[0].distance_to(net.nodes[target_index].position) < 1.0
 
 
+def test_finished_lookup_opens_each_reply_blob_once(monkeypatch):
+    """The requester opens the reply's blobs once to recognise it as its
+    own, and that match finishes the lookup: one charged open per blob."""
+    net, grid, agents = _als_net()
+    for agent in agents:
+        agent.start()
+    net.sim.run(until=12.0)
+    requester = agents[5]
+    requester.potential_senders = []  # no sealing while the lookup runs
+    opened = []
+    real_open = requester.sealer.try_open
+
+    def try_open(blob, *args):
+        opened.append(blob)
+        return real_open(blob, *args)
+
+    monkeypatch.setattr(requester.sealer, "try_open", try_open)
+    before = requester.crypto_ops
+    results = []
+    net.sim.schedule(
+        0.1,
+        lambda: requester.lookup(requester.node, net.nodes[20].identity, results.append),
+    )
+    net.sim.run(until=18.0)
+    assert results and results[0] is not None
+    assert opened and len({id(blob) for blob in opened}) == len(opened)
+    assert requester.crypto_ops - before == len(opened)
+
+
 def test_lookup_fails_when_updater_did_not_anticipate_requester():
     """The paper's stated limitation: B can only find A if A updated an
     entry for B."""

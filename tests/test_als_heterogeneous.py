@@ -114,3 +114,15 @@ def test_private_lookup_still_works_when_others_are_public():
     )
     net.sim.run(until=20.0)
     assert results and results[0] is not None
+
+
+def test_mixed_network_answers_in_cell_plain_fallbacks():
+    """In the ``als-mixed`` determinism config, 7→9 and 11→3 are public
+    targets looked up from inside their own server grid: the plain
+    fallback arrives at its own sender, which answers from the plain
+    entry it holds as a server."""
+    from tests.trace_digest import _als_mixed_records
+
+    results = _als_mixed_records()[-6:]
+    answered = {(a, b) for a, b, position in results if position is not None}
+    assert answered == {(5, 20), (7, 9), (11, 3), (2, 21), (8, 12), (13, 15)}

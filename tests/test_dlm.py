@@ -151,3 +151,29 @@ def test_home_cells_respect_config():
         DlmConfig(servers_per_node=3), install=False,
     )
     assert len(agent.home_cells()) == 3
+
+
+def test_lookup_from_inside_the_target_server_grid_reaches_cell_mates():
+    """A request made inside its target's server grid arrives at once at
+    its own sender; without its own entry, the sender puts it before its
+    cell-mates, which hold the replicated entry and answer."""
+    net, grid, agents = _dense_net()
+    for agent in agents:
+        agent.start()
+    net.sim.run(until=12.0)
+    target = net.nodes[20]
+    home = grid.home_cells(target.identity, 1)[0]
+    requester = next(
+        a for a in agents
+        if a.node is not target and grid.cell_of(a.node.position) == home
+    )
+    assert any(target.identity in a.store for a in agents if a is not requester)
+    requester.store.pop(target.identity, None)
+    requester.config.update_interval = 1e9  # no entry may arrive meanwhile
+    results = []
+    net.sim.schedule(
+        0.1, lambda: requester.lookup(requester.node, target.identity, results.append)
+    )
+    net.sim.run(until=13.0)  # well inside the first request's timeout
+    assert target.identity not in requester.store
+    assert results and results[0].distance_to(target.position) < 1.0

@@ -170,16 +170,6 @@ def test_medium_rejects_interference_smaller_than_radio():
         RadioMedium(Simulator(), radio_range=250, interference_range=100)
 
 
-def test_neighbors_within():
-    sim = Simulator()
-    medium = RadioMedium(sim)
-    a = _radio(sim, medium, 0, 0)
-    _b = _radio(sim, medium, 1, 100)
-    _c = _radio(sim, medium, 2, 300)
-    assert {r.node_id for r in medium.neighbors_within(a, 250)} == {1}
-    assert {r.node_id for r in medium.neighbors_within(a, 550)} == {1, 2}
-
-
 def test_phy_tx_trace_emitted():
     sim = Simulator()
     tracer = Tracer()

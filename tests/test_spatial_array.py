@@ -1,7 +1,7 @@
 """Array spatial index: unit contracts + whole-scenario equivalence.
 
 The index (the default medium) is only admissible because it is
-*outcome-invisible*: candidates come back in registration order, every
+*outcome-invisible*: fan-outs come back in registration order, every
 escaping float is bitwise what the brute scalar scan computes, and whole
 scenarios — mobile, faulted, and multiprocess — trace identically on the
 index and on the brute reference (``reference=True``).  The
@@ -52,81 +52,138 @@ def _static_population(seed: int, n: int = 30, medium_class=RadioMedium):
     return sim, medium, radios
 
 
-def _object_gather(radios, center: Position, rng: float, cell: float, now: float):
-    """The grid gather rule as a plain scan: every radio binned within
-    ``ceil(rng / cell)`` cells of ``center``'s cell, in registration
-    order — the exact candidate list, not just its distance filter."""
-    reach = max(1, math.ceil(rng / cell))
-    qcol, qrow = math.floor(center.x / cell), math.floor(center.y / cell)
-    out = []
+class _LinearMobility:
+    """Straight-line motion with a declared speed bound but no
+    ``current_leg``: a bounded-drift model the index reads by scalar."""
+
+    def __init__(self, start: Position, vx: float, vy: float, max_speed: float) -> None:
+        self.start = start
+        self.vx = vx
+        self.vy = vy
+        self.max_speed = max_speed
+
+    def position_at(self, time: float) -> Position:
+        return Position(self.start.x + self.vx * time, self.start.y + self.vy * time)
+
+    def subscribe(self, callback) -> None:
+        """Protocol no-op: continuous trajectory, nothing to notify."""
+
+
+class _OpaqueMobility:
+    """No speed bound (no ``max_speed``): the unknowable case."""
+
+    def __init__(self, position: Position) -> None:
+        self._position = position
+
+    def position_at(self, time: float) -> Position:
+        return self._position
+
+    def subscribe(self, callback) -> None:
+        """Protocol no-op: tests mutate ``_position`` silently on purpose."""
+
+
+class _FakeRadio:
+    """The only attributes the index reads: ``node_id`` and ``mobility``."""
+
+    def __init__(self, node_id: int, mobility) -> None:
+        self.node_id = node_id
+        self.mobility = mobility
+
+
+_R2 = 250.0 * 250.0
+_I2 = 550.0 * 550.0
+
+
+def _assert_fanout_matches_scalar(aindex, radios, sender, now, r2=_R2, i2=_I2):
+    """``classify_fanout`` against a brute scalar scan over ``radios``
+    (registration order): same receivers in the same order, the right
+    deliverability, and bitwise the scalar sender position and distances."""
+    fan = aindex.classify_fanout(sender.node_id, now, r2, i2)
+    spos = sender.mobility.position_at(now)
+    assert struct.pack("<dd", fan.sx, fan.sy) == struct.pack("<dd", spos.x, spos.y)
+    expected = []
     for radio in radios:
-        pos = radio.mobility.position_at(now)
-        col, row = math.floor(pos.x / cell), math.floor(pos.y / cell)
-        if abs(col - qcol) <= reach and abs(row - qrow) <= reach:
-            out.append(radio)
-    return out
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_candidates_registration_order_matches_object_index(seed):
-    sim, medium, radios = _static_population(seed)
-    aindex = medium._aindex
-    rng = random.Random(seed + 100)
-    for _ in range(20):
-        center = Position(rng.uniform(-100, 1600), rng.uniform(-100, 400))
-        got = aindex.candidates_within(center, 550.0, sim.now)
-        want = _object_gather(radios, center, 550.0, 550.0, sim.now)
-        assert got == want  # same radios, same registration order
+        if radio is sender:
+            continue
+        rpos = radio.mobility.position_at(now)
+        if rpos.distance2_to(spos) <= i2:
+            expected.append(radio)
+    assert [aindex.radio_at(row) for row in fan.rows] == expected
+    for k, row in enumerate(fan.rows):
+        rpos = aindex.radio_at(row).mobility.position_at(now)
+        assert fan.deliverable[k] == (rpos.distance2_to(spos) <= r2)
+        dist = math.hypot(fan.dx[k], fan.dy[k])
+        assert struct.pack("<d", dist) == struct.pack("<d", rpos.distance_to(spos))
+    return fan
 
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_classify_fanout_bitwise_matches_scalar_recompute(seed):
     sim, medium, radios = _static_population(seed)
-    aindex = medium._aindex
     r2 = medium._radio_range2
     i2 = medium._interference_range2
     for sender in radios[:8]:
-        fan = aindex.classify_fanout(sender.node_id, sim.now, medium.interference_range, r2, i2)
-        spos = sender.mobility.position_at(sim.now)
-        assert struct.pack("<dd", fan.sx, fan.sy) == struct.pack("<dd", spos.x, spos.y)
-        expected = []
-        for radio in radios:  # brute scalar reference, registration order
-            if radio is sender:
-                continue
-            rpos = radio.mobility.position_at(sim.now)
-            if rpos.distance2_to(spos) <= i2:
-                expected.append(radio)
-        assert [aindex.radio_at(row) for row in fan.rows] == expected
-        for k, row in enumerate(fan.rows):
-            rpos = aindex.radio_at(row).mobility.position_at(sim.now)
-            d2 = rpos.distance2_to(spos)
-            assert fan.deliverable[k] == (d2 <= r2)
-            dist = math.hypot(fan.dx[k], fan.dy[k])
-            assert struct.pack("<d", dist) == struct.pack("<d", rpos.distance_to(spos))
+        _assert_fanout_matches_scalar(medium._aindex, radios, sender, sim.now, r2, i2)
 
 
-def test_teleport_repositions_and_rebins():
+def test_teleport_repositions_a_fixed_row():
     sim, medium, radios = _static_population(seed=7, n=4)
     aindex = medium._aindex
-    before = aindex.candidates_within(Position(5000.0, 5000.0), 550.0, sim.now)
-    assert radios[2] not in before
+    assert radios[2] in [aindex.radio_at(row) for row in
+                         aindex.classify_fanout(0, sim.now, _R2, _I2).rows]
     radios[2].mobility.move_to(Position(5000.0, 5000.0))
-    after = aindex.candidates_within(Position(5000.0, 5000.0), 550.0, sim.now)
-    assert after == [radios[2]]
+    fan = _assert_fanout_matches_scalar(aindex, radios, radios[0], sim.now)
+    assert radios[2] not in [aindex.radio_at(row) for row in fan.rows]
+    _assert_fanout_matches_scalar(aindex, radios, radios[2], sim.now)
     x, y = aindex.positions_at(sim.now)
     assert (float(x[2]), float(y[2])) == (5000.0, 5000.0)
 
 
-def test_gather_cache_hits_and_stats_keys():
+def test_short_teleport_closes_the_stationary_window():
+    """A teleport of a few metres still moves a position, so a fan-out
+    memo keyed on the stationary stamp must not be replayed across it."""
+    aindex = ArraySpatialIndex()
+    mobility = StaticMobility(Position(100.0, 100.0))
+    radios = [_FakeRadio(0, mobility), _FakeRadio(1, StaticMobility(Position(300.0, 100.0)))]
+    for radio in radios:
+        aindex.add(radio, 0.0)
+    stamp = aindex.stationary_stamp(1.0)
+    assert stamp >= 0 and aindex.stationary_stamp(2.0) == stamp
+    mobility.move_to(Position(110.0, 100.0))
+    assert aindex.stationary_stamp(2.0) not in (stamp, -1)
+    fan = _assert_fanout_matches_scalar(aindex, radios, radios[1], 2.0)
+    assert fan.dx == [110.0 - 300.0]
+
+
+def test_unannounced_movers_are_reread_on_every_fanout():
+    """Models without ``current_leg`` may move between fan-outs without
+    a ``subscribe`` callback — a bounded-drift model and one without
+    ``max_speed`` alike — so the index re-reads them every time and
+    never hands out a stationary stamp."""
+    aindex = ArraySpatialIndex()
+    opaque = _OpaqueMobility(Position(50.0, 50.0))
+    radios = [
+        _FakeRadio(0, StaticMobility(Position(0.0, 50.0))),
+        _FakeRadio(1, _LinearMobility(Position(95.0, 50.0), 10.0, 0.0, 10.0)),
+        _FakeRadio(2, opaque),
+    ]
+    for radio in radios:
+        aindex.add(radio, 0.0)
+    for step, now in enumerate((0.0, 0.5, 10.0, 30.0, 60.0)):
+        assert aindex.stationary_stamp(now) == -1
+        opaque._position = Position(50.0 + 300.0 * step, 50.0)  # behind the index's back
+        for sender in radios:
+            _assert_fanout_matches_scalar(aindex, radios, sender, now)
+        x, y = aindex.positions_at(now)
+        assert [(float(x[i]), float(y[i])) for i in range(3)] == [
+            radio.mobility.position_at(now).as_tuple() for radio in radios
+        ]
+
+
+def test_stats_keys():
     sim, medium, radios = _static_population(seed=9, n=12)
-    aindex = medium._aindex
-    center = Position(750.0, 150.0)
-    first = aindex.candidates_within(center, 550.0, sim.now)
-    assert aindex.candidates_within(center, 550.0, sim.now) is first  # cache-owned
-    stats = medium.index_stats()
-    assert stats is not None
-    assert set(stats) == {"radios", "cells", "rebins", "refreshes", "cache_hits"}
-    assert stats["radios"] == 12 and stats["cache_hits"] >= 1
+    medium._aindex.classify_fanout(0, sim.now, _R2, _I2)
+    assert medium.index_stats() == {"radios": 12, "rebins": 0}
 
 
 def test_mobile_rows_track_legs_without_teleports():

@@ -50,10 +50,11 @@ def _als_mixed_records() -> List[object]:
     node has switched privacy off (paper Sec. 4.3), then the lookup
     results.  One lookup is of a private target that anticipates its
     requester; the other five are of public targets, which only the
-    plain fallback finds once the anonymous attempts time out.  Three of
-    those are answered; the two whose requester sits in its target's
-    server grid are not, as that requester consumes its own plain
-    request and drops it."""
+    plain fallback finds once the anonymous attempts time out.  All six
+    are answered.  In two of them (7→9 and 11→3) the requester sits in
+    its target's server grid, so the plain request arrives at once at
+    its own sender, which answers it from the plain entry it holds as a
+    server."""
     net, _grid, agents = _als_net()
     rng = random.Random(5)
     identities = [node.identity for node in net.nodes]
