@@ -16,7 +16,7 @@ Durability contract:
   (records are pure functions of the config), so last-writer-wins is
   indistinguishable from first-writer-wins.
 * :meth:`digests` enumerates in sorted order (filesystem order is
-  machine-dependent — the DET-012 rule class).
+  machine-dependent; DET-012 in ``tests/test_static_determinism.py``).
 """
 
 from __future__ import annotations

@@ -250,12 +250,7 @@ class AlsAgent(DlmAgent):
             reply_location=self.node.position,
             uid=self.node.next_packet_uid(),
         )
-        self._route(request)
-        pending.timer = self.sim.schedule(
-            self.config.request_timeout,
-            lambda: self._on_lookup_timeout(identity),
-            name="als.req_to",
-        )
+        self._request(identity, pending, request)
 
     def _fallback(self, identity: str, pending: _PendingLookup) -> bool:
         if pending.tried_plain:

@@ -34,9 +34,6 @@ class AantConfig:
     attach_certificates: bool = True
     """Attach full certificates (bootstrap) vs serial numbers only (warm cache)."""
 
-    drop_unverified: bool = True
-    """Reject hellos whose ring signature fails to verify (spoofing defense)."""
-
 
 @checked({
     **ROUTING_DOMAINS,

@@ -252,12 +252,21 @@ class DlmAgent:
             target_identity=identity,
             uid=self.node.next_packet_uid(),
         )
+        self._request(identity, pending, request)
+
+    def _request(
+        self, identity: str, pending: _PendingLookup, request: LocationAddressed
+    ) -> None:
+        """Route a lookup request, then time it out unless it was served
+        on the spot (a request made inside its target's server grid can
+        finish the lookup before :meth:`_route` returns)."""
         self._route(request)
-        pending.timer = self.sim.schedule(
-            self.config.request_timeout,
-            lambda: self._on_lookup_timeout(identity),
-            name=f"{self.EVENT_PREFIX}.req_to",
-        )
+        if self._pending.get(identity) is pending:
+            pending.timer = self.sim.schedule(
+                self.config.request_timeout,
+                lambda: self._on_lookup_timeout(identity),
+                name=f"{self.EVENT_PREFIX}.req_to",
+            )
 
     def _on_lookup_timeout(self, identity: str) -> None:
         pending = self._pending.get(identity)

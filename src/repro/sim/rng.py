@@ -22,8 +22,8 @@ and its master seed:
 
 ``tests/test_determinism.py`` checks the contract at run time, by
 full-record trace digests across hash seeds, processes and pool sizes;
-``python -m repro.analysis src tests`` (CI runs it) flags the bugs that
-agree from run to run on one machine.
+four AST checks in ``tests/test_static_determinism.py`` flag the bugs
+that agree from run to run on one machine.
 """
 
 from __future__ import annotations

@@ -6,18 +6,15 @@ import dataclasses
 import os
 import random
 import re
-import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import settings
 
 import repro.experiments.scenario as scenario_module
-from repro.analysis.engine import AnalysisResult, analyze_paths
 from repro.core.aant import AantAttachment, CertReply, CertRequest
 from repro.core.agfw import AgfwData, AgfwRouter, AntHello
 from repro.core.config import AgfwConfig
@@ -519,26 +516,3 @@ def assert_reference_matches(config: ScenarioConfig) -> ScenarioResult:
     assert _outcome(fast) == _outcome(reference)
     return fast
 
-
-# ------------------------------------------------- shared src/ analysis
-@dataclass(frozen=True)
-class TimedAnalysis:
-    """One whole-tree analysis: its findings and its wall time.
-
-    It keeps no parsed modules or ASTs: holding those for the rest of
-    the session would grow the live heap every later test collects."""
-
-    result: AnalysisResult
-    elapsed_s: float
-
-
-@pytest.fixture(scope="session")
-def src_analysis() -> TimedAnalysis:
-    """``analyze_paths([src])``, run once per session and timed.
-
-    The src self-clean, determinism and wall-time floor tests all read
-    this one run instead of each analysing ``src/``."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    started = time.perf_counter()
-    result = analyze_paths([str(src)])
-    return TimedAnalysis(result, time.perf_counter() - started)

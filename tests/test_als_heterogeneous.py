@@ -126,3 +126,56 @@ def test_mixed_network_answers_in_cell_plain_fallbacks():
     results = _als_mixed_records()[-6:]
     answered = {(a, b) for a, b, position in results if position is not None}
     assert answered == {(5, 20), (7, 9), (11, 3), (2, 21), (8, 12), (13, 15)}
+
+
+def test_lookup_served_on_the_spot_arms_no_timeout(monkeypatch):
+    """A request made inside its target's server grid can be answered
+    before it leaves its sender: the anonymous one from the requester's
+    own copy of the target's ciphertext, the plain fallback from its own
+    plain entry.  Such a lookup has finished, so no ``req_to`` timer may
+    outlive it."""
+    from repro.location.dlm import DlmAgent
+
+    late = []
+    on_timeout = DlmAgent._on_lookup_timeout
+
+    def recording(agent, identity):
+        if identity not in agent._pending:
+            late.append((agent.node.identity, identity))
+        on_timeout(agent, identity)
+
+    monkeypatch.setattr(DlmAgent, "_on_lookup_timeout", recording)
+    net, grid, agents = _als_net()
+    private, public = agents[20], agents[9]
+    public.set_privacy(False)
+    requesters = {}
+    for target in (private, public):
+        home = grid.home_cells(target.node.identity, 1)[0]
+        requesters[target] = next(
+            a for a in agents
+            if a is not target and grid.cell_of(a.node.position) == home
+        )
+    private.potential_senders = [requesters[private].node.identity]
+    for agent in agents:
+        agent.start()
+    net.sim.run(until=12.0)
+
+    def timers():
+        return [e for e in net.sim.iter_pending() if e.name.endswith(".req_to")]
+
+    results = []
+    requester = requesters[private]
+    requester.lookup(requester.node, private.node.identity, results.append)
+    assert results and results[0] is not None  # answered before lookup returns
+    assert timers() == []
+
+    requester = requesters[public]
+    requester.lookup(requester.node, public.node.identity, results.append)
+    config = requester.config
+    # The anonymous attempts time out; the plain fallback then finishes
+    # the lookup on the spot.
+    net.sim.run(until=net.sim.now + (config.request_retries + 1.5) * config.request_timeout)
+    assert len(results) == 2 and results[1] is not None
+    assert timers() == []
+    net.sim.run(until=net.sim.now + 3 * config.request_timeout)
+    assert late == []
