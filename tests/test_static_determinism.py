@@ -163,19 +163,37 @@ def _suppressed(line: str) -> List[str]:
 FLOOR_S = 0.627 * 10
 
 
-def test_src_and_tests_have_no_findings():
+@pytest.fixture(scope="module")
+def tree_pass():
+    """One timed pass over ``src`` and ``tests``: each top directory's
+    findings as ``path:line:column: rule`` lines, and the wall time."""
     started = time.perf_counter()
-    report = [
-        f"{rel}:{line}:{column}: {rule}"
-        for rel in sorted(
-            path.relative_to(REPO_ROOT).as_posix()
-            for top in ("src", "tests")
-            for path in (REPO_ROOT / top).rglob("*.py")
-        )
-        for line, column, rule in lint(rel, (REPO_ROOT / rel).read_text(encoding="utf-8"))
-    ]
-    elapsed = time.perf_counter() - started
-    assert report == [], "\n".join(report)
+    report = {
+        top: [
+            f"{rel}:{line}:{column}: {rule}"
+            for rel in sorted(
+                path.relative_to(REPO_ROOT).as_posix()
+                for path in (REPO_ROOT / top).rglob("*.py")
+            )
+            for line, column, rule in lint(rel, (REPO_ROOT / rel).read_text(encoding="utf-8"))
+        ]
+        for top in ("src", "tests")
+    }
+    return report, time.perf_counter() - started
+
+
+def test_src_has_no_findings(tree_pass):
+    report, _ = tree_pass
+    assert report["src"] == [], "\n".join(report["src"])
+
+
+def test_tests_have_no_findings(tree_pass):
+    report, _ = tree_pass
+    assert report["tests"] == [], "\n".join(report["tests"])
+
+
+def test_one_pass_within_floor(tree_pass):
+    _, elapsed = tree_pass
     assert elapsed <= FLOOR_S, f"one pass took {elapsed:.2f} s, over {FLOOR_S:.1f} s"
 
 
@@ -248,13 +266,39 @@ CASES = {
         import numpy as np
         cells, counts = np.unique(packed_cells, return_counts=True)
         """, []),
-    "noqa-names-its-rule-on-its-line": ("""\
+    "import-alias-resolution": ("""\
+        import random as rnd
+        import os
+        import os.path
+        rng = rnd.SystemRandom()
+        salt = os.urandom(4)
+        """, [(4, 7, "DET-003"), (5, 8, "DET-003")]),
+    "from-import-resolution": ("""\
+        from random import SystemRandom as R
+        rng = R()
+        """, [(2, 7, "DET-003")]),
+    "noqa-matches-only-named-rules": ("""\
         import time
         a = time.time()  # repro: noqa[DET-003, DET-012]
         b = time.time()  # repro: noqa[DET-012]
+        """, [(3, 5, "DET-003")]),
+    "noqa-is-line-scoped": ("""\
+        import time
+        a = 1  # repro: noqa[DET-003]
+        b = time.time()
         c = (time.time(),
              1)  # repro: noqa[DET-003]
         """, [(3, 5, "DET-003"), (4, 6, "DET-003")]),
+    "noqa-on-def-line-does-not-cover-body": ("""\
+        import time
+        def stamp():  # repro: noqa[DET-003]
+            return time.time()
+        """, [(3, 12, "DET-003")]),
+    "noqa-drops-suppressed-keeps-the-rest": ("""\
+        import time
+        a = time.time()  # repro: noqa[DET-003]
+        b = time.time()
+        """, [(3, 5, "DET-003")]),
 }
 
 #: Test modules may compare clocks exactly and sort any way; DET-003
