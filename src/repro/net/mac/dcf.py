@@ -40,12 +40,16 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.medium import Transmission
     from repro.net.phy import PhyRadio
 
-__all__ = ["DcfMac", "MacState", "TxOp"]
+__all__ = ["DcfMac", "MacState", "Receiver", "TxOp"]
 
 ReceiveCallback = Callable[[Packet, MacFrame], None]
 CompleteCallback = Callable[[bool], None]
+#: A per-frame receive handler (:meth:`DcfMac.receiver_for`): the PHY
+#: calls ``receive(mac, tx)`` for each MAC that cleanly receives the frame.
+Receiver = Callable[["DcfMac", "Transmission"], None]
 
 
 class MacState(Enum):
@@ -394,11 +398,42 @@ class DcfMac:
         self._try_contend()
 
     # ============================================================= reception
+    @staticmethod
+    def receiver_for(frame: MacFrame) -> Optional["Receiver"]:
+        """The handler every MAC that cleanly receives ``frame`` runs.
+
+        Chosen once per frame, so the kind dispatch and the address reads
+        of :meth:`on_frame` are paid once per fan-out, not once per
+        receiver.  Each handler leaves exactly the state ``on_frame``
+        would:
+
+        * broadcast DATA goes up to the router (``None``: it carries no
+          packet, so there is nothing to do);
+        * RTS, CTS and unicast DATA go to the addressee's ``on_frame``,
+          and a bystander defers on the frame's NAV;
+        * an ACK goes to its addressee only.
+        """
+        kind = frame.kind
+        if kind is FrameKind.DATA and frame.dst.is_broadcast:
+            return None if frame.packet is None else _broadcast_receiver(frame, frame.packet)
+        dst = frame.dst.value
+        nav = frame.nav
+        defer = kind is not FrameKind.ACK and nav > 0
+
+        def receive(mac: "DcfMac", tx: "Transmission") -> None:
+            if mac.address.value == dst:
+                mac.on_frame(frame, tx)
+            elif defer:
+                mac._set_nav(nav)
+
+        return receive
+
     def on_frame(self, frame: MacFrame, tx) -> None:
         """PHY delivered an uncorrupted frame that was in radio range."""
         kind = frame.kind
+        addressed = frame.dst.value == self.address.value
         if kind is FrameKind.RTS:
-            if frame.dst == self.address:
+            if addressed:
                 cts_nav = max(
                     0.0,
                     frame.nav
@@ -409,13 +444,13 @@ class DcfMac:
             else:
                 self._set_nav(frame.nav)
         elif kind is FrameKind.CTS:
-            if frame.dst == self.address and self._state is MacState.WAIT_CTS:
+            if addressed and self._state is MacState.WAIT_CTS:
                 self._cancel_wait()
                 self.sim.schedule(self.params.sifs, self._send_data_after_cts, name="mac.sifs_data")
-            elif frame.dst != self.address:
+            elif not addressed:
                 self._set_nav(frame.nav)
         elif kind is FrameKind.DATA:
-            if frame.dst == self.address:
+            if addressed:
                 self._respond(self._make_frame(FrameKind.ACK, frame.src))
                 self._deliver_up(frame)
             elif frame.dst.is_broadcast:
@@ -423,7 +458,7 @@ class DcfMac:
             else:
                 self._set_nav(frame.nav)
         elif kind is FrameKind.ACK:
-            if frame.dst == self.address and self._state is MacState.WAIT_ACK:
+            if addressed and self._state is MacState.WAIT_ACK:
                 self._cancel_wait()
                 op = self._op
                 assert op is not None
@@ -517,3 +552,37 @@ class DcfMac:
     @property
     def queue_length(self) -> int:
         return len(self._queue) + (1 if self._op is not None else 0)
+
+
+#: "Not looked up yet" for the tracer a broadcast handler last checked.
+_UNCHECKED = object()
+
+
+def _broadcast_receiver(frame: MacFrame, packet: Packet) -> "Receiver":
+    """The handler of a broadcast DATA frame that carries ``packet``: what
+    :meth:`DcfMac._deliver_up` does, with the ``mac.rx`` check made once
+    per fan-out (per receiving tracer, since every MAC may have its own)."""
+    checked: object = _UNCHECKED
+    enabled = False
+
+    def receive(mac: DcfMac, tx: "Transmission") -> None:
+        nonlocal checked, enabled
+        mac.stats.delivered_up += 1
+        tracer = mac.tracer
+        if tracer is not checked:
+            checked = tracer
+            enabled = tracer is not None and tracer.enabled_for("mac.rx")
+        if enabled and tracer is not None:
+            tracer.emit(
+                mac.sim.now,
+                "mac.rx",
+                node=mac.node_id,
+                packet_uid=packet.uid,
+                packet_kind=packet.kind,
+                src=frame.src.value,
+            )
+        callback = mac.receive_callback
+        if callback is not None:
+            callback(packet, frame)
+
+    return receive

@@ -26,9 +26,18 @@ distance — **bitwise** what the scalar scan computes.  There is no
 spatial cut: selecting a cell window would itself sweep every radio's
 cell, and keeping the cells current would cost a re-bin sweep per frame.
 ``reference=True`` replaces the sweep with the proof oracle: a scalar
-scan over every registered radio, each PHY recomputing its own sender
-distance.  The test suite checks the sweep against that scan on every
-transmission.
+scan over every registered radio.  The test suite checks the sweep
+against that scan on every transmission.
+
+However it is found (memo hit, sweep or scan), a fan-out is one
+``(radios, distances)`` pair, received in two calls per transmission:
+:meth:`PhyRadio.on_tx_start <repro.net.phy.PhyRadio.on_tx_start>` when
+it starts and :meth:`PhyRadio.on_tx_end <repro.net.phy.PhyRadio.on_tx_end>`
+when it ends, each one loop over the fan-out.  The handler a delivered
+frame goes up through is chosen once per frame
+(:meth:`DcfMac.receiver_for <repro.net.mac.dcf.DcfMac.receiver_for>`).
+:attr:`RadioMedium.receptions` counts the radios reached: the sum of
+fan-out sizes.
 
 Fan-out memo
 ------------
@@ -46,16 +55,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.geo.spatial_array import ArraySpatialIndex, FanOut
 from repro.geo.vec import Position
+from repro.net.mac.dcf import DcfMac
 from repro.net.mac.frames import MacFrame
+from repro.net.phy import PhyRadio
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.phy import PhyRadio
 
 __all__ = ["Transmission", "RadioMedium"]
 
@@ -104,10 +112,12 @@ class RadioMedium:
         self.tracer = tracer
         self.radio_range = radio_range
         self.interference_range = interference_range
-        self._radios: List["PhyRadio"] = []
+        self._radios: List[PhyRadio] = []
         self._radio_range2 = radio_range * radio_range
         self._interference_range2 = interference_range * interference_range
         self.frames_sent = 0
+        #: Sum of fan-out sizes: one per radio a transmission impinged on.
+        self.receptions = 0
         # Per-medium so a second simulation in the same process restarts at
         # uid 1 and trace output stays identical run-to-run (previously a
         # module-global leaked state across Simulator instances).
@@ -124,16 +134,16 @@ class RadioMedium:
         #: An entry is used only while the index returns the stamp it was
         #: stored under.
         self._fanout_memo: Dict[
-            int, Tuple[int, Position, List["PhyRadio"], FrozenSet[int], List[float]]
+            int, Tuple[int, Position, List[PhyRadio], FrozenSet[int], List[float]]
         ] = {}
 
-    def register(self, radio: "PhyRadio") -> None:
+    def register(self, radio: PhyRadio) -> None:
         self._radios.append(radio)
         if self._aindex is not None:
             self._aindex.add(radio, self.sim.now)
 
     @property
-    def radios(self) -> Sequence["PhyRadio"]:
+    def radios(self) -> Sequence[PhyRadio]:
         """All registered radios, in registration order.
 
         A live read-only view (not a defensive copy — this sits on hot
@@ -142,7 +152,7 @@ class RadioMedium:
         return self._radios
 
     # ------------------------------------------------------------- transmit
-    def transmit(self, sender: "PhyRadio", frame: MacFrame, duration: float) -> Transmission:
+    def transmit(self, sender: PhyRadio, frame: MacFrame, duration: float) -> Transmission:
         """Put ``frame`` on the air for ``duration`` seconds.
 
         Returns the transmission record (its ``end`` is when the sender's
@@ -205,71 +215,56 @@ class RadioMedium:
             )
 
         sender.begin_transmit(tx)
+        affected: List[PhyRadio]
+        dists: List[float]
         if cached is not None:
             affected = cached[2]
-            for radio, dist in zip(affected, cached[4]):
-                radio.on_tx_start(tx, dist)
+            dists = cached[4]
         elif fan is not None:
-            affected = []
             radios = self._radios
-            add = members.add
-            hypot = math.hypot
-            rows, fdx, fdy, fdel = fan.rows, fan.dx, fan.dy, fan.deliverable
-            # The distances list is only consumed by the fan-out memo;
-            # mobile runs (the common hot case) skip collecting it.
+            # Scalar hypot on the batch-derived deltas: bitwise what
+            # radio.position.distance_to(sender_pos) computes, so capture
+            # ratios and loss draws see identical floats.
+            affected = [radios[row] for row in fan.rows]
+            dists = list(map(math.hypot, fan.dx, fan.dy))
+            for radio, deliv in zip(affected, fan.deliverable):
+                if deliv:
+                    members.add(radio.node_id)
             if stamp >= 0:
-                dists: List[float] = []
-                for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
-                    radio = radios[row]
-                    # Scalar hypot on the batch-derived deltas: bitwise
-                    # what own_pos.distance_to(sender_pos) computes in the
-                    # PHY, so capture ratios and loss draws see identical
-                    # floats.
-                    dist = hypot(dxv, dyv)
-                    if deliv:
-                        add(radio.node_id)
-                    radio.on_tx_start(tx, dist)
-                    affected.append(radio)
-                    dists.append(dist)
                 # affected is shared with the memo but never mutated in
                 # place (recomputes build a fresh list), so in-flight
                 # _finish closures stay correct across invalidation.
                 self._fanout_memo[sender.node_id] = (
                     stamp, sender_pos, affected, frozenset(members), dists
                 )
-            else:
-                for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
-                    radio = radios[row]
-                    dist = hypot(dxv, dyv)
-                    if deliv:
-                        add(radio.node_id)
-                    radio.on_tx_start(tx, dist)
-                    affected.append(radio)
         else:
             affected = []
-            add = members.add
+            dists = []
             radio_range2 = self._radio_range2
             interference_range2 = self._interference_range2
             for radio in self._radios:
                 if radio is sender:
                     continue
-                d2 = radio.position.distance2_to(sender_pos)
+                pos = radio.position
+                d2 = pos.distance2_to(sender_pos)
                 if d2 <= interference_range2:
                     if d2 <= radio_range2:
-                        add(radio.node_id)
-                    radio.on_tx_start(tx)
+                        members.add(radio.node_id)
                     affected.append(radio)
+                    dists.append(pos.distance_to(sender_pos))
+        self.receptions += len(affected)
+        PhyRadio.on_tx_start(tx, affected, dists)
+        receive = DcfMac.receiver_for(frame)
 
         def _finish() -> None:
             sender.end_transmit(tx)
-            for radio in affected:
-                radio.on_tx_end(tx)
+            PhyRadio.on_tx_end(tx, affected, receive)
 
         self.sim.schedule(duration, _finish, priority=-1, name="phy.tx_end")
         return tx
 
     # --------------------------------------------------------------- faults
-    def invalidate_radio(self, radio: "PhyRadio") -> None:
+    def invalidate_radio(self, radio: PhyRadio) -> None:
         """A radio's liveness changed (crash/recover): drop derived caches.
 
         Geometry is untouched — a down node still occupies space and

@@ -7,6 +7,19 @@ carrier-sense state to the MAC.
 Half-duplex: a radio that transmits cannot receive, and starting a
 transmission corrupts anything it was in the middle of receiving.
 
+Reception is one operation per fan-out
+--------------------------------------
+Every transmission reaches every radio within interference range (93
+per frame on the paper's 150-node arena), so reception is the hottest
+path in the simulator.  The medium hands each fan-out to two static
+methods, :meth:`PhyRadio.on_tx_start` and :meth:`PhyRadio.on_tx_end`,
+called through the class.  Each runs one loop over the affected radios
+in registration order and keeps every radio's state exactly as a
+per-radio call would: capture, half-duplex corruption, carrier
+callbacks, the loss draw, the EIFS flag and the frame counters.  A
+delivered frame goes up through the handler its MAC class chose once
+for the frame (:meth:`repro.net.mac.dcf.DcfMac.receiver_for`).
+
 Fault hooks (both absent by default — the seed code path is unchanged):
 
 * an optional per-receiver **channel loss process**
@@ -30,7 +43,7 @@ to less.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.geo.vec import Position
 from repro.net.mobility import MobilityModel
@@ -39,7 +52,7 @@ from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.loss import LossProcess
-    from repro.net.mac.dcf import DcfMac
+    from repro.net.mac.dcf import DcfMac, Receiver
     from repro.net.medium import RadioMedium, Transmission
 
 __all__ = ["PhyRadio", "LISTEN_NONE", "LISTEN_IDLE", "LISTEN_ALL"]
@@ -154,105 +167,124 @@ class PhyRadio:
                 mac.on_channel_idle()
 
     # ------------------------------------------------------------ reception
-    def on_tx_start(self, tx: "Transmission", distance: Optional[float] = None) -> None:
-        """A transmission starts impinging on this radio.
+    @staticmethod
+    def on_tx_start(
+        tx: "Transmission", radios: Sequence["PhyRadio"], distances: Sequence[float]
+    ) -> None:
+        """``tx`` starts impinging on every radio of its fan-out.
 
-        ``distance`` is the receiver-to-sender distance when the medium
-        already classified the fan-out in batch
-        (:class:`~repro.geo.spatial_array.ArraySpatialIndex` feeds the
-        bitwise-identical value); ``None`` — the brute reference scan —
-        recomputes it here exactly as the seed did.
+        ``radios`` are the affected radios in registration order and
+        ``distances[i]`` is ``radios[i]``'s receiver-to-sender distance,
+        bitwise what ``radio.position.distance_to(tx.sender_pos)``
+        computes.  One loop keeps each radio's reception state: pairwise
+        capture against everything already impinging, half-duplex
+        corruption, and the busy callback of a listening MAC whose
+        channel was idle.
         """
-        if distance is None:
-            own_pos = self.position
-            new_distance = own_pos.distance_to(tx.sender_pos)
-        else:
-            new_distance = distance
-        # carrier_busy inlined (this method runs once per radio per
-        # transmission — the hottest call site in the simulator).
-        impinging = self._impinging
-        own_tx = self._own_tx
-        was_idle = not impinging and own_tx is None
-        # Half-duplex: nothing arriving during our own TX is decodable.
-        new_corrupted = own_tx is not None
-        if impinging:
-            for rec in impinging.values():
-                other_distance = rec.distance
-                # Pairwise capture: a reception is ruined only by an
-                # interferer whose signal is within 10 dB of (or
-                # stronger than) it.
-                if new_distance < other_distance * CAPTURE_DISTANCE_RATIO:
-                    rec.corrupted = True
-                if other_distance < new_distance * CAPTURE_DISTANCE_RATIO:
-                    new_corrupted = True
-        impinging[tx.uid] = Reception(new_distance, new_corrupted)
-        if was_idle and self.carrier_listen == LISTEN_ALL and not self.down:
-            mac = self.mac
-            if mac is not None:
-                mac.on_channel_busy()
-
-    def on_tx_end(self, tx: "Transmission") -> None:
-        rec = self._impinging.pop(tx.uid, None)
-        if rec is None:
-            distance, corrupted = 0.0, False
-        else:
-            distance = rec.distance
-            corrupted = rec.corrupted
-
-        if self.down:
-            # A dead radio decodes nothing and owes the MAC no carrier
-            # callbacks.  The energy bookkeeping above still ran, so
-            # carrier_busy is correct the instant the node recovers — and
-            # the loss process is *not* consulted: its stream position is
-            # a pure function of receptions judged while alive.
-            return
-
-        deliverable = self.node_id in tx.deliverable_to
-        impaired = False
-        if deliverable and self._loss is not None:
-            # The channel-state draw happens for *every* deliverable
-            # reception — independent of interference outcomes — so the
-            # RNG stream position depends only on the traffic pattern.
-            impaired = self._loss.should_drop(distance)
-            if impaired and not corrupted:
-                # The observable damage: a reception that would have been
-                # delivered.  Collided receptions were already lost.
-                self._loss.metrics.deliveries_suppressed += 1
-                self.frames_impaired += 1
-                if self.tracer is not None and self.tracer.enabled_for("phy.fault_drop"):
-                    self.tracer.emit(
-                        self.sim.now,
-                        "phy.fault_drop",
-                        node=self.node_id,
-                        frame_uid=tx.frame.uid,
-                        frame_kind=tx.frame.kind.value,
-                        distance=distance,
-                    )
-        if deliverable and not corrupted and not impaired:
-            self.frames_delivered += 1
-            if self.mac is not None:
-                self.mac.on_frame(tx.frame, tx)
-        elif deliverable and corrupted:
-            self.frames_collided += 1
-            if self.tracer is not None and self.tracer.enabled_for("phy.collision"):
-                self.tracer.emit(
-                    self.sim.now,
-                    "phy.collision",
-                    node=self.node_id,
-                    frame_uid=tx.frame.uid,
-                    frame_kind=tx.frame.kind.value,
-                )
-        # deliverable and impaired but not corrupted: the frame faded
-        # below sensitivity — neither delivered nor a CRC failure, so the
-        # EIFS decision below treats it like plain channel noise.
-
-        if not self._impinging and self._own_tx is None:  # carrier_busy inlined
-            # EIFS applies only after a decodable frame failed its CRC; a
-            # transmission that was merely sensed (out of radio range) is
-            # plain channel noise and releases with a normal DIFS.
-            self._last_ended_corrupted = deliverable and corrupted
-            # Read after on_frame above, which may have changed the level.
-            if self.carrier_listen:
-                mac = self.mac
+        uid = tx.uid
+        ratio = CAPTURE_DISTANCE_RATIO
+        for radio, new_distance in zip(radios, distances):
+            impinging = radio._impinging
+            own_tx = radio._own_tx
+            was_idle = not impinging and own_tx is None  # carrier_busy inlined
+            # Half-duplex: nothing arriving during our own TX is decodable.
+            new_corrupted = own_tx is not None
+            if impinging:
+                for rec in impinging.values():
+                    other_distance = rec.distance
+                    # Pairwise capture: a reception is ruined only by an
+                    # interferer whose signal is within 10 dB of (or
+                    # stronger than) it.
+                    if new_distance < other_distance * ratio:
+                        rec.corrupted = True
+                    if other_distance < new_distance * ratio:
+                        new_corrupted = True
+            impinging[uid] = Reception(new_distance, new_corrupted)
+            if was_idle and radio.carrier_listen == LISTEN_ALL and not radio.down:
+                mac = radio.mac
                 if mac is not None:
-                    mac.on_channel_idle()
+                    mac.on_channel_busy()
+
+    @staticmethod
+    def on_tx_end(
+        tx: "Transmission", radios: Sequence["PhyRadio"], receive: Optional["Receiver"]
+    ) -> None:
+        """``tx`` stops impinging on every radio of its fan-out.
+
+        For each radio in registration order: its reception record goes;
+        a down radio stops there.  A deliverable reception draws from the
+        radio's loss process, then counts as impaired, collided or
+        delivered; a delivered one is handed to the radio's MAC as
+        ``receive(mac, tx)``, the handler the MAC chose for this frame
+        (``None``: the frame needs none).  Then, if the channel went
+        idle, the EIFS flag is set and a listening MAC hears it.
+        """
+        uid = tx.uid
+        deliverable_to = tx.deliverable_to
+        for radio in radios:
+            impinging = radio._impinging
+            rec = impinging.pop(uid)
+            if radio.down:
+                # A dead radio decodes nothing and owes the MAC no carrier
+                # callbacks.  The energy bookkeeping above still ran, so
+                # carrier_busy is correct the instant the node recovers —
+                # and the loss process is *not* consulted: its stream
+                # position is a pure function of receptions judged while
+                # alive.
+                continue
+            collided = False
+            if radio.node_id in deliverable_to:
+                corrupted = rec.corrupted
+                loss = radio._loss
+                # The channel-state draw happens for *every* deliverable
+                # reception — independent of interference outcomes — so
+                # the RNG stream position depends only on the traffic
+                # pattern.
+                if loss is not None and loss.should_drop(rec.distance) and not corrupted:
+                    # The observable damage: a reception that would have
+                    # been delivered.  Collided receptions were already
+                    # lost.  A faded frame is neither delivered nor a CRC
+                    # failure, so the EIFS decision below treats it like
+                    # plain channel noise.
+                    loss.metrics.deliveries_suppressed += 1
+                    radio.frames_impaired += 1
+                    tracer = radio.tracer
+                    if tracer is not None and tracer.enabled_for("phy.fault_drop"):
+                        tracer.emit(
+                            radio.sim.now,
+                            "phy.fault_drop",
+                            node=radio.node_id,
+                            frame_uid=tx.frame.uid,
+                            frame_kind=tx.frame.kind.value,
+                            distance=rec.distance,
+                        )
+                elif corrupted:
+                    collided = True
+                    radio.frames_collided += 1
+                    tracer = radio.tracer
+                    if tracer is not None and tracer.enabled_for("phy.collision"):
+                        tracer.emit(
+                            radio.sim.now,
+                            "phy.collision",
+                            node=radio.node_id,
+                            frame_uid=tx.frame.uid,
+                            frame_kind=tx.frame.kind.value,
+                        )
+                else:
+                    radio.frames_delivered += 1
+                    if receive is not None:
+                        mac = radio.mac
+                        if mac is not None:
+                            receive(mac, tx)
+            if not impinging and radio._own_tx is None:  # carrier_busy inlined
+                # EIFS applies only after a decodable frame failed its
+                # CRC; a transmission that was merely sensed (out of radio
+                # range) is plain channel noise and releases with a
+                # normal DIFS.
+                radio._last_ended_corrupted = collided
+                # Read after the MAC upcall above, which may have changed
+                # the level.
+                if radio.carrier_listen:
+                    mac = radio.mac
+                    if mac is not None:
+                        mac.on_channel_idle()

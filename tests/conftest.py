@@ -30,6 +30,7 @@ from repro.net.mac.frames import MacFrame
 from repro.net.medium import RadioMedium
 from repro.net.mobility import StaticMobility
 from repro.net.node import Node
+from repro.net.phy import CAPTURE_DISTANCE_RATIO, LISTEN_ALL, PhyRadio, Reception
 from repro.routing.gpsr import GpsrBeacon, GpsrConfig, GpsrData, GpsrRouter
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -241,32 +242,28 @@ class CheckedMedium(RadioMedium):
     A transmission must start on exactly the radios within interference
     range of the sender, in registration order, each with the bitwise
     scalar distance and the right deliverability; the sender position
-    must be bitwise the scalar one.  The receivers are read off the
-    ``on_tx_start(tx, distance)`` calls; under the reference scan each
-    PHY computes its own distance, which is the scalar one by definition."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: ``(radio, distance)`` per ``on_tx_start`` of the transmit in flight.
-        self._starts: Optional[list] = None
-
-    def register(self, radio) -> None:
-        super().register(radio)
-        real = radio.on_tx_start
-
-        def on_tx_start(tx, distance=None) -> None:
-            if self._starts is not None:
-                self._starts.append((radio, distance))
-            real(tx, distance)
-
-        radio.on_tx_start = on_tx_start
+    must be bitwise the scalar one.  The fan-out is read off the one
+    ``PhyRadio.on_tx_start(tx, radios, distances)`` call the transmit
+    makes, and :attr:`receptions` must grow by its size."""
 
     def transmit(self, sender, frame, duration):
-        self._starts = starts = []
+        starts: list = []
+        descriptor = PhyRadio.__dict__["on_tx_start"]
+        real = PhyRadio.on_tx_start
+
+        def on_tx_start(tx, radios, distances) -> None:
+            starts.append((list(radios), list(distances)))
+            real(tx, radios, distances)
+
+        before = self.receptions
+        PhyRadio.on_tx_start = staticmethod(on_tx_start)  # type: ignore[method-assign]
         try:
             tx = super().transmit(sender, frame, duration)
         finally:
-            self._starts = None
+            PhyRadio.on_tx_start = descriptor  # type: ignore[method-assign]
+        assert len(starts) == 1, f"{len(starts)} on_tx_start calls for one transmit"
+        ((radios, distances),) = starts
+        assert self.receptions - before == len(radios)
         center, ref = tx.sender_pos, sender.position
         assert (center.x, center.y) == (ref.x, ref.y), (
             f"sender {sender.node_id} at {center.as_tuple()!r}, "
@@ -283,14 +280,10 @@ class CheckedMedium(RadioMedium):
                     (radio.node_id, pos.distance_to(center), d2 <= self._radio_range2)
                 )
         got = [
-            (
-                radio.node_id,
-                radio.position.distance_to(center) if distance is None else distance,
-                radio.node_id in tx.deliverable_to,
-            )
-            for radio, distance in starts
+            (radio.node_id, distance, radio.node_id in tx.deliverable_to)
+            for radio, distance in zip(radios, distances)
         ]
-        assert got == expected, (
+        assert got == expected and len(radios) == len(distances), (
             f"fan-out of node {sender.node_id} at t={self.sim.now!r} diverged "
             f"from the brute scan: expected {expected}, got {got}"
         )
@@ -302,6 +295,105 @@ def checked_medium(monkeypatch):
     """Build every scenario's medium as a :class:`CheckedMedium`."""
     monkeypatch.setattr(scenario_module, "RadioMedium", CheckedMedium)
     return CheckedMedium
+
+
+def _reference_tx_start(radio: PhyRadio, tx, distance: float) -> None:
+    """One transmission starts impinging on one radio."""
+    impinging = radio._impinging
+    was_idle = not impinging and radio._own_tx is None
+    # Half-duplex: nothing arriving during our own TX is decodable.
+    corrupted = radio._own_tx is not None
+    for rec in impinging.values():
+        # Pairwise 10 dB capture.
+        if distance < rec.distance * CAPTURE_DISTANCE_RATIO:
+            rec.corrupted = True
+        if rec.distance < distance * CAPTURE_DISTANCE_RATIO:
+            corrupted = True
+    impinging[tx.uid] = Reception(distance, corrupted)
+    if was_idle and radio.carrier_listen == LISTEN_ALL and not radio.down:
+        if radio.mac is not None:
+            radio.mac.on_channel_busy()
+
+
+def _reference_tx_end(radio: PhyRadio, tx) -> None:
+    """One transmission stops impinging on one radio; a clean deliverable
+    reception goes to the MAC's ``on_frame``."""
+    rec = radio._impinging.pop(tx.uid)
+    if radio.down:
+        return
+    deliverable = radio.node_id in tx.deliverable_to
+    corrupted = rec.corrupted
+    impaired = False
+    if deliverable and radio._loss is not None:
+        impaired = radio._loss.should_drop(rec.distance)
+        if impaired and not corrupted:
+            radio._loss.metrics.deliveries_suppressed += 1
+            radio.frames_impaired += 1
+            if radio.tracer is not None and radio.tracer.enabled_for("phy.fault_drop"):
+                radio.tracer.emit(
+                    radio.sim.now,
+                    "phy.fault_drop",
+                    node=radio.node_id,
+                    frame_uid=tx.frame.uid,
+                    frame_kind=tx.frame.kind.value,
+                    distance=rec.distance,
+                )
+    if deliverable and not corrupted and not impaired:
+        radio.frames_delivered += 1
+        if radio.mac is not None:
+            radio.mac.on_frame(tx.frame, tx)
+    elif deliverable and corrupted:
+        radio.frames_collided += 1
+        if radio.tracer is not None and radio.tracer.enabled_for("phy.collision"):
+            radio.tracer.emit(
+                radio.sim.now,
+                "phy.collision",
+                node=radio.node_id,
+                frame_uid=tx.frame.uid,
+                frame_kind=tx.frame.kind.value,
+            )
+    if not radio._impinging and radio._own_tx is None:
+        # EIFS only after a decodable frame failed its CRC.
+        radio._last_ended_corrupted = deliverable and corrupted
+        if radio.carrier_listen and radio.mac is not None:
+            radio.mac.on_channel_idle()
+
+
+class ReferenceReception:
+    """Reception one radio at a time: each radio of a fan-out is handed
+    the transmission on its own, and every clean deliverable reception
+    goes through ``mac.on_frame``, with no per-frame handler.  It counts
+    the per-radio starts it makes."""
+
+    def __init__(self) -> None:
+        self.starts = 0
+
+    def on_tx_start(self, tx, radios, distances) -> None:
+        for radio, distance in zip(radios, distances):
+            self.starts += 1
+            _reference_tx_start(radio, tx, distance)
+
+    def on_tx_end(self, tx, radios, receive) -> None:
+        for radio in radios:
+            _reference_tx_end(radio, tx)
+
+
+@contextmanager
+def reference_reception() -> Iterator[ReferenceReception]:
+    """Receive every fan-out through :class:`ReferenceReception` while
+    the block runs."""
+    reception = ReferenceReception()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PhyRadio, "on_tx_start", staticmethod(reception.on_tx_start))
+        patch.setattr(PhyRadio, "on_tx_end", staticmethod(reception.on_tx_end))
+        yield reception
+
+
+@pytest.fixture
+def reference_receiver() -> Iterator[ReferenceReception]:
+    """Swap :class:`ReferenceReception` in for the test's length."""
+    with reference_reception() as reception:
+        yield reception
 
 
 # ------------------------------------------------------------ on-air audit

@@ -139,9 +139,6 @@ class _Listener:
     def __init__(self) -> None:
         self.calls: list = []
 
-    def on_frame(self, frame, tx) -> None:
-        pass
-
     def on_channel_busy(self) -> None:
         self.calls.append("busy")
 

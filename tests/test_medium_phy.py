@@ -8,6 +8,7 @@ import pytest
 
 from repro.geo.vec import Position
 from repro.net.addresses import BROADCAST, mac_for_node
+from repro.net.mac.dcf import MacStats
 from repro.net.mac.frames import FrameKind, MacFrame
 from repro.net.medium import RadioMedium
 from repro.net.mobility import StaticMobility
@@ -35,14 +36,22 @@ def _frame(src_id):
     )
 
 
+class _Mac:
+    """Receive-only double.  It never sets ``radio.carrier_listen``, so
+    the PHY makes no carrier callbacks and it needs none.  It has what
+    the handler ``DcfMac.receiver_for`` picks for a broadcast data frame
+    reads: ``stats``, ``tracer`` and ``receive_callback``."""
+
+    tracer = None
+
+    def __init__(self, got: list) -> None:
+        self.stats = MacStats()
+        self.receive_callback = lambda packet, frame: got.append(frame)
+
+
 def _received(radio):
-    got = []
-    class _Mac:
-        """Receive-only double: it never sets ``radio.carrier_listen``, so
-        the PHY makes no carrier callbacks and it needs none."""
-        def on_frame(self, frame, tx):
-            got.append(frame)
-    radio.mac = _Mac()
+    got: list = []
+    radio.mac = _Mac(got)
     return got
 
 
@@ -55,6 +64,7 @@ def test_delivery_within_radio_range():
     tx.transmit(_frame(0), 0.001)
     sim.run()
     assert len(got) == 1
+    assert rx.mac.stats.delivered_up == 1
 
 
 def test_no_delivery_beyond_radio_range():
