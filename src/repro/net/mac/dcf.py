@@ -21,6 +21,13 @@ matters while a DIFS or backoff-slot timer is armed (it freezes them),
 and idle only in ``CONTEND`` (it resumes contention), so the MAC keeps
 its PHY's ``carrier_listen`` level in step with exactly those two
 conditions and the PHY skips every other callback.
+
+Reception is chosen per frame, not per receiver: the PHY hands a clean
+frame to ``receive(mac, tx)``, the handler :meth:`DcfMac.receiver_for`
+picked once for the whole fan-out.  A broadcast data frame goes straight
+up to the router; an RTS, CTS or unicast data frame goes to its
+addressee's :meth:`DcfMac.on_frame` and sets a bystander's NAV; an ACK
+reaches its addressee only.
 """
 
 from __future__ import annotations
